@@ -50,6 +50,7 @@ from .microstates import (
     sum_spectrum_experiment,
     theta_fraction,
 )
+from .stats import three_way_verdict
 
 COMMANDS = (
     "entropy",
@@ -478,12 +479,7 @@ def _run_epi(params, seed, threads):
     )
     scale = max(report.power_sum, report.power_alpha + report.power_beta)
     tol = max(report.quadrature_error_estimate, 0.02 * scale)
-    if report.deficit >= -tol:
-        verdict = "holds"
-    elif report.deficit < -3.0 * tol:
-        verdict = "violated"
-    else:
-        verdict = "inconclusive"
+    verdict = three_way_verdict(report.deficit, tol)
     result = {"report": report.to_json(), "tolerance": tol, "verdict": verdict}
     return result, verdict, {"grid": _grid_echo(grid)}
 
@@ -524,32 +520,18 @@ def _run_minkowski(params, seed, threads):
     return out, None, {"mode": "monte-carlo", "mc": dataclasses.asdict(cfg)}
 
 
-def _run_theorem12(params, seed, threads):
-    cfg = _mc_config(params, seed, threads)
-    report = check_theorem12(
-        _parse_set(params["a"]), _parse_set(params["b"]), _parse_theta(params["theta"]), cfg
-    )
-    return {"report": report.to_json()}, report.verdict, {"mc": dataclasses.asdict(cfg)}
+def _check_handler(check, *fields):
+    """Handler calling check(*parsed fields, cfg) and reporting its verdict."""
+
+    def run(params, seed, threads):
+        cfg = _mc_config(params, seed, threads)
+        report = check(*(parse(params[key]) for key, parse in fields), cfg)
+        return {"report": report.to_json()}, report.verdict, {"mc": dataclasses.asdict(cfg)}
+
+    return run
 
 
-def _run_corollary15(params, seed, threads):
-    cfg = _mc_config(params, seed, threads)
-    report = check_corollary15(
-        _parse_set(params["a"]),
-        _parse_set(params["b"]),
-        _parse_theta(params["theta"]),
-        params["delta"],
-        cfg,
-    )
-    return {"report": report.to_json()}, report.verdict, {"mc": dataclasses.asdict(cfg)}
-
-
-def _run_bll(params, seed, threads):
-    cfg = _mc_config(params, seed, threads)
-    report = bll_symmetrization_check(
-        _parse_set(params["a"]), _parse_set(params["b"]), _parse_set(params["c_set"]), cfg
-    )
-    return {"report": report.to_json()}, report.verdict, {"mc": dataclasses.asdict(cfg)}
+_PAIR_FIELDS = (("a", _parse_set), ("b", _parse_set), ("theta", _parse_theta))
 
 
 def _run_microstates_spectrum(params, seed, threads):
@@ -611,10 +593,12 @@ _HANDLERS = {
     "freeconv": _run_freeconv,
     "epi": _run_epi,
     "minkowski": _run_minkowski,
-    "theorem12": _run_theorem12,
-    "corollary15": _run_corollary15,
+    "theorem12": _check_handler(check_theorem12, *_PAIR_FIELDS),
+    "corollary15": _check_handler(check_corollary15, *_PAIR_FIELDS, ("delta", float)),
     "lemma13": _run_lemma13,
-    "bll": _run_bll,
+    "bll": _check_handler(
+        bll_symmetrization_check, ("a", _parse_set), ("b", _parse_set), ("c_set", _parse_set)
+    ),
     "microstates-spectrum": _run_microstates_spectrum,
     "microstates-theta": _run_microstates_theta,
     "microstates-volume": _run_microstates_volume,

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln
 
 from .errors import DegenerateSampleError, ParameterError
-from .stats import Z99, hash_unit, wilson_interval
+from .stats import Z99, hash_unit, three_way_verdict, wilson_interval
 
 __all__ = [
     "CheckReport",
@@ -364,15 +364,6 @@ class MonteCarloConfig:
             raise ParameterError("constant C must be positive")
 
 
-def _verdict(deficit: float, ci: float) -> str:
-    # "violated" needs clear separation so noise cannot trigger it
-    if deficit >= -ci:
-        return "holds"
-    if deficit < -3.0 * ci:
-        return "violated"
-    return "inconclusive"
-
-
 # ---------------------------------------------------------------------------
 # sampling primitives
 
@@ -465,8 +456,9 @@ def _adaptive_cells(samples: int, n: int) -> int:
 def restricted_sum_volume(
     A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
 ) -> dict:
-    """Volume of the pair constraint and of the restricted sumset.
+    """Volumes of A, B, the pair constraint and the restricted sumset.
 
+    volume_a and volume_b are ``volume(A)`` and ``volume(B)`` under cfg.
     theta_volume is hit-or-miss over independent uniform pairs from A x B.
     sum_volume marks occupancy-grid cells hit by sampled x + y with (x, y)
     admitted by theta; besides the independent pairs, each batch is reused
@@ -574,6 +566,8 @@ def restricted_sum_volume(
         low_biased=True,
     )
     return {
+        "volume_a": vol_a,
+        "volume_b": vol_b,
         "theta_volume": theta_vol,
         "sum_volume": sum_vol,
         "theta_hits": hits,
@@ -798,34 +792,29 @@ def _known_pair_fraction(A: SetSpec, B: SetSpec, theta: ThetaSpec):
     return None, "mc"
 
 
-def _gate(
-    fraction_needed: float,
-    A: SetSpec,
-    B: SetSpec,
-    theta: ThetaSpec,
-    theta_hits: int,
-    pair_samples: int,
-) -> dict:
-    """Decide the lambda(Theta) precondition; ties are never passes."""
+def _pair_fraction(A: SetSpec, B: SetSpec, theta: ThetaSpec, rsv: dict):
+    """(fraction, (lo, hi), source): a derived value, else the 99% Wilson CI."""
     known, source = _known_pair_fraction(A, B, theta)
     if known is not None:
-        return {
-            "fraction": known,
-            "ci": (known, known),
-            "passed": known >= fraction_needed,
-            "tied": False,
-            "source": source,
-            "threshold": fraction_needed,
-        }
-    lo, hi = wilson_interval(theta_hits, pair_samples)
-    passed = lo > fraction_needed
-    failed = hi < fraction_needed
+        return known, (known, known), source
+    lo, hi = wilson_interval(rsv["theta_hits"], rsv["pair_samples"])
+    return rsv["theta_hits"] / rsv["pair_samples"], (float(lo), float(hi)), source
+
+
+def _gate(fraction_needed: float, A: SetSpec, B: SetSpec, theta: ThetaSpec, rsv: dict) -> dict:
+    """Decide the lambda(Theta) precondition; ties are never passes."""
+    fraction, (lo, hi), source = _pair_fraction(A, B, theta, rsv)
+    if source == "mc":
+        passed = lo > fraction_needed
+        tied = not passed and not hi < fraction_needed
+    else:
+        passed, tied = fraction >= fraction_needed, False
     return {
-        "fraction": theta_hits / pair_samples,
-        "ci": (float(lo), float(hi)),
+        "fraction": fraction,
+        "ci": (lo, hi),
         "passed": passed,
-        "tied": not passed and not failed,
-        "source": "mc",
+        "tied": tied,
+        "source": source,
         "threshold": fraction_needed,
     }
 
@@ -838,34 +827,33 @@ def _power_ci(vol: VolumeEstimate, n: int, z: float) -> float:
     return (2.0 / n) * vol.value ** (2.0 / n - 1.0) * spread
 
 
-def check_theorem12(
-    A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
-) -> CheckReport:
-    """Superadditivity of the 2/n-th volume power under a near-full Theta.
+def _power_check(A, B, theta, cfg, rule, **extra) -> CheckReport:
+    """lambda(A +_Theta B)^(2/n) >= factor (lambda(A)^(2/n) + lambda(B)^(2/n)).
 
-    Gate: lambda(Theta) >= (1 - c min(rho sqrt(n), 1)) lambda(A) lambda(B),
-    with rho the symmetric volume-ratio root.  A failed or tied gate yields
-    an inconclusive verdict; the measured volumes are still reported.
+    rule(n, rho, cfg) gives one version's (gate threshold, rhs factor), with
+    rho the symmetric volume-ratio root.  The input volumes are the ones the
+    restricted-sum estimate computed; their Monte Carlo stderr enters the CI
+    scaled like the rhs.  A failed or tied gate yields an inconclusive
+    verdict; the measured volumes are still reported.
     """
     cfg = cfg or MonteCarloConfig()
     n = A.dim
-    vol_a = volume(A, cfg)
-    vol_b = volume(B, cfg)
-    rho = _volume_ratio_rho(vol_a.value, vol_b.value, n)
-    threshold = 1.0 - cfg.c * min(rho * math.sqrt(n), 1.0)
-
     rsv = restricted_sum_volume(A, B, theta, cfg)
-    gate = _gate(threshold, A, B, theta, rsv["theta_hits"], rsv["pair_samples"])
-
+    vol_a, vol_b = rsv["volume_a"], rsv["volume_b"]
+    rho = _volume_ratio_rho(vol_a.value, vol_b.value, n)
+    threshold, factor = rule(n, rho, cfg)
+    gate = _gate(threshold, A, B, theta, rsv)
+    # a negative factor makes the bound vacuous, not negative
+    scale = max(factor, 0.0)
     lhs = rsv["sum_volume"].value ** (2.0 / n)
-    rhs = vol_a.value ** (2.0 / n) + vol_b.value ** (2.0 / n)
+    rhs = scale * (vol_a.value ** (2.0 / n) + vol_b.value ** (2.0 / n))
     ci = _power_ci(rsv["sum_volume"], n, Z99)
-    ci += Z99 * (2.0 / n) * (
+    ci += scale * Z99 * (2.0 / n) * (
         vol_a.value ** (2.0 / n - 1.0) * vol_a.stderr
         + vol_b.value ** (2.0 / n - 1.0) * vol_b.stderr
     )
     deficit = lhs - rhs
-    verdict = _verdict(deficit, ci) if gate["passed"] else "inconclusive"
+    verdict = three_way_verdict(deficit, ci) if gate["passed"] else "inconclusive"
     return CheckReport(
         lhs=lhs,
         rhs=rhs,
@@ -876,6 +864,8 @@ def check_theorem12(
             "n": n,
             "rho": rho,
             "c": cfg.c,
+            "C": cfg.C,
+            "rhs_factor": factor,
             "gate": gate,
             "theta_volume": rsv["theta_volume"].to_json(),
             "sum_volume": rsv["sum_volume"].to_json(),
@@ -884,7 +874,20 @@ def check_theorem12(
             "seed": cfg.seed,
             "pair_samples": cfg.pair_samples,
             "grid_cells_per_axis": rsv["grid_cells_per_axis"],
+            **extra,
         },
+    )
+
+
+def check_theorem12(
+    A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
+) -> CheckReport:
+    """Superadditivity of the 2/n-th volume power under a near-full Theta.
+
+    Gate: lambda(Theta) >= (1 - c min(rho sqrt(n), 1)) lambda(A) lambda(B).
+    """
+    return _power_check(
+        A, B, theta, cfg, lambda n, rho, cfg: (1.0 - cfg.c * min(rho * math.sqrt(n), 1.0), 1.0)
     )
 
 
@@ -902,73 +905,8 @@ def check_corollary15(
     """
     if not 0.0 <= delta <= 0.5:
         raise ParameterError("delta must lie in [0, 0.5]")
-    cfg = cfg or MonteCarloConfig()
-    n = A.dim
-    vol_a = volume(A, cfg)
-    vol_b = volume(B, cfg)
-    rsv = restricted_sum_volume(A, B, theta, cfg)
-    gate = _gate(1.0 - delta, A, B, theta, rsv["theta_hits"], rsv["pair_samples"])
-
-    factor = 1.0 - cfg.C * delta / n
-    lhs = rsv["sum_volume"].value ** (2.0 / n)
-    rhs = factor * (vol_a.value ** (2.0 / n) + vol_b.value ** (2.0 / n))
-    ci = _power_ci(rsv["sum_volume"], n, Z99)
-    deficit = lhs - rhs
-    verdict = _verdict(deficit, ci) if gate["passed"] else "inconclusive"
-    return CheckReport(
-        lhs=lhs,
-        rhs=rhs,
-        deficit=deficit,
-        ci_halfwidth=ci,
-        verdict=verdict,
-        context={
-            "n": n,
-            "delta": delta,
-            "C": cfg.C,
-            "rhs_factor": factor,
-            "gate": gate,
-            "sum_volume": rsv["sum_volume"].to_json(),
-            "theta_volume": rsv["theta_volume"].to_json(),
-            "seed": cfg.seed,
-        },
-    )
-
-
-def fubini_lower_bound(
-    A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
-) -> CheckReport:
-    """Slice bound: the restricted sum covers (1 - delta) of the larger body."""
-    cfg = cfg or MonteCarloConfig()
-    vol_a = volume(A, cfg)
-    vol_b = volume(B, cfg)
-    if vol_a.value < vol_b.value:
-        raise ParameterError("requires lambda(A) >= lambda(B)")
-    rsv = restricted_sum_volume(A, B, theta, cfg)
-    known, _src = _known_pair_fraction(A, B, theta)
-    if known is not None:
-        fraction, frac_ci = known, 0.0
-    else:
-        lo, hi = wilson_interval(rsv["theta_hits"], rsv["pair_samples"])
-        fraction = rsv["theta_hits"] / rsv["pair_samples"]
-        frac_ci = 0.5 * (hi - lo)
-    delta = 1.0 - fraction
-    lhs = rsv["sum_volume"].value
-    rhs = (1.0 - delta) * vol_a.value
-    ci = rsv["sum_volume"].stderr + vol_a.value * frac_ci + Z99 * vol_a.stderr
-    deficit = lhs - rhs
-    return CheckReport(
-        lhs=lhs,
-        rhs=rhs,
-        deficit=deficit,
-        ci_halfwidth=ci,
-        verdict=_verdict(deficit, ci),
-        context={
-            "n": A.dim,
-            "delta": delta,
-            "theta_fraction": fraction,
-            "volume_a": vol_a.value,
-            "seed": cfg.seed,
-        },
+    return _power_check(
+        A, B, theta, cfg, lambda n, rho, cfg: (1.0 - delta, 1.0 - cfg.C * delta / n), delta=delta
     )
 
 
@@ -985,33 +923,39 @@ def check_remark16(
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie in (0, 1)")
+    return _power_check(
+        A, B, theta, cfg,
+        lambda n, rho, cfg: (gamma, 1.0 - cfg.C * rho * math.sqrt(math.log1p(1.0 / gamma) / n)),
+        gamma=gamma,
+    )
+
+
+def fubini_lower_bound(
+    A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
+) -> CheckReport:
+    """Slice bound: the restricted sum covers (1 - delta) of the larger body."""
     cfg = cfg or MonteCarloConfig()
-    n = A.dim
-    vol_a = volume(A, cfg)
-    vol_b = volume(B, cfg)
-    rho = _volume_ratio_rho(vol_a.value, vol_b.value, n)
     rsv = restricted_sum_volume(A, B, theta, cfg)
-    gate = _gate(gamma, A, B, theta, rsv["theta_hits"], rsv["pair_samples"])
-    factor = 1.0 - cfg.C * rho * math.sqrt(math.log1p(1.0 / gamma) / n)
-    base = vol_a.value ** (2.0 / n) + vol_b.value ** (2.0 / n)
-    rhs = max(factor, 0.0) * base
-    lhs = rsv["sum_volume"].value ** (2.0 / n)
-    ci = _power_ci(rsv["sum_volume"], n, Z99)
+    vol_a = rsv["volume_a"]
+    if vol_a.value < rsv["volume_b"].value:
+        raise ParameterError("requires lambda(A) >= lambda(B)")
+    fraction, (lo, hi), _source = _pair_fraction(A, B, theta, rsv)
+    delta = 1.0 - fraction
+    lhs = rsv["sum_volume"].value
+    rhs = (1.0 - delta) * vol_a.value
+    ci = rsv["sum_volume"].stderr + vol_a.value * (0.5 * (hi - lo)) + Z99 * vol_a.stderr
     deficit = lhs - rhs
-    verdict = _verdict(deficit, ci) if gate["passed"] else "inconclusive"
     return CheckReport(
         lhs=lhs,
         rhs=rhs,
         deficit=deficit,
         ci_halfwidth=ci,
-        verdict=verdict,
+        verdict=three_way_verdict(deficit, ci),
         context={
-            "n": n,
-            "gamma": gamma,
-            "rho": rho,
-            "C": cfg.C,
-            "rhs_factor": factor,
-            "gate": gate,
+            "n": A.dim,
+            "delta": delta,
+            "theta_fraction": fraction,
+            "volume_a": vol_a.value,
             "seed": cfg.seed,
         },
     )
@@ -1070,7 +1014,7 @@ def bll_symmetrization_check(
         rhs=rhs,
         deficit=deficit,
         ci_halfwidth=ci,
-        verdict=_verdict(deficit, ci),
+        verdict=three_way_verdict(deficit, ci),
         context={"n": n, "seed": cfg.seed, "pair_samples": cfg.pair_samples},
     )
 
@@ -1095,7 +1039,3 @@ def ball_example_exact(rho: float, n: int) -> dict:
     )
     return {"theta_fraction": 0.5, "sum_radius": sum_radius, "equality_gap": gap}
 
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF (reference point for the cap asymptotics)."""
-    return float(ndtr(x))

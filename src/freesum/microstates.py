@@ -15,7 +15,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 from scipy.special import logsumexp
 
@@ -538,23 +537,13 @@ def log_flag_constant(k: int) -> float:
 
     Calibrated against the Gaussian integral over self-adjoint matrices in
     the trace norm, which equals (2 pi)^(k^2/2) exactly: integrating out the
-    eigenbasis leaves the Hankel determinant of Gaussian moments, so
-    log C_k = (k^2/2) log 2pi - log det[g_{i+j-2}].  Evaluated in extended
-    precision; the moment matrix is badly conditioned.
+    eigenbasis leaves the Hankel determinant of Gaussian moments,
+    (2 pi)^(k/2) prod_{n<k} n!, so
+    log C_k = (k^2/2 - k/2) log 2pi - sum_{n<k} log n!.
     """
     if not isinstance(k, int) or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k}")
-    with mpmath.workdps(60 + 4 * k):
-        g = [mpmath.sqrt(2 * mpmath.pi), mpmath.mpf(0)]
-        for m in range(2, 2 * k - 1):
-            g.append((m - 1) * g[m - 2])
-        hankel = mpmath.matrix(k)
-        for i in range(k):
-            for j in range(k):
-                hankel[i, j] = g[i + j]
-        logdet = mpmath.log(mpmath.det(hankel))
-        out = k * k / mpmath.mpf(2) * mpmath.log(2 * mpmath.pi) - logdet
-    return float(out)
+    return k * (k - 1) / 2 * math.log(2 * math.pi) - sum(math.lgamma(n + 1) for n in range(k))
 
 
 def _box_proposal(lo: np.ndarray, hi: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Shared statistical helpers: confidence intervals and seeded stream hashing."""
+"""Shared statistical helpers: confidence intervals, verdicts, seeded stream hashing."""
 
 from __future__ import annotations
 
@@ -27,6 +27,18 @@ def wilson_interval(successes: int, trials: int, z: float = Z99):
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def three_way_verdict(deficit: float, tol: float) -> str:
+    """holds if deficit >= -tol, violated if deficit < -3 tol, else inconclusive.
+
+    "violated" needs clear separation so noise cannot trigger it.
+    """
+    if deficit >= -tol:
+        return "holds"
+    if deficit < -3.0 * tol:
+        return "violated"
+    return "inconclusive"
 
 
 def splitmix64(x):

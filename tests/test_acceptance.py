@@ -11,6 +11,7 @@ import time
 from math import lgamma
 
 import numpy as np
+from scipy.special import ndtr
 
 from freesum.cumulants import free_cumulant
 from freesum.freeconv import free_convolve
@@ -24,7 +25,6 @@ from freesum.geometry import (
     check_lemma13,
     check_theorem12,
     first_integral_fraction_at_extremal_r0,
-    normal_cdf,
     restricted_sum_volume,
 )
 from freesum.measure import (
@@ -157,7 +157,7 @@ def test_criterion_03_cap_constant_and_limit_fraction(capsys):
             if c1 <= 0.05:
                 failures.append(f"c1={c1:.4f} at rho={rho} n={n}")
         frac = first_integral_fraction_at_extremal_r0(10_000, rho)
-        if abs(frac - normal_cdf(1.0)) > 0.02:
+        if abs(frac - ndtr(1.0)) > 0.02:
             failures.append(f"first-integral fraction {frac:.4f} at rho={rho}")
     finish(capsys, 3, "uncovered-cap constant and normal-tail limit", t0, 60.0, failures)
 

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.special import betainc, ndtr
 
+import freesum.geometry as geometry
 from freesum.errors import DegenerateSampleError, ParameterError
 from freesum.geometry import (
     CheckReport,
@@ -22,7 +23,6 @@ from freesum.geometry import (
     check_theorem12,
     first_integral_fraction_at_extremal_r0,
     fubini_lower_bound,
-    normal_cdf,
     register_theta_predicate,
     restricted_sum_volume,
     unit_ball_volume,
@@ -30,6 +30,7 @@ from freesum.geometry import (
 )
 
 FAST = MonteCarloConfig(pair_samples=200_000, seed=5)
+BALL_CAP_BOX = SetSpec.intersection(SetSpec.ball(1.0, 3), SetSpec.box([0.8, 0.8, 0.8]))
 
 
 class TestSpecs:
@@ -263,6 +264,63 @@ class TestRestrictedSum:
             )
 
 
+class TestPowerCheckCore:
+    """The three 2/n-power checks share one estimate of every volume."""
+
+    CHECKS = (
+        lambda a, b, th, cfg: check_theorem12(a, b, th, cfg),
+        lambda a, b, th, cfg: check_corollary15(a, b, th, 0.05, cfg),
+        lambda a, b, th, cfg: check_remark16(a, b, th, 0.5, cfg),
+        lambda a, b, th, cfg: fubini_lower_bound(a, b, th, cfg),
+    )
+
+    def test_each_input_volume_computed_once(self, monkeypatch):
+        calls = []
+        real = geometry.volume
+
+        def counting(spec, cfg=None):
+            calls.append(spec.kind)
+            return real(spec, cfg)
+
+        monkeypatch.setattr(geometry, "volume", counting)
+        cfg = MonteCarloConfig(pair_samples=20_000, seed=3)
+        for check in self.CHECKS:
+            calls.clear()
+            check(SetSpec.ellipsoid([1.2, 1.0, 1.0]), BALL_CAP_BOX, ThetaSpec.full(), cfg)
+            assert calls == ["ellipsoid", "intersection"]
+
+    def test_context_volumes_are_the_restricted_sum_volumes(self):
+        a, b = SetSpec.ellipsoid([1.2, 1.0, 1.0]), BALL_CAP_BOX
+        rsv = restricted_sum_volume(a, b, ThetaSpec.full(), FAST)
+        assert rsv["volume_a"] == volume(a, FAST)
+        assert rsv["volume_b"] == volume(b, FAST)
+        rep = check_remark16(a, b, ThetaSpec.full(), 0.5, FAST)
+        assert rep.context["volume_a"] == rsv["volume_a"].value
+        assert rep.context["volume_b"] == rsv["volume_b"].value
+        assert rep.context["sum_volume"] == rsv["sum_volume"].to_json()
+
+    def test_corollary15_ci_counts_monte_carlo_input_volumes(self):
+        # at delta = 0 the rhs factor is 1, so the CI must match theorem12's,
+        # which includes the stderr of the Monte Carlo volume of B
+        a, b = SetSpec.ellipsoid([1.2, 1.0, 1.0]), BALL_CAP_BOX
+        r15 = check_corollary15(a, b, ThetaSpec.full(), 0.0, FAST)
+        r12 = check_theorem12(a, b, ThetaSpec.full(), FAST)
+        assert r15.ci_halfwidth == r12.ci_halfwidth
+        input_part = r12.ci_halfwidth - geometry._power_ci(
+            restricted_sum_volume(a, b, ThetaSpec.full(), FAST)["sum_volume"], 3, geometry.Z99
+        )
+        assert input_part > 0
+
+    def test_negative_rhs_factor_is_a_vacuous_bound(self):
+        # n = 1 and delta = 1/2 give 1 - 3/2 < 0: rhs and its CI share clamp to 0
+        rep = check_corollary15(
+            SetSpec.ball(1.0, 1), SetSpec.ball(0.5, 1), ThetaSpec.full(), 0.5, FAST
+        )
+        assert rep.context["rhs_factor"] == pytest.approx(-0.5)
+        assert rep.rhs == 0.0
+        assert rep.verdict == "holds"
+
+
 class TestTheoremTwelve:
     def test_cube_pair_exact_margin(self):
         # [-1,1]^3 + [-1,1]^3 = [-2,2]^3: lhs -> 64^(2/3) = 16, rhs = 8
@@ -478,7 +536,7 @@ class TestCapFraction:
             cap_fraction(3, 0.5, 0.0)
 
     def test_first_integral_trend_reaches_normal_cdf(self):
-        target = normal_cdf(1.0)
+        target = ndtr(1.0)
         errs = []
         for n in (10, 100, 1000, 10000):
             errs.append(abs(first_integral_fraction_at_extremal_r0(n, 1.0) - target))

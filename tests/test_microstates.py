@@ -307,6 +307,19 @@ class TestLogVolume:
             assert abs(log_flag_constant(k) - closed) <= 1e-6 * abs(closed)
         assert log_flag_constant(1) == 0.0
 
+    def test_flag_constant_matches_hankel_determinant(self):
+        # the defining form: (k^2/2) log 2pi - log det[g_{i+j}] over the
+        # Gaussian moments g_m, in float64 where the Hankel matrix is tame
+        for k in range(1, 9):
+            g = [math.sqrt(2 * math.pi), 0.0]
+            for m in range(2, 2 * k - 1):
+                g.append((m - 1) * g[m - 2])
+            hankel = np.array([[g[i + j] for j in range(k)] for i in range(k)])
+            sign, logdet = np.linalg.slogdet(hankel)
+            assert sign == 1.0
+            want = k * k / 2 * math.log(2 * math.pi) - logdet
+            assert log_flag_constant(k) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_two_slot_quadrature_crosscheck(self):
         eps0 = 1e-3
         h = StepFunctionSpec(

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from freesum.errors import ParameterError
-from freesum.stats import Z99, hash_unit, splitmix64, stream_seed, wilson_interval
+from freesum.stats import (
+    Z99,
+    hash_unit,
+    splitmix64,
+    stream_seed,
+    three_way_verdict,
+    wilson_interval,
+)
 
 
 def test_wilson_interval_frozen_values():
@@ -71,3 +78,13 @@ def test_z99_constant():
     from scipy.stats import norm
 
     assert Z99 == pytest.approx(norm.ppf(0.995), abs=1e-12)
+
+
+def test_three_way_verdict_boundaries():
+    assert three_way_verdict(-1.0, 1.0) == "holds"
+    assert three_way_verdict(-1.5, 1.0) == "inconclusive"
+    assert three_way_verdict(-3.0, 1.0) == "inconclusive"
+    assert three_way_verdict(-3.5, 1.0) == "violated"
+    # zero tolerance: any negative deficit is a clear violation
+    assert three_way_verdict(0.0, 0.0) == "holds"
+    assert three_way_verdict(-1e-12, 0.0) == "violated"

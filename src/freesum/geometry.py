@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import DegenerateSampleError, ParameterError
-from .stats import Z99, hash_unit, three_way_verdict, wilson_interval
+from .stats import Z99, hash_unit, stream_seed, three_way_verdict, wilson_interval
 
 __all__ = [
     "CheckReport",
@@ -403,7 +403,7 @@ def _run_streams(cfg: MonteCarloConfig, job) -> list:
     """Run job(stream_index, samples, rng) per stream, fixed reduction order."""
     budgets = _split_budget(cfg.pair_samples, cfg.n_streams)
     args = [
-        (i, budgets[i], np.random.default_rng(cfg.seed ^ i))
+        (i, budgets[i], np.random.default_rng(stream_seed(cfg.seed, i)))
         for i in range(cfg.n_streams)
     ]
     if cfg.threads == 1:

@@ -22,7 +22,7 @@ from .cumulants import cumulants_from_moments, moments_from_cumulants, pair_mome
 from .errors import ParameterError, PrecisionError, StepFunctionError
 from .freeentropy import CHI_SHIFT
 from .measure import Measure
-from .stats import wilson_interval
+from .stats import stream_seed, wilson_interval
 
 _HERMITIAN_TOL = 1e-12
 _SLOT_LANDING_TOL = 1e-9
@@ -429,7 +429,8 @@ def theta_fraction(
 
     Each trial draws one matrix per profile with its own Haar basis and tests
     the pair against the freeness targets of the two push-forward laws.
-    Trial t uses seed ^ t, so parallel and serial evaluation agree exactly.
+    Trial t draws from stream_seed(seed, t), so parallel and serial
+    evaluation agree exactly and distinct seeds never share a trial stream.
     """
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")
@@ -444,7 +445,7 @@ def theta_fraction(
     logw = np.empty(trials)
     member = np.zeros(trials, dtype=bool)
     for t in range(trials):
-        rng = np.random.default_rng(seed ^ t)
+        rng = np.random.default_rng(stream_seed(seed, t))
         a1, lam1 = _sample_omega(h1, k, rng)
         a2, lam2 = _sample_omega(h2, k, rng)
         ok = microstate_membership((a1, a2), target)
@@ -698,7 +699,7 @@ def check_sum_containment(
     passes = 0
     kept = 0
     for t in range(trials):
-        rng = np.random.default_rng(seed ^ t)
+        rng = np.random.default_rng(stream_seed(seed, t))
         a1, _ = _sample_omega(h1, k, rng)
         a2, _ = _sample_omega(h2, k, rng)
         if not microstate_membership((a1, a2), pair_target):

@@ -138,6 +138,12 @@ class TestVolume:
         assert est.method == "mc_hit_or_miss"
         assert abs(est.value - 1.0) <= max(3.0 * est.stderr, 1e-12)
 
+    def test_adjacent_seeds_give_distinct_estimates(self):
+        # streams derive from (seed, stream) through stream_seed; seeds 4-7
+        # must not reuse each other's streams in another order
+        values = {volume(BALL_CAP_BOX, MonteCarloConfig(seed=s)).value for s in (4, 5, 6, 7)}
+        assert len(values) == 4
+
     def test_intersection_off_center_matches_grid_oracle(self):
         inter = SetSpec.intersection(
             SetSpec.ball(1.0, 2), SetSpec.box([0.8, 0.8], center=(0.5, 0.0))

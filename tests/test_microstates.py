@@ -235,6 +235,17 @@ class TestThetaFraction:
         assert a == b
 
 
+    def test_adjacent_seeds_give_distinct_results(self):
+        # trial streams derive from (seed, t) through stream_seed; seeds 0-3
+        # must not replay each other's trials in another order, which would
+        # leave the importance weights equal up to summation order
+        runs = [theta_fraction(H_SC, H_UN, 16, 2, 0.2, trials=100, seed=s) for s in range(4)]
+        ess = [r.weight_ess for r in runs]
+        for i in range(4):
+            for j in range(i):
+                assert abs(ess[i] - ess[j]) > 1e-9 * ess[i]
+
+
 class TestSumSpectrum:
     def test_bernoulli_pair_gives_arcsine(self):
         emp = sum_spectrum_experiment(

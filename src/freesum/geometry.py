@@ -827,7 +827,9 @@ def _power_ci(vol: VolumeEstimate, n: int, z: float) -> float:
     return (2.0 / n) * vol.value ** (2.0 / n - 1.0) * spread
 
 
-def _power_check(A, B, theta, cfg, rule, **extra) -> CheckReport:
+def _power_check(
+    A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None, rule, **extra
+) -> CheckReport:
     """lambda(A +_Theta B)^(2/n) >= factor (lambda(A)^(2/n) + lambda(B)^(2/n)).
 
     rule(n, rho, cfg) gives one version's (gate threshold, rhs factor), with
@@ -886,9 +888,11 @@ def check_theorem12(
 
     Gate: lambda(Theta) >= (1 - c min(rho sqrt(n), 1)) lambda(A) lambda(B).
     """
-    return _power_check(
-        A, B, theta, cfg, lambda n, rho, cfg: (1.0 - cfg.c * min(rho * math.sqrt(n), 1.0), 1.0)
-    )
+
+    def rule(n, rho, cfg):
+        return 1.0 - cfg.c * min(rho * math.sqrt(n), 1.0), 1.0
+
+    return _power_check(A, B, theta, cfg, rule)
 
 
 def check_corollary15(
@@ -905,9 +909,11 @@ def check_corollary15(
     """
     if not 0.0 <= delta <= 0.5:
         raise ParameterError("delta must lie in [0, 0.5]")
-    return _power_check(
-        A, B, theta, cfg, lambda n, rho, cfg: (1.0 - delta, 1.0 - cfg.C * delta / n), delta=delta
-    )
+
+    def rule(n, rho, cfg):
+        return 1.0 - delta, 1.0 - cfg.C * delta / n
+
+    return _power_check(A, B, theta, cfg, rule, delta=delta)
 
 
 def check_remark16(
@@ -923,11 +929,11 @@ def check_remark16(
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie in (0, 1)")
-    return _power_check(
-        A, B, theta, cfg,
-        lambda n, rho, cfg: (gamma, 1.0 - cfg.C * rho * math.sqrt(math.log1p(1.0 / gamma) / n)),
-        gamma=gamma,
-    )
+
+    def rule(n, rho, cfg):
+        return gamma, 1.0 - cfg.C * rho * math.sqrt(math.log1p(1.0 / gamma) / n)
+
+    return _power_check(A, B, theta, cfg, rule, gamma=gamma)
 
 
 def fubini_lower_bound(

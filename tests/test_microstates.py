@@ -234,7 +234,6 @@ class TestThetaFraction:
         b = theta_fraction(H_SC, H_UN, 32, 2, 0.1, trials=100, seed=4)
         assert a == b
 
-
     def test_adjacent_seeds_give_distinct_results(self):
         # trial streams derive from (seed, t) through stream_seed; seeds 0-3
         # must not replay each other's trials in another order, which would

@@ -463,12 +463,22 @@ def _run_entropy(params, seed, threads):
     return result, None, {"grid": _grid_echo(grid)}
 
 
+# solver diagnostics copied from free_convolve's meta; null when an input is a
+# point mass and the sum is an exact translation, with no solve
+FREECONV_DIAGNOSTICS = ("raw_mass", "eta", "unconverged_points", "worst_residual", "solver_steps")
+
+
 def _run_freeconv(params, seed, threads):
     grid = _parse_grid(params.get("grid"))
     out = free_convolve(
         _parse_measure(params["alpha"], grid), _parse_measure(params["beta"], grid), grid=grid
     )
-    result = {"measure": out.to_json(), "mean": out.mean(), "variance": out.variance()}
+    result = {
+        "measure": out.to_json(),
+        "mean": out.mean(),
+        "variance": out.variance(),
+        "diagnostics": {key: out.meta.get(key) for key in FREECONV_DIAGNOSTICS},
+    }
     return result, None, {"grid": _grid_echo(grid)}
 
 

@@ -8,9 +8,13 @@ functions: at each query point z the coupled equations
 
 are solved by a damped fixed point with a safeguarded Newton polish, and the
 density is read off from G(z) = G_alpha(omega1(z)) just above the real axis.
-The iteration is swept serially in x so each point warm-starts from its
-neighbor; the first point is bootstrapped by continuation from high up in the
-half-plane where the fixed point is strongly contractive.
+The iteration is swept serially in x.  Each point warm-starts from the
+linear extrapolation of omega1 through the two points solved before it
+(2*omega1[i-1] - omega1[i-2] on the uniform readout grid), clamped to
+Im >= Im z; the quadrature nodes of the edge cells are swept the same way,
+starting from the cell midpoint.  The first point is bootstrapped by
+continuation from high up in the half-plane where the fixed point is
+strongly contractive, and so is any point whose warm start fails.
 """
 
 from __future__ import annotations
@@ -82,9 +86,12 @@ class _PointSolver:
         self.ev_a = StaircaseTransform(alpha)
         self.ev_b = StaircaseTransform(beta)
         self.cfg = cfg
+        # evaluation rounds made so far, bootstrap rounds included
+        self.steps = 0
 
     def _sweep_step(self, z, w1):
         """One evaluation round: residual H, Newton slope, second point."""
+        self.steps += 1
         ga, gpa = self.ev_a.g_and_deriv(w1)
         fa = 1.0 / ga
         fpa = -gpa * fa * fa
@@ -165,6 +172,20 @@ def subordination_at(
     return state
 
 
+def _warm_start(trail, x: float, floor: float) -> complex:
+    """omega1 extrapolated linearly to x from the last two (x, omega1) in trail.
+
+    With one solved point the guess is its omega1; the guess never drops
+    below Im = floor, the readout height.
+    """
+    x1, w1 = trail[-1]
+    if len(trail) < 2:
+        return w1
+    x0, w0 = trail[-2]
+    guess = w1 + (w1 - w0) * ((x - x1) / (x1 - x0))
+    return complex(guess.real, max(guess.imag, floor))
+
+
 def _edge_nodes(lo_edge: float, hi_edge: float, singular_left: bool):
     """Quadrature nodes/weights averaging a cell that touches a support edge.
 
@@ -221,20 +242,20 @@ def free_convolve(
     density = np.zeros(n)
     unconverged = 0
     worst = 0.0
-    w1 = None
+    trail: list[tuple[float, complex]] = []
     states: dict[int, SubordinationState] = {}
     for idx in interior:
         z = complex(mids[idx], eta)
-        if w1 is None:
+        if not trail:
             state, fa, ok = ps.bootstrap(z, width)
         else:
-            state, fa, ok = ps.solve(z, w1, solver.max_iter)
+            state, fa, ok = ps.solve(z, _warm_start(trail, z.real, eta), solver.max_iter)
             if not ok:
                 state, fa, ok = ps.bootstrap(z, width)
         if not ok:
             unconverged += 1
             worst = max(worst, state.residual)
-        w1 = state.omega1
+        trail = [*trail[-1:], (z.real, state.omega1)]
         states[idx] = state
         density[idx] = max(0.0, -((1.0 / fa).imag) / math.pi)
 
@@ -252,16 +273,16 @@ def free_convolve(
             nodes = mids[idx] + 0.5 * h * _GAUSS8_NODES
             weights = 0.5 * _GAUSS8_WEIGHTS
         acc = 0.0
-        w1_local = states[idx].omega1
+        trail = [(mids[idx], states[idx].omega1)]
         for x_node, wt in zip(nodes, weights):
             z = complex(x_node, eta)
-            state, fa, ok = ps.solve(z, w1_local, solver.max_iter)
+            state, fa, ok = ps.solve(z, _warm_start(trail, z.real, eta), solver.max_iter)
             if not ok:
                 state, fa, ok = ps.bootstrap(z, width)
                 if not ok:
                     unconverged += 1
                     worst = max(worst, state.residual)
-            w1_local = state.omega1
+            trail = [*trail[-1:], (z.real, state.omega1)]
             acc += wt * max(0.0, -((1.0 / fa).imag) / math.pi)
         density[idx] = acc
 
@@ -289,5 +310,7 @@ def free_convolve(
             "eta": eta,
             "unconverged_points": unconverged,
             "worst_residual": worst,
+            "solver_steps": ps.steps,
+            "readout_points": n_points,
         },
     )

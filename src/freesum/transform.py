@@ -1,8 +1,17 @@
 """Cauchy transform evaluation, Stieltjes inversion, and the R-transform.
 
-The transform of a grid-plus-atoms measure has a closed form: each constant
-density cell contributes c*(Log(z-l) - Log(z-r)) and each atom w/(z-a), so no
-quadrature error enters beyond the staircase representation itself.
+The transform of a grid-plus-atoms measure has a closed form.  A constant
+density cell [l, r] of height c contributes c*(Log(z-l) - Log(z-r)) and an
+atom w/(z-a), so no quadrature error enters beyond the staircase
+representation itself.  Summed over cells the logs telescope: each grid edge
+e_j carries the density jump dc_j = c_j - c_(j-1) (zero outside the grid),
+and
+
+    G(z)  = sum_j dc_j Log(z - e_j) + sum_atoms w / (z - a),
+    G'(z) = sum_j dc_j / (z - e_j)  - sum_atoms w / (z - a)^2,
+
+with only the nonzero jumps kept: one log and one reciprocal per edge where
+a jump occurs instead of two of each per cell.
 """
 
 from __future__ import annotations
@@ -44,46 +53,84 @@ class NewtonConfig:
 class StaircaseTransform:
     """Evaluator for G and G' of a fixed measure, valid off the real axis.
 
-    Values in the lower half-plane follow the same closed form, which is the
-    Schwarz reflection of the upper-half-plane branch; both are needed when
-    inverting G (the functional inverse lands in the opposite half-plane).
+    ``coef`` holds the nonzero density jumps dc_j at the grid edges
+    ``edge_loc`` (the edge-jump form in the module docstring); ``atom_loc``
+    and ``atom_w`` hold the atoms.  Each Log(z - e_j) is formed in real
+    arithmetic, and two exact rearrangements keep the rounding error of the
+    edge sum from growing with the distance to the support:
+
+    - log|z - e_j| is taken relative to log|z - m|, m the support midpoint,
+      which adds nothing because the jumps sum to zero;
+    - Arg(z - e_j) is split into an angle in (-pi/2, pi/2), small unless z
+      is near e_j, plus pi sign(Im z) for the edges right of Re z, whose
+      jumps sum to minus the density of the cell holding Re z (the
+      Sokhotski-Plemelj jump).
+
+    The sums over edges are plain reductions, so values do not depend on the
+    BLAS thread count.  Values in the lower half-plane follow the same
+    closed form, which is the Schwarz reflection of the upper-half-plane
+    branch; both are needed when inverting G (the functional inverse lands
+    in the opposite half-plane).
     """
 
     def __init__(self, mu: Measure):
         edges = mu.edges()
-        nz = np.nonzero(mu.density > 0)[0]
-        self.left = edges[nz]
-        self.right = edges[nz + 1]
-        self.coef = mu.density[nz]
+        jumps = np.diff(mu.density, prepend=0.0, append=0.0)
+        nz = np.nonzero(jumps)[0]
+        self.edge_loc = edges[nz]
+        self.coef = jumps[nz]
         self.atom_loc = np.array([a for a, _ in mu.atoms])
         self.atom_w = np.array([w for _, w in mu.atoms])
         self.support = mu.support() if (nz.size or mu.atoms) else (0.0, 0.0)
         self.mean = moment(mu, 1)
+        self._mid = 0.5 * (self.support[0] + self.support[1])
+        # density of the cell holding x, indexed by searchsorted(edges, x, "right")
+        self._grid_edges = edges
+        self._cell_density = np.concatenate(([0.0], mu.density, [0.0]))
+
+    def _edge_sum(self, v):
+        return np.einsum("...j,j->...", v, self.coef)
+
+    def _edge_terms(self, z, deriv: bool):
+        """The edge sums of G and, if deriv, of G'; G' is None otherwise."""
+        # + 0.0 turns Re z = -0.0 into +0.0, so x_j < 0 agrees with searchsorted
+        re = z.real + 0.0
+        x = re[..., None] - self.edge_loc
+        y = z.imag[..., None]
+        r2 = x * x + y * y
+        r2_mid = (re - self._mid) ** 2 + z.imag**2
+        log_abs = 0.5 * self._edge_sum(np.log(r2 / r2_mid[..., None]))
+        with np.errstate(divide="ignore", over="ignore"):
+            # Arg(z - e_j) - pi sign(y) [x_j < 0], with x_j = 0 giving +-pi/2
+            angle = np.arctan(y / x)
+        cell = self._cell_density[np.searchsorted(self._grid_edges, re, side="right")]
+        g = log_abs + 1j * (self._edge_sum(angle) - math.pi * np.sign(z.imag) * cell)
+        if not deriv:
+            return g, None
+        inv = 1.0 / r2
+        # 1/(z - e) = (x - i y) / |z - e|^2
+        return g, self._edge_sum(x * inv) - 1j * (z.imag * self._edge_sum(inv))
+
+    def _evaluate(self, z, deriv: bool):
+        z = np.asarray(z, dtype=complex)
+        g, gp = 0j, 0j
+        if self.coef.size:
+            g, gp = self._edge_terms(z, deriv)
+        if self.atom_loc.size:
+            da = z[..., None] - self.atom_loc
+            g = g + np.sum(self.atom_w / da, axis=-1)
+            if deriv:
+                gp = gp - np.sum(self.atom_w / da**2, axis=-1)
+        scalar = z.ndim == 0
+        if not deriv:
+            return complex(g) if scalar else g
+        return (complex(g), complex(gp)) if scalar else (g, gp)
 
     def g(self, z):
-        z = np.asarray(z, dtype=complex)
-        zz = z[..., None]
-        out = np.sum(
-            self.coef * (np.log(zz - self.left) - np.log(zz - self.right)), axis=-1
-        )
-        if self.atom_loc.size:
-            out = out + np.sum(self.atom_w / (zz - self.atom_loc), axis=-1)
-        return out if out.shape else complex(out)
+        return self._evaluate(z, deriv=False)
 
     def g_and_deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        zz = z[..., None]
-        dl = zz - self.left
-        dr = zz - self.right
-        g = np.sum(self.coef * (np.log(dl) - np.log(dr)), axis=-1)
-        gp = np.sum(self.coef * (1.0 / dl - 1.0 / dr), axis=-1)
-        if self.atom_loc.size:
-            da = zz - self.atom_loc
-            g = g + np.sum(self.atom_w / da, axis=-1)
-            gp = gp - np.sum(self.atom_w / da**2, axis=-1)
-        if g.shape:
-            return g, gp
-        return complex(g), complex(gp)
+        return self._evaluate(z, deriv=True)
 
 
 def cauchy_transform(mu: Measure, z: complex) -> complex:

@@ -180,6 +180,29 @@ class TestRunExamples:
         out = Measure.from_json(doc["result"]["measure"])
         assert abs(moment(out, 0) - 1.0) < 1e-9
 
+    def test_freeconv_diagnostics_reproducible(self, tmp_path, capsys):
+        config = {
+            "command": "freeconv",
+            "params": {"alpha": SEMICIRCLE, "beta": BERNOULLI_SYM, "grid": {"n_cells": 512}},
+        }
+        texts = []
+        for name in ("c1.json", "c2.json"):
+            assert run_cli(tmp_path, config, name=name) == 0
+            diag = last_stdout_json(capsys)["result"]["diagnostics"]
+            assert set(diag) == {
+                "raw_mass",
+                "eta",
+                "unconverged_points",
+                "worst_residual",
+                "solver_steps",
+            }
+            assert 0.9 <= diag["raw_mass"] <= 1.1
+            assert diag["eta"] > 0
+            assert diag["unconverged_points"] == 0
+            assert isinstance(diag["solver_steps"], int) and diag["solver_steps"] > 0
+            texts.append(cli.render_json(diag))
+        assert texts[0] == texts[1]
+
     def test_stam_semicircle_pair(self, tmp_path, capsys):
         config = {"command": "stam", "params": {"alpha": SEMICIRCLE, "beta": {"family": "semicircle", "params": [2.0]}}}
         assert run_cli(tmp_path, config) == 0

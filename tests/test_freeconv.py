@@ -125,10 +125,35 @@ def test_convolution_meta():
         "eta",
         "unconverged_points",
         "worst_residual",
+        "solver_steps",
+        "readout_points",
     }
     assert 0.9 <= out.meta["raw_mass"] <= 1.1
     assert out.meta["eta"] > 0
     assert out.meta["unconverged_points"] == 0
+
+
+def test_solver_steps_count_evaluation_rounds(monkeypatch):
+    # one round evaluates both input transforms once
+    calls = []
+    g_and_deriv = StaircaseTransform.g_and_deriv
+
+    def counted(self, z):
+        calls.append(z)
+        return g_and_deriv(self, z)
+
+    monkeypatch.setattr(StaircaseTransform, "g_and_deriv", counted)
+    small = GridConfig(256)
+    out = free_convolve(semicircle(1.0, grid=small), uniform(-1.0, 1.0, grid=small), grid=small)
+    assert out.meta["solver_steps"] > out.meta["readout_points"]
+    assert 2 * out.meta["solver_steps"] == len(calls)
+
+
+def test_extrapolated_warm_start_step_budget():
+    # neighbour warm starts took 3.14 rounds per readout point on this pair
+    out = free_convolve(semicircle(0.5), semicircle(1.0))
+    assert out.meta["unconverged_points"] == 0
+    assert out.meta["solver_steps"] <= 2.6 * out.meta["readout_points"]
 
 
 def test_subordination_identities():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freesum.errors import (
     ConvergenceError,
@@ -11,7 +13,7 @@ from freesum.errors import (
     InversionQualityError,
     ParameterError,
 )
-from freesum.measure import GridConfig, bernoulli, l1_distance, semicircle
+from freesum.measure import GridConfig, Measure, bernoulli, l1_distance, semicircle
 from freesum.transform import (
     CauchyEvaluation,
     NewtonConfig,
@@ -73,6 +75,89 @@ def test_herglotz_and_asymptotics():
     # far from the support, z G(z) - 1 decays like 1/z^2
     ring = rng.uniform(20, 40, 25) * np.exp(1j * rng.uniform(0.1, math.pi - 0.1, 25))
     assert np.all(np.abs(ring * st.g(ring) - 1.0) <= 1.0 / np.abs(ring))
+
+
+def per_cell_g_and_deriv(mu, z):
+    """Reference G and G': c * (Log(z - l) - Log(z - r)) summed cell by cell."""
+    z = np.asarray(z, dtype=complex)
+    edges = mu.edges()
+    nz = np.nonzero(mu.density)[0]
+    dl = z[..., None] - edges[nz]
+    dr = z[..., None] - edges[nz + 1]
+    c = mu.density[nz]
+    g = np.sum(c * (np.log(dl) - np.log(dr)), axis=-1)
+    gp = np.sum(c * (1.0 / dl - 1.0 / dr), axis=-1)
+    for loc, w in mu.atoms:
+        g = g + w / (z - loc)
+        gp = gp - w / (z - loc) ** 2
+    return g, gp
+
+
+@st.composite
+def staircase_measures(draw):
+    """Staircases of 2-64 cells on windows 0.2-6 wide, with an interior zero
+    gap and up to 3 atoms.
+
+    Rounding in both forms grows with the density jumps: on windows about
+    0.03 wide the per-cell reference itself is off by about 1e-13.
+    """
+    n = draw(st.integers(2, 64))
+    lo = draw(st.floats(-3.0, 2.0))
+    width = draw(st.floats(0.2, 6.0))
+    cell_heights = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+    heights = np.array(draw(st.lists(cell_heights, min_size=n, max_size=n)))
+    gap = draw(st.integers(0, n - 1))
+    heights[gap : gap + draw(st.integers(0, n // 2))] = 0.0
+    if not heights.any():
+        heights[0] = 1.0
+    atoms = draw(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.01, 0.2)), max_size=3)
+    )
+    atom_mass = sum(w for _, w in atoms)
+    hi = lo + width
+    density = heights / (heights.sum() * (hi - lo) / n) * (1.0 - atom_mass)
+    return Measure(lo, hi, density, tuple((lo + u * width, w) for u, w in atoms))
+
+
+# both half-planes, from 1e-6 off the axis out to |z| = 1e3
+off_axis_points = st.lists(
+    st.builds(
+        complex,
+        st.one_of(st.floats(-6.0, 6.0), st.floats(-1e3, 1e3)),
+        st.one_of(st.floats(1e-6, 10.0), st.floats(10.0, 1e3)).flatmap(
+            lambda y: st.sampled_from([y, -y])
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(staircase_measures(), off_axis_points)
+def test_edge_jump_form_matches_per_cell_form(mu, points):
+    z = np.array(points)
+    ev = StaircaseTransform(mu)
+    g, gp = ev.g_and_deriv(z)
+    g_ref, gp_ref = per_cell_g_and_deriv(mu, z)
+    assert np.all(np.abs(g - g_ref) <= 1e-13 * (1.0 + np.abs(g_ref)))
+    assert np.all(np.abs(gp - gp_ref) <= 1e-10 * (1.0 + np.abs(gp_ref)))
+    assert np.array_equal(ev.g(z), g)
+    # Herglotz: each half-plane maps into the opposite one
+    assert np.all(g.imag * z.imag < 0)
+    # Schwarz reflection holds exactly, not just to rounding
+    g_conj, gp_conj = ev.g_and_deriv(np.conj(z))
+    assert np.array_equal(g_conj, np.conj(g))
+    assert np.array_equal(gp_conj, np.conj(gp))
+
+
+def test_coefficients_are_edge_jumps():
+    mu = Measure(0.0, 1.0, np.array([0.0, 2.0, 2.0, 0.0, 1.0, 3.0]) / (8.0 / 6.0))
+    ev = StaircaseTransform(mu)
+    # equal neighbours and the zero cells' edges leave no jump
+    np.testing.assert_array_equal(ev.edge_loc, mu.edges()[[1, 3, 4, 5, 6]])
+    np.testing.assert_array_equal(ev.coef, np.array([2.0, -2.0, 1.0, 2.0, -3.0]) * 0.75)
+    assert ev.coef.sum() == 0.0
 
 
 def test_real_axis_rejected():

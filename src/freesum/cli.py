@@ -465,7 +465,11 @@ def _run_entropy(params, seed, threads):
 
 # solver diagnostics copied from free_convolve's meta; null when an input is a
 # point mass and the sum is an exact translation, with no solve
-FREECONV_DIAGNOSTICS = ("raw_mass", "eta", "unconverged_points", "worst_residual", "solver_steps")
+SOLVER_DIAGNOSTICS = ("raw_mass", "eta", "unconverged_points", "worst_residual", "solver_steps")
+
+
+def _solver_diagnostics(meta):
+    return {key: meta.get(key) for key in SOLVER_DIAGNOSTICS}
 
 
 def _run_freeconv(params, seed, threads):
@@ -477,7 +481,7 @@ def _run_freeconv(params, seed, threads):
         "measure": out.to_json(),
         "mean": out.mean(),
         "variance": out.variance(),
-        "diagnostics": {key: out.meta.get(key) for key in FREECONV_DIAGNOSTICS},
+        "diagnostics": _solver_diagnostics(out.meta),
     }
     return result, None, {"grid": _grid_echo(grid)}
 
@@ -490,7 +494,12 @@ def _run_epi(params, seed, threads):
     scale = max(report.power_sum, report.power_alpha + report.power_beta)
     tol = max(report.quadrature_error_estimate, 0.02 * scale)
     verdict = three_way_verdict(report.deficit, tol)
-    result = {"report": report.to_json(), "tolerance": tol, "verdict": verdict}
+    result = {
+        "report": report.to_json(),
+        "tolerance": tol,
+        "verdict": verdict,
+        "diagnostics": _solver_diagnostics(report.sum_meta),
+    }
     return result, verdict, {"grid": _grid_echo(grid)}
 
 

@@ -8,13 +8,14 @@ functions: at each query point z the coupled equations
 
 are solved by a damped fixed point with a safeguarded Newton polish, and the
 density is read off from G(z) = G_alpha(omega1(z)) just above the real axis.
-The iteration is swept serially in x.  Each point warm-starts from the
-linear extrapolation of omega1 through the two points solved before it
-(2*omega1[i-1] - omega1[i-2] on the uniform readout grid), clamped to
-Im >= Im z; the quadrature nodes of the edge cells are swept the same way,
-starting from the cell midpoint.  The first point is bootstrapped by
-continuation from high up in the half-plane where the fixed point is
-strongly contractive, and so is any point whose warm start fails.
+The readout points form one plan in increasing x: the midpoint of each
+ordinary cell, and in-cell quadrature nodes in the cells next to the support
+endpoints, so the spacing is not uniform near the edges.  The plan is swept
+once, serially.  Each point warm-starts from the linear extrapolation of
+omega1 through the two points solved before it, clamped to Im >= Im z.  The
+first point is bootstrapped by continuation from high up in the half-plane
+where the fixed point is strongly contractive, and so is any point whose
+warm start fails.
 """
 
 from __future__ import annotations
@@ -186,30 +187,43 @@ def _warm_start(trail, x: float, floor: float) -> complex:
     return complex(guess.real, max(guess.imag, floor))
 
 
-def _edge_nodes(lo_edge: float, hi_edge: float, singular_left: bool):
-    """Quadrature nodes/weights averaging a cell that touches a support edge.
+def _panel_rule(cuts):
+    """8-point Gauss nodes and weights on [0, 1] split into panels at cuts."""
+    a, b = cuts[:-1, None], cuts[1:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * _GAUSS8_NODES).ravel(), (half * _GAUSS8_WEIGHTS).ravel()
 
-    Geometric panels refine toward the singular end so inverse-square-root
-    blowups are integrated accurately.
+
+# in-cell rules as (nodes in units of the cell width, weights summing to 1);
+# the outermost cells use geometric panels refined toward the support
+# endpoint so inverse-square-root blowups are integrated accurately
+_MIDPOINT = (np.array([0.5]), np.array([1.0]))
+_GAUSS8 = _panel_rule(np.array([0.0, 1.0]))
+_SINGULAR_LEFT = _panel_rule(np.array([0.0, 1.0 / 729.0, 1.0 / 81.0, 1.0 / 9.0, 1.0 / 3.0, 1.0]))
+_SINGULAR_RIGHT = (1.0 - _SINGULAR_LEFT[0][::-1], _SINGULAR_LEFT[1][::-1])
+
+
+def _readout_plan(lo: float, h: float, interior: np.ndarray):
+    """Readout abscissae in increasing x, with quadrature weights and cells.
+
+    Ordinary cells are read at their midpoint; the EDGE_CELLS cells next to
+    each support endpoint are averaged by in-cell quadrature instead, since
+    the density may have square-root behavior there.
     """
-    cuts = np.array([0.0, 1.0 / 729.0, 1.0 / 81.0, 1.0 / 9.0, 1.0 / 3.0, 1.0])
-    if not singular_left:
-        cuts = 1.0 - cuts[::-1]
-    width = hi_edge - lo_edge
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        pa, pb = lo_edge + a * width, lo_edge + b * width
-        half = 0.5 * (pb - pa)
-        nodes.append(0.5 * (pa + pb) + half * _GAUSS8_NODES)
-        weights.append(half * _GAUSS8_WEIGHTS / width)
-    return np.concatenate(nodes), np.concatenate(weights)
+    n_edge = min(EDGE_CELLS, interior.size // 2)
+    rules = [_MIDPOINT] * interior.size
+    rules[:n_edge] = rules[-n_edge:] = [_GAUSS8] * n_edge
+    rules[0], rules[-1] = _SINGULAR_LEFT, _SINGULAR_RIGHT
+    x = np.concatenate([lo + h * (idx + u) for idx, (u, _) in zip(interior, rules)])
+    weight = np.concatenate([w for _, w in rules])
+    cell = np.repeat(interior, [w.size for _, w in rules])
+    return x, weight, cell
 
 
 def free_convolve(
     alpha: Measure,
     beta: Measure,
     grid: GridConfig | None = None,
-    tol: float = 1e-10,
     solver: SolverConfig | None = None,
 ) -> Measure:
     """Distribution of X + Y for freely independent X ~ alpha, Y ~ beta.
@@ -220,8 +234,7 @@ def free_convolve(
     inversion-quality failure rather than a wrong answer.
     """
     grid = grid or DEFAULT_GRID
-    if solver is None:
-        solver = SolverConfig(tol=tol)
+    solver = solver or SolverConfig()
     if alpha.is_point_mass():
         return affine_pushforward(beta, 1.0, alpha.atoms[0][0])
     if beta.is_point_mass():
@@ -234,59 +247,29 @@ def free_convolve(
     n = grid.n_cells
     h = (hi - lo) / n
     eta = ETA_FACTOR * (hi - lo)
-    mids = lo + h * (np.arange(n) + 0.5)
-    interior = np.arange(pad, n - pad)
+    xs, weight, cell = _readout_plan(lo, h, np.arange(pad, n - pad))
 
     ps = _PointSolver(alpha, beta, solver)
     width = max(1.0, s_hi - s_lo)
-    density = np.zeros(n)
+    values = np.empty(xs.size)
     unconverged = 0
     worst = 0.0
     trail: list[tuple[float, complex]] = []
-    states: dict[int, SubordinationState] = {}
-    for idx in interior:
-        z = complex(mids[idx], eta)
-        if not trail:
+    for i, x in enumerate(xs.tolist()):
+        z = complex(x, eta)
+        ok = False
+        if trail:
+            state, fa, ok = ps.solve(z, _warm_start(trail, x, eta), solver.max_iter)
+        if not ok:
             state, fa, ok = ps.bootstrap(z, width)
-        else:
-            state, fa, ok = ps.solve(z, _warm_start(trail, z.real, eta), solver.max_iter)
-            if not ok:
-                state, fa, ok = ps.bootstrap(z, width)
         if not ok:
             unconverged += 1
             worst = max(worst, state.residual)
-        trail = [*trail[-1:], (z.real, state.omega1)]
-        states[idx] = state
-        density[idx] = max(0.0, -((1.0 / fa).imag) / math.pi)
+        trail = [*trail[-1:], (x, state.omega1)]
+        values[i] = max(0.0, -((1.0 / fa).imag) / math.pi)
+    density = np.bincount(cell, weight * values, minlength=n)
 
-    # cells near the support endpoints: in-cell quadrature instead of the
-    # midpoint value, since the density may have square-root behavior there
-    n_edge = min(EDGE_CELLS, interior.size // 2)
-    edge_set = list(interior[:n_edge]) + list(interior[-n_edge:])
-    edges = lo + h * np.arange(n + 1)
-    for rank, idx in enumerate(edge_set):
-        at_left = rank < n_edge
-        outermost = idx == interior[0] or idx == interior[-1]
-        if outermost:
-            nodes, weights = _edge_nodes(edges[idx], edges[idx + 1], at_left)
-        else:
-            nodes = mids[idx] + 0.5 * h * _GAUSS8_NODES
-            weights = 0.5 * _GAUSS8_WEIGHTS
-        acc = 0.0
-        trail = [(mids[idx], states[idx].omega1)]
-        for x_node, wt in zip(nodes, weights):
-            z = complex(x_node, eta)
-            state, fa, ok = ps.solve(z, _warm_start(trail, z.real, eta), solver.max_iter)
-            if not ok:
-                state, fa, ok = ps.bootstrap(z, width)
-                if not ok:
-                    unconverged += 1
-                    worst = max(worst, state.residual)
-            trail = [*trail[-1:], (z.real, state.omega1)]
-            acc += wt * max(0.0, -((1.0 / fa).imag) / math.pi)
-        density[idx] = acc
-
-    n_points = interior.size + 8 * len(edge_set)
+    n_points = xs.size
     if unconverged > 0.01 * n_points:
         raise ConvergenceError(
             f"subordination failed at {unconverged} of {n_points} points "

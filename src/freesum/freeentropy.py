@@ -9,7 +9,7 @@ of the density itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -108,7 +108,9 @@ class EntropyReport:
     deficit = power_sum - power_alpha - power_beta; the free entropy power
     inequality asserts it is nonnegative.  Powers are exp(2 chi), zero when
     the corresponding chi is -inf (purely atomic input); such inputs are
-    listed in infinite_entropy_inputs.
+    listed in infinite_entropy_inputs.  sum_meta is the ``meta`` of the
+    computed convolution, holding the solver diagnostics; it is not part of
+    the JSON form.
     """
 
     chi_alpha: float
@@ -120,6 +122,7 @@ class EntropyReport:
     deficit: float
     quadrature_error_estimate: float
     infinite_entropy_inputs: tuple[str, ...] = ()
+    sum_meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("power_alpha", "power_beta", "power_sum"):
@@ -150,10 +153,9 @@ def epi_deficit(
     alpha: Measure,
     beta: Measure,
     grid: GridConfig | None = None,
-    tol: float = 1e-10,
 ) -> EntropyReport:
     """Entropy power report for alpha, beta and their free convolution."""
-    mu_sum = free_convolve(alpha, beta, grid=grid, tol=tol)
+    mu_sum = free_convolve(alpha, beta, grid=grid)
     chi_a, err_a = _chi_with_refinement(alpha)
     chi_b, err_b = _chi_with_refinement(beta)
     chi_s, err_s = _chi_with_refinement(mu_sum)
@@ -175,6 +177,7 @@ def epi_deficit(
         deficit=p_s - p_a - p_b,
         quadrature_error_estimate=err,
         infinite_entropy_inputs=flagged,
+        sum_meta=mu_sum.meta,
     )
 
 

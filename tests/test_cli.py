@@ -181,8 +181,15 @@ class TestRunExamples:
         assert abs(moment(out, 0) - 1.0) < 1e-9
 
     def test_freeconv_diagnostics_reproducible(self, tmp_path, capsys):
+        self._check_diagnostics_reproducible(tmp_path, capsys, "freeconv")
+
+    def test_epi_diagnostics_reproducible(self, tmp_path, capsys):
+        self._check_diagnostics_reproducible(tmp_path, capsys, "epi")
+
+    @staticmethod
+    def _check_diagnostics_reproducible(tmp_path, capsys, command):
         config = {
-            "command": "freeconv",
+            "command": command,
             "params": {"alpha": SEMICIRCLE, "beta": BERNOULLI_SYM, "grid": {"n_cells": 512}},
         }
         texts = []

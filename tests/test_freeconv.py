@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freesum import freeconv
 from freesum.cumulants import free_cumulant
 from freesum.errors import ParameterError
 from freesum.freeconv import SolverConfig, free_convolve, subordination_at
@@ -16,6 +19,7 @@ from freesum.measure import (
     moment,
     point_mass,
     semicircle,
+    snapped_window,
     uniform,
 )
 from freesum.transform import StaircaseTransform, r_transform
@@ -154,6 +158,41 @@ def test_extrapolated_warm_start_step_budget():
     out = free_convolve(semicircle(0.5), semicircle(1.0))
     assert out.meta["unconverged_points"] == 0
     assert out.meta["solver_steps"] <= 2.6 * out.meta["readout_points"]
+
+
+def test_readout_points_count_the_points_solved(monkeypatch):
+    # every point the sweep solves at the readout height Im z = eta, fallback
+    # bootstraps included, is one readout point and counts in the 1% gate
+    solved = set()
+    solve = freeconv._PointSolver.solve
+
+    def recorded(self, z, w1, budget):
+        solved.add(z)
+        return solve(self, z, w1, budget)
+
+    monkeypatch.setattr(freeconv._PointSolver, "solve", recorded)
+    small = GridConfig(256)
+    out = free_convolve(semicircle(1.0, grid=small), uniform(-1.0, 1.0, grid=small), grid=small)
+    at_readout = {z.real for z in solved if z.imag == out.meta["eta"]}
+    assert len(at_readout) == out.meta["readout_points"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 4096), st.floats(1.0, 4.0))
+def test_readout_plan_shape(n_cells, padding):
+    grid = GridConfig(n_cells, padding)
+    lo, hi, pad = snapped_window(-1.3, 0.7, grid)
+    h = (hi - lo) / n_cells
+    interior = np.arange(pad, n_cells - pad)
+    x, weight, cell = freeconv._readout_plan(lo, h, interior)
+    assert np.all(np.diff(x) > 0)
+    assert np.all(lo + h * cell < x) and np.all(x < lo + h * (cell + 1))
+    np.testing.assert_allclose(np.bincount(cell, weight)[interior], 1.0, rtol=0, atol=1e-14)
+    counts = np.bincount(cell, minlength=n_cells)[interior]
+    n_edge = min(freeconv.EDGE_CELLS, interior.size // 2)
+    assert counts[0] == counts[-1] == 40
+    assert np.all(counts[1:n_edge] == 8) and np.all(counts[-n_edge:-1] == 8)
+    assert np.all(counts[n_edge:-n_edge] == 1)
 
 
 def test_subordination_identities():

@@ -6,7 +6,8 @@ functions: at each query point z the coupled equations
     omega2 = F_alpha(omega1) + z - omega1
     omega1 = F_beta(omega2) + z - omega2,      F = 1/G,
 
-are solved by a damped fixed point with a safeguarded Newton polish, and the
+are solved by a damped fixed point with a safeguarded Newton polish (to
+residual TOL * max(1, |z|), at most MAX_ITER rounds per point), and the
 density is read off from G(z) = G_alpha(omega1(z)) just above the real axis.
 The readout points form one plan in increasing x: the midpoint of each
 ordinary cell, and in-cell quadrature nodes in the cells next to the support
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulants import free_cumulant  # re-exported; additivity under this op
-from .errors import ConvergenceError, InversionQualityError, ParameterError
+from .errors import ConvergenceError, ParameterError
 from .measure import (
     DEFAULT_GRID,
     GridConfig,
@@ -34,13 +34,11 @@ from .measure import (
     affine_pushforward,
     snapped_window,
 )
-from .transform import StaircaseTransform
+from .transform import StaircaseTransform, _renormalized
 
 __all__ = [
-    "SolverConfig",
     "SubordinationState",
     "free_convolve",
-    "free_cumulant",
     "subordination_at",
 ]
 
@@ -52,22 +50,13 @@ ETA_FACTOR = 2e-8
 # cells adjacent to a support endpoint refined by in-cell quadrature
 EDGE_CELLS = 24
 
+# subordination solve: converged once |H| <= TOL * max(1, |z|); fixed-point
+# steps move omega1 by DAMPING * H; a full solve makes at most MAX_ITER rounds
+TOL = 1e-10
+DAMPING = 0.5
+MAX_ITER = 500
+
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-10
-    damping: float = 0.5
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if not 1e-12 <= self.tol <= 1e-4:
-            raise ParameterError(f"tol must lie in [1e-12, 1e-4], got {self.tol}")
-        if not 0 < self.damping <= 1:
-            raise ParameterError("damping must lie in (0, 1]")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,10 +72,9 @@ class SubordinationState:
 class _PointSolver:
     """Solves the subordination pair at single points, reusing evaluators."""
 
-    def __init__(self, alpha: Measure, beta: Measure, cfg: SolverConfig):
+    def __init__(self, alpha: Measure, beta: Measure):
         self.ev_a = StaircaseTransform(alpha)
         self.ev_b = StaircaseTransform(beta)
-        self.cfg = cfg
         # evaluation rounds made so far, bootstrap rounds included
         self.steps = 0
 
@@ -109,7 +97,6 @@ class _PointSolver:
 
     def solve(self, z, w1, budget):
         """Iterate from w1; returns (state, F_value, converged)."""
-        cfg = self.cfg
         floor = z.imag
         scale = max(1.0, abs(z))
         best = (math.inf, w1, w1, w1)  # residual, w1, w2, F
@@ -118,7 +105,7 @@ class _PointSolver:
             resid = abs(h)
             if resid < best[0]:
                 best = (resid, w1, w2, fa)
-            if resid <= cfg.tol * scale:
+            if resid <= TOL * scale:
                 return SubordinationState(w1, w2, resid, it), fa, True
             use_newton = resid < 0.3 * scale and hp != 0
             if use_newton:
@@ -128,7 +115,7 @@ class _PointSolver:
                     step *= cap / abs(step)
                 cand = w1 - step
             else:
-                cand = w1 + cfg.damping * h
+                cand = w1 + DAMPING * h
             if cand.imag < floor:
                 cand = complex(cand.real, floor)
             w1 = cand
@@ -136,35 +123,25 @@ class _PointSolver:
         return SubordinationState(w1, w2, resid, budget), fa, False
 
     def bootstrap(self, z, height):
-        """Continuation from Im = height down to z; returns warm (w1, state...)."""
+        """Continuation from Im = height down to z; returns what solve does."""
         levels = [height]
         while levels[-1] > z.imag * 2:
             levels.append(levels[-1] * 0.4)
         w1 = complex(z.real, levels[0])
-        state = None
-        fa = None
-        ok = False
         for lv in levels:
-            zl = complex(z.real, lv)
-            state, fa, ok = self.solve(zl, w1, 80)
-            w1 = state.omega1
-        state, fa, ok = self.solve(z, w1, self.cfg.max_iter)
-        return state, fa, ok
+            w1 = self.solve(complex(z.real, lv), w1, 80)[0].omega1
+        return self.solve(z, w1, MAX_ITER)
 
 
-def subordination_at(
-    alpha: Measure, beta: Measure, z: complex, cfg: SolverConfig | None = None
-) -> SubordinationState:
+def subordination_at(alpha: Measure, beta: Measure, z: complex) -> SubordinationState:
     """Solve the subordination equations at one upper-half-plane point."""
     z = complex(z)
     if not z.imag > 0:
         raise ParameterError("z must lie in the open upper half-plane")
-    cfg = cfg or SolverConfig()
-    solver = _PointSolver(alpha, beta, cfg)
     alo, ahi = alpha.support()
     blo, bhi = beta.support()
     width = max(1.0, (ahi + bhi) - (alo + blo))
-    state, _, ok = solver.bootstrap(z, max(1.0, width))
+    state, _, ok = _PointSolver(alpha, beta).bootstrap(z, width)
     if not ok:
         raise ConvergenceError(
             f"subordination did not converge at {z} (residual {state.residual:.3e})",
@@ -220,12 +197,7 @@ def _readout_plan(lo: float, h: float, interior: np.ndarray):
     return x, weight, cell
 
 
-def free_convolve(
-    alpha: Measure,
-    beta: Measure,
-    grid: GridConfig | None = None,
-    solver: SolverConfig | None = None,
-) -> Measure:
+def free_convolve(alpha: Measure, beta: Measure, grid: GridConfig | None = None) -> Measure:
     """Distribution of X + Y for freely independent X ~ alpha, Y ~ beta.
 
     A point-mass input reduces to a translation and is handled exactly; more
@@ -234,7 +206,6 @@ def free_convolve(
     inversion-quality failure rather than a wrong answer.
     """
     grid = grid or DEFAULT_GRID
-    solver = solver or SolverConfig()
     if alpha.is_point_mass():
         return affine_pushforward(beta, 1.0, alpha.atoms[0][0])
     if beta.is_point_mass():
@@ -249,7 +220,7 @@ def free_convolve(
     eta = ETA_FACTOR * (hi - lo)
     xs, weight, cell = _readout_plan(lo, h, np.arange(pad, n - pad))
 
-    ps = _PointSolver(alpha, beta, solver)
+    ps = _PointSolver(alpha, beta)
     width = max(1.0, s_hi - s_lo)
     values = np.empty(xs.size)
     unconverged = 0
@@ -259,7 +230,7 @@ def free_convolve(
         z = complex(x, eta)
         ok = False
         if trail:
-            state, fa, ok = ps.solve(z, _warm_start(trail, x, eta), solver.max_iter)
+            state, fa, ok = ps.solve(z, _warm_start(trail, x, eta), MAX_ITER)
         if not ok:
             state, fa, ok = ps.bootstrap(z, width)
         if not ok:
@@ -276,20 +247,11 @@ def free_convolve(
             f"(worst residual {worst:.3e})",
             residual=worst,
         )
-
-    raw_mass = float(np.sum(density) * h)
-    if not 0.9 <= raw_mass <= 1.1:
-        raise InversionQualityError(
-            f"mass before renormalization is {raw_mass:.6f}, outside [0.9, 1.1]",
-            raw_mass=raw_mass,
-        )
-    return Measure(
+    return _renormalized(
         lo,
         hi,
-        density / raw_mass,
-        meta={
-            "raw_mass": raw_mass,
-            "renormalization": 1.0 / raw_mass,
+        density,
+        {
             "eta": eta,
             "unconverged_points": unconverged,
             "worst_residual": worst,

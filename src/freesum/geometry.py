@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.ndimage import binary_dilation
 from scipy.special import gammaln
 
 from .errors import DegenerateSampleError, ParameterError
@@ -453,6 +454,11 @@ def _adaptive_cells(samples: int, n: int) -> int:
     return int(np.clip(round((samples / 4.0) ** (1.0 / n)), 8, 512))
 
 
+def _face_rim(grid: np.ndarray) -> np.ndarray:
+    """Unmarked cells of a boolean grid that share a face with a marked cell."""
+    return binary_dilation(grid) & ~grid
+
+
 def restricted_sum_volume(
     A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
 ) -> dict:
@@ -539,19 +545,7 @@ def restricted_sum_volume(
     n_marked = int(np.count_nonzero(marked))
     value = n_marked * cell_vol
     # rim allowance: unmarked cells sharing a face with a marked cell
-    grid = marked.reshape((cells,) * n)
-    rim = np.zeros_like(grid)
-    for axis in range(n):
-        shifted = np.zeros_like(grid)
-        src = [slice(None)] * n
-        dst = [slice(None)] * n
-        src[axis], dst[axis] = slice(1, None), slice(None, -1)
-        shifted[tuple(dst)] |= grid[tuple(src)]
-        src[axis], dst[axis] = slice(None, -1), slice(1, None)
-        shifted[tuple(dst)] |= grid[tuple(src)]
-        rim |= shifted
-    rim &= ~grid
-    rim_vol = int(np.count_nonzero(rim)) * cell_vol
+    rim_vol = int(np.count_nonzero(_face_rim(marked.reshape((cells,) * n)))) * cell_vol
     # Chao-style unseen-cell estimate from singleton/doubleton counts, with
     # a safety factor since boundary cells have vanishing hit intensity
     f1 = int(np.count_nonzero(counts == 1))

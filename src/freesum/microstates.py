@@ -154,11 +154,14 @@ class MatrixMicrostate:
 
     Provenance is one of ``omega_sample:<table-id>``, ``haar_conjugate``,
     ``sum``; the tag records how the matrix was produced, not what it equals.
+    The spectrum is computed once, when the matrix is built, and every
+    reader shares that read-only array.
     """
 
     k: int
     entries: np.ndarray
     provenance: str
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
@@ -176,10 +179,13 @@ class MatrixMicrostate:
             raise ParameterError(f"unknown provenance {self.provenance!r}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+        spectrum = np.linalg.eigvalsh(m)
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "_spectrum", spectrum)
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.entries)
+        return self._spectrum
 
     def normalized_trace(self) -> float:
         return float(np.trace(self.entries).real) / self.k
@@ -348,7 +354,8 @@ def membership_report(states, target: GammaTarget) -> dict:
     """Moment-matching verdict with diagnostics.
 
     Returns member flag, the norm-violation flag, the worst word and its
-    error.  ``microstate_membership`` is the boolean view of this report.
+    error.  ``member`` is true iff no norm exceeds the bound and every word
+    trace of length <= max_len matches its target within eps.
     """
     states = list(states)
     if not states:
@@ -385,12 +392,20 @@ def membership_report(states, target: GammaTarget) -> dict:
     return report
 
 
-def microstate_membership(states, target: GammaTarget) -> bool:
-    """True iff every word trace of length <= max_len matches within eps."""
-    return bool(membership_report(states, target)["member"])
-
-
 # -- pair fraction ----------------------------------------------------------------
+
+
+def _pair_trials(h1, h2, k: int, target: GammaTarget, trials: int, seed: int):
+    """Yield ((a1, lam1), (a2, lam2), member) for trials t = 0..trials-1.
+
+    Trial t samples one matrix per profile, each with its slot draw, from the
+    stream stream_seed(seed, t), and tests the pair against ``target``.
+    """
+    for t in range(trials):
+        rng = np.random.default_rng(stream_seed(seed, t))
+        first = _sample_omega(h1, k, rng)
+        second = _sample_omega(h2, k, rng)
+        yield first, second, bool(membership_report((first[0], second[0]), target)["member"])
 
 
 def _log_vandermonde_sq(lam: np.ndarray) -> float:
@@ -441,17 +456,12 @@ def theta_fraction(
         eps,
         max(h1.sup_abs, h2.sup_abs),
     )
-    passes = 0
     logw = np.empty(trials)
     member = np.zeros(trials, dtype=bool)
-    for t in range(trials):
-        rng = np.random.default_rng(stream_seed(seed, t))
-        a1, lam1 = _sample_omega(h1, k, rng)
-        a2, lam2 = _sample_omega(h2, k, rng)
-        ok = microstate_membership((a1, a2), target)
+    for t, ((_, lam1), (_, lam2), ok) in enumerate(_pair_trials(h1, h2, k, target, trials, seed)):
         member[t] = ok
-        passes += int(ok)
         logw[t] = _log_vandermonde_sq(lam1) + _log_vandermonde_sq(lam2)
+    passes = int(np.count_nonzero(member))
     lo, hi = wilson_interval(passes, trials)
     log_total = logsumexp(logw)
     weighted = float(np.exp(logsumexp(logw[member]) - log_total)) if passes else 0.0
@@ -698,14 +708,11 @@ def check_sum_containment(
     sum_target = GammaTarget.single(moments_from_cumulants(kappa), eps, 2.0 * bound)
     passes = 0
     kept = 0
-    for t in range(trials):
-        rng = np.random.default_rng(stream_seed(seed, t))
-        a1, _ = _sample_omega(h1, k, rng)
-        a2, _ = _sample_omega(h2, k, rng)
-        if not microstate_membership((a1, a2), pair_target):
+    for (a1, _), (a2, _), paired in _pair_trials(h1, h2, k, pair_target, trials, seed):
+        if not paired:
             continue
         kept += 1
-        passes += int(microstate_membership((a1 + a2,), sum_target))
+        passes += int(membership_report((a1 + a2,), sum_target)["member"])
     if kept == 0:
         return ContainmentResult(
             passes=0,

@@ -12,6 +12,11 @@ and
 
 with only the nonzero jumps kept: one log and one reciprocal per edge where
 a jump occurs instead of two of each per cell.
+
+Densities recovered on a grid, by Stieltjes inversion here or by free
+convolution, pass one mass gate: the raw mass must lie in [0.9, 1.1] before
+renormalization.  The R-transform's Newton iteration stops at residual
+NEWTON_TOL within NEWTON_MAX_ITER steps.
 """
 
 from __future__ import annotations
@@ -40,14 +45,8 @@ class CauchyEvaluation:
             )
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    max_iter: int = 200
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_iter < 1 or not (0 < self.tol < 1):
-            raise ParameterError("need max_iter >= 1 and tol in (0, 1)")
+NEWTON_MAX_ITER = 200
+NEWTON_TOL = 1e-12
 
 
 class StaircaseTransform:
@@ -157,12 +156,37 @@ def evaluate_cauchy(mu: Measure, z: complex) -> CauchyEvaluation:
     return CauchyEvaluation(point=complex(z), value=cauchy_transform(mu, z))
 
 
+def _renormalized(
+    lo: float, hi: float, density: np.ndarray, meta: dict | None = None
+) -> Measure:
+    """The grid measure on [lo, hi] with ``density`` scaled to mass 1.
+
+    Refuses with InversionQualityError unless the raw mass lies in
+    [0.9, 1.1].  The result's meta holds the raw mass and the factor applied,
+    followed by the entries of ``meta``.
+    """
+    h = (hi - lo) / density.size
+    raw_mass = float(np.sum(density) * h)
+    if not 0.9 <= raw_mass <= 1.1:
+        raise InversionQualityError(
+            f"mass before renormalization is {raw_mass:.6f}, outside [0.9, 1.1]",
+            raw_mass=raw_mass,
+        )
+    return Measure(
+        lo,
+        hi,
+        density / raw_mass,
+        meta={"raw_mass": raw_mass, "renormalization": 1.0 / raw_mass, **(meta or {})},
+    )
+
+
 def stieltjes_invert(g, window, n_cells: int, eta: float | None = None) -> Measure:
     """Recover a measure from a transform via the Poisson-kernel boundary limit.
 
     density(x) ~ -Im g(x + i*eta)/pi on the window grid, clipped at zero and
     renormalized; the pre-normalization mass and the factor applied are kept
-    in the result's meta entry.
+    in the result's meta entry.  ``g`` is called once, on the array of all
+    grid points, and must return an array of the same shape.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -175,35 +199,21 @@ def stieltjes_invert(g, window, n_cells: int, eta: float | None = None) -> Measu
     if not eta > 0:
         raise ParameterError("eta must be positive")
     x = lo + h * (np.arange(n_cells) + 0.5)
-    try:
-        vals = np.asarray(g(x + 1j * eta), dtype=complex)
-        if vals.shape != x.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([g(complex(xi, eta)) for xi in x], dtype=complex)
-    dens = np.clip(-vals.imag / math.pi, 0.0, None)
-    raw_mass = float(np.sum(dens) * h)
-    if not 0.9 <= raw_mass <= 1.1:
-        raise InversionQualityError(
-            f"mass before renormalization is {raw_mass:.6f}, outside [0.9, 1.1]",
-            raw_mass=raw_mass,
+    vals = np.asarray(g(x + 1j * eta), dtype=complex)
+    if vals.shape != x.shape:
+        raise ParameterError(
+            f"g must return one value per point, shape {x.shape}, got shape {vals.shape}"
         )
-    return Measure(
-        lo,
-        hi,
-        dens / raw_mass,
-        meta={"raw_mass": raw_mass, "renormalization": 1.0 / raw_mass},
-    )
+    return _renormalized(lo, hi, np.clip(-vals.imag / math.pi, 0.0, None))
 
 
-def r_transform(mu: Measure, w: complex, cfg: NewtonConfig | None = None) -> complex:
+def r_transform(mu: Measure, w: complex) -> complex:
     """R(w) = K(w) - 1/w with K the functional inverse of G near infinity.
 
     Newton iteration on G(z) = w seeded at z = 1/w + mean; the seed is the
     two-term Laurent expansion of K, so for small |w| the iteration starts
     inside the basin.
     """
-    cfg = cfg or NewtonConfig()
     w = complex(w)
     if w == 0:
         raise ParameterError("w must be nonzero")
@@ -211,14 +221,14 @@ def r_transform(mu: Measure, w: complex, cfg: NewtonConfig | None = None) -> com
     s_lo, s_hi = ev.support
     z = 1.0 / w + ev.mean
     resid = math.inf
-    for _ in range(cfg.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if z.imag == 0.0 and s_lo <= z.real <= s_hi:
             # G has its cut here; step off the axis to keep values finite
             z = complex(z.real, 1e-9)
         gval, gp = ev.g_and_deriv(z)
         f = gval - w
         resid = abs(f)
-        if resid <= cfg.tol:
+        if resid <= NEWTON_TOL:
             return z - 1.0 / w
         if gp == 0:
             break

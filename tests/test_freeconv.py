@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from freesum import freeconv
 from freesum.cumulants import free_cumulant
 from freesum.errors import ParameterError
-from freesum.freeconv import SolverConfig, free_convolve, subordination_at
+from freesum.freeconv import free_convolve, subordination_at
 from freesum.measure import (
     GridConfig,
     affine_pushforward,
@@ -29,18 +29,6 @@ GRID = GridConfig(1024)
 
 def variance(mu):
     return moment(mu, 2) - moment(mu, 1) ** 2
-
-
-def test_solver_config_validation():
-    SolverConfig(tol=1e-10)
-    with pytest.raises(ParameterError):
-        SolverConfig(tol=1e-3)
-    with pytest.raises(ParameterError):
-        SolverConfig(tol=1e-13)
-    with pytest.raises(ParameterError):
-        SolverConfig(damping=0.0)
-    with pytest.raises(ParameterError):
-        SolverConfig(max_iter=0)
 
 
 def test_semicircle_stability():

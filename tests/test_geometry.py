@@ -256,6 +256,40 @@ class TestRestrictedSum:
         tol = 0.5 * sv.value ** (-0.5) * 3.0 * sv.stderr
         assert lhs >= rhs - tol
 
+    def test_face_rim_of_hand_built_grids(self):
+        grid = np.zeros((5, 5, 5), dtype=bool)
+        grid[2, 2, 2] = True
+        rim = geometry._face_rim(grid)
+        assert np.count_nonzero(rim) == 6
+        assert not rim[2, 2, 2] and rim[1, 2, 2] and rim[2, 2, 3]
+        assert not rim[1, 1, 2]  # shares an edge only
+        corner = np.zeros((5, 5, 5), dtype=bool)
+        corner[0, 0, 0] = True
+        rim = geometry._face_rim(corner)
+        assert np.count_nonzero(rim) == 3
+        assert rim[1, 0, 0] and rim[0, 1, 0] and rim[0, 0, 1]
+        # marked cells are never part of the rim
+        block = np.zeros((4, 4), dtype=bool)
+        block[1:3, 1:3] = True
+        assert np.count_nonzero(geometry._face_rim(block)) == 8
+
+    def test_face_rim_matches_neighbour_reference(self):
+        def reference(grid):
+            padded = np.pad(grid, 1)
+            rim = np.zeros_like(grid)
+            for axis in range(grid.ndim):
+                for start in (0, 2):
+                    idx = [slice(1, -1)] * grid.ndim
+                    idx[axis] = slice(start, start + grid.shape[axis])
+                    rim |= padded[tuple(idx)]
+            return rim & ~grid
+
+        rng = np.random.default_rng(0)
+        for n in range(1, 7):
+            for p in (0.05, 0.3, 0.7):
+                grid = rng.random((4,) * n) < p
+                assert np.array_equal(geometry._face_rim(grid), reference(grid))
+
     def test_custom_theta_predicate(self):
         register_theta_predicate("first_coords_opposite", lambda x, y: x[:, 0] * y[:, 0] <= 0.0)
         rsv = restricted_sum_volume(

@@ -31,7 +31,6 @@ from freesum.microstates import (
     haar_unitary,
     log_flag_constant,
     membership_report,
-    microstate_membership,
     sample_omega,
     sum_spectrum_experiment,
     theta_fraction,
@@ -162,7 +161,7 @@ class TestMembership:
         target = GammaTarget.single(
             [float(np.mean(spec**m)) for m in range(1, 5)], eps=0.1, norm_bound=2.0
         )
-        assert microstate_membership((state,), target)
+        assert membership_report((state,), target)["member"]
 
     def test_pair_with_itself_is_not_free(self):
         state = sample_omega(H_SC, 128, seed=33)
@@ -177,7 +176,7 @@ class TestMembership:
     def test_zero_matrices_match_zero_targets(self):
         zero = MatrixMicrostate(8, np.zeros((8, 8), dtype=complex), "sum")
         target = GammaTarget({(0,): 0.0, (0, 0): 0.0}, 2, eps=1e-12, norm_bound=1.0)
-        assert microstate_membership((zero,), target)
+        assert membership_report((zero,), target)["member"]
 
     def test_norm_violation_flag(self):
         big = MatrixMicrostate(8, np.eye(8, dtype=complex) * 5.0, "sum")
@@ -198,7 +197,7 @@ class TestMembership:
         m = H_SC.moments(2)
         pair = GammaTarget.free_pair(m, m, 2, eps=0.1, norm_bound=2.0)
         with pytest.raises(ParameterError):
-            microstate_membership((state,), pair)
+            membership_report((state,), pair)
 
     def test_matrix_validation(self):
         with pytest.raises(ParameterError):
@@ -228,6 +227,15 @@ class TestThetaFraction:
     def test_trials_validation(self):
         with pytest.raises(ParameterError):
             theta_fraction(H_SC, H_UN, 32, 2, 0.1, trials=99, seed=0)
+
+    def test_one_eigensolve_per_matrix(self, monkeypatch):
+        # each trial's two matrices are solved once; the slot check and the
+        # norm check share that spectrum
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        theta_fraction(H_SC, H_UN, 16, 2, 0.2, trials=100, seed=3)
+        assert len(calls) == 2 * 100
 
     def test_determinism(self):
         a = theta_fraction(H_SC, H_UN, 32, 2, 0.1, trials=100, seed=4)
@@ -405,6 +413,18 @@ class TestSumContainment:
         ]
         assert fracs == sorted(fracs)
         assert fracs[-1] > fracs[0]
+
+    def test_one_eigensolve_per_matrix(self, monkeypatch):
+        # two per trial for the pair, one more for the sum of each kept pair;
+        # filter_eps 0.06 keeps 37 of the 100 pairs
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        result = check_sum_containment(
+            H_SC, H_UN, 16, 2, 0.2, trials=100, seed=5, filter_max_len=2, filter_eps=0.06
+        )
+        assert 0 < result.kept < result.trials
+        assert len(calls) == 2 * 100 + result.kept
 
     def test_trials_validation(self):
         with pytest.raises(ParameterError):

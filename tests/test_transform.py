@@ -16,7 +16,6 @@ from freesum.errors import (
 from freesum.measure import GridConfig, Measure, bernoulli, l1_distance, semicircle
 from freesum.transform import (
     CauchyEvaluation,
-    NewtonConfig,
     StaircaseTransform,
     cauchy_derivative,
     cauchy_transform,
@@ -31,13 +30,6 @@ def test_cauchy_evaluation_validates_half_plane():
     with pytest.raises(ParameterError):
         # upper half plane must map into the lower half plane
         CauchyEvaluation(0.3 + 0.7j, 0.1 + 0.2j)
-
-
-def test_newton_config_validation():
-    with pytest.raises(ParameterError):
-        NewtonConfig(max_iter=0)
-    with pytest.raises(ParameterError):
-        NewtonConfig(tol=0.0)
 
 
 def test_semicircle_closed_form():
@@ -218,6 +210,17 @@ def test_inversion_rejects_mass_defect():
     with pytest.raises(InversionQualityError) as exc:
         stieltjes_invert(lambda z: 0.2 * st.g(z), (-2.2, 2.2), 512)
     assert exc.value.raw_mass == pytest.approx(0.2, abs=0.05)
+
+
+def test_inversion_requires_a_vectorized_transform():
+    # g is called once on the whole grid; np.sum(1/z) is the point-mass
+    # transform at one point but reduces an array to a scalar, and is refused
+    # rather than retried point by point
+    with pytest.raises(ParameterError):
+        stieltjes_invert(lambda z: np.sum(1.0 / z), (-1.0, 1.0), 2048, eta=1e-2)
+    st = StaircaseTransform(semicircle(1.0))
+    with pytest.raises(ParameterError):
+        stieltjes_invert(lambda z: st.g(z)[:-1], (-2.2, 2.2), 512)
 
 
 def test_inversion_of_atomic_transform_smears_but_keeps_mass():

@@ -135,13 +135,11 @@ _THETA_DEF = {
                 "inner_product_leq",
                 "sum_norm_leq",
                 "complement_fraction",
-                "custom",
             ]
         },
         "c": {"type": "number"},
         "bound": {"type": "number"},
         "density": {"type": "number"},
-        "predicate": {"type": "string"},
     },
     "additionalProperties": False,
 }
@@ -423,9 +421,7 @@ def _parse_theta(spec: dict) -> ThetaSpec:
             return ThetaSpec.inner_product_leq(spec["c"])
         if kind == "sum_norm_leq":
             return ThetaSpec.sum_norm_leq(spec["bound"])
-        if kind == "complement_fraction":
-            return ThetaSpec.complement_fraction(spec["density"])
-        return ThetaSpec.custom(spec["predicate"])
+        return ThetaSpec.complement_fraction(spec["density"])
     except KeyError as missing:
         raise ParameterError(f"theta kind {kind!r} needs field {missing}") from None
 

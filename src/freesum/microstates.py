@@ -33,6 +33,14 @@ _PROPOSAL_BINS = 128
 # fraction of proposal mass spread uniformly over bins so no region of a
 # slot box gets probability zero under the tilted proposal
 _PROPOSAL_FLOOR = 0.05
+# uniform-draw cells per coordinate in the proposal's bin guide table
+_GUIDE_CELLS = 1024
+# log-Vandermonde sums: columns per block, the most gap offsets multiplied
+# before one log, and the bound on |log| of every partial product, which
+# keeps each product a normal float64 (exp(-690) ~ 1e-300)
+_VDM_BLOCK = 1024
+_VDM_GROUP = 16
+_VDM_LOG_RANGE = 690.0
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -408,9 +416,42 @@ def _pair_trials(h1, h2, k: int, target: GammaTarget, trials: int, seed: int):
         yield first, second, bool(membership_report((first[0], second[0]), target)["member"])
 
 
-def _log_vandermonde_sq(lam: np.ndarray) -> float:
-    i, j = np.triu_indices(lam.size, 1)
-    return float(2.0 * np.sum(np.log(lam[j] - lam[i])))
+def _log_vandermonde_sq(lam: np.ndarray) -> np.ndarray:
+    """2 sum_{i<j} log(lam[j] - lam[i]) for each column of a (k, n) array.
+
+    Columns must increase strictly.  Each block of ``_VDM_BLOCK`` columns is
+    walked offset by offset: the gaps lam[d:] - lam[:-d] of up to
+    ``_VDM_GROUP`` consecutive offsets d are multiplied into one running
+    product, which is logged once.  Every gap lies between the block's
+    smallest adjacent gap and its largest span, so the group size is the
+    largest for which a product of that many such gaps stays inside
+    exp(+-_VDM_LOG_RANGE).  A zero gap forces single gaps, whose log is -inf.
+    """
+    k, n = lam.shape
+    out = np.empty(n)
+    acc = np.empty((k - 1, min(n, _VDM_BLOCK)))
+    gaps = np.empty_like(acc)
+    for start in range(0, n, _VDM_BLOCK):
+        b = lam[:, start : start + _VDM_BLOCK]
+        width = b.shape[1]
+        prod, gap = acc[:, :width], gaps[:, :width]
+        min_gap = float(np.min(np.subtract(b[1:], b[:-1], out=gap)))
+        if min_gap > 0.0:
+            worst = max(-math.log(min_gap), math.log(float(np.max(b[-1] - b[0]))))
+            group = max(1, int(_VDM_LOG_RANGE / max(worst, _VDM_LOG_RANGE / _VDM_GROUP)))
+        else:
+            group = 1
+        total = np.zeros(width)
+        for first in range(1, k, group):
+            rows = k - first
+            np.subtract(b[first:], b[:-first], out=prod[:rows])
+            for d in range(first + 1, min(first + group, k)):
+                np.multiply(
+                    prod[: k - d], np.subtract(b[d:], b[:-d], out=gap[: k - d]), out=prod[: k - d]
+                )
+            total += np.sum(np.log(prod[:rows], out=prod[:rows]), axis=0)
+        out[start : start + width] = 2.0 * total
+    return out
 
 
 @dataclass(frozen=True)
@@ -456,11 +497,12 @@ def theta_fraction(
         eps,
         max(h1.sup_abs, h2.sup_abs),
     )
-    logw = np.empty(trials)
+    lam1 = np.empty((k, trials))
+    lam2 = np.empty((k, trials))
     member = np.zeros(trials, dtype=bool)
-    for t, ((_, lam1), (_, lam2), ok) in enumerate(_pair_trials(h1, h2, k, target, trials, seed)):
-        member[t] = ok
-        logw[t] = _log_vandermonde_sq(lam1) + _log_vandermonde_sq(lam2)
+    for t, (first, second, ok) in enumerate(_pair_trials(h1, h2, k, target, trials, seed)):
+        lam1[:, t], lam2[:, t], member[t] = first[1], second[1], ok
+    logw = _log_vandermonde_sq(lam1) + _log_vandermonde_sq(lam2)
     passes = int(np.count_nonzero(member))
     lo, hi = wilson_interval(passes, trials)
     log_total = logsumexp(logw)
@@ -535,11 +577,10 @@ def empirical_chi(eigenvalues) -> float:
     if not np.all(np.isfinite(lam)):
         raise ParameterError("eigenvalues must be finite")
     k = lam.size
-    i, j = np.triu_indices(k, 1)
-    gaps = np.abs(lam[i] - lam[j])
-    if float(np.min(gaps)) <= 1e-14:
+    lam = np.sort(lam)
+    if float(np.min(np.diff(lam))) <= 1e-14:
         return float("-inf")
-    return float(2.0 / (k * k) * np.sum(np.log(gaps))) + CHI_SHIFT
+    return float(_log_vandermonde_sq(lam[:, None])[0] / (k * k)) + CHI_SHIFT
 
 
 @functools.lru_cache(maxsize=None)
@@ -581,6 +622,24 @@ def _box_proposal(lo: np.ndarray, hi: np.ndarray, scale: float) -> tuple[np.ndar
     return p, np.cumsum(p, axis=1)
 
 
+def _draw_bins(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Bin of each uniform draw in ``r`` under the cumulative masses ``cum``.
+
+    Equals np.minimum(np.searchsorted(cum, r, side="right"), cum.size - 1).
+    A guide table holds the bin of each of ``_GUIDE_CELLS`` cell starts; a
+    draw starts at its cell's entry and steps idx += cum[idx] <= r as often
+    as the most bin edges that one cell holds, which reaches its bin.
+    """
+    # an infinite last edge keeps every draw at or before the last bin
+    edges = cum.copy()
+    edges[-1] = np.inf
+    guide = np.searchsorted(edges, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS, side="right")
+    idx = guide[(r * _GUIDE_CELLS).astype(np.intp)]
+    for _ in range(int(np.max(np.diff(guide)))):
+        idx += edges[idx] <= r
+    return idx
+
+
 def estimate_log_volume_omega(
     h: StepFunctionSpec, k: int, mc_samples: int, seed: int
 ) -> float:
@@ -591,6 +650,14 @@ def estimate_log_volume_omega(
     estimated in log space by importance sampling from a per-coordinate
     tilted proposal, with a log-sum-exp reduction; as k grows the value
     approaches the log-energy entropy of the profile's push-forward law.
+
+    The samples are held as a (k, mc_samples) array, one row per coordinate.
+    Each sample's log squared Vandermonde comes from grouped products: in
+    blocks of ``_VDM_BLOCK`` samples the gaps of up to ``_VDM_GROUP``
+    consecutive offsets are multiplied together before one log is taken.
+    The group size is the largest that keeps every partial product inside
+    exp(+-690), judged from the block's smallest adjacent gap and largest
+    span, so no product overflows or turns subnormal.
     """
     if not isinstance(k, int) or not 2 <= k <= 64:
         raise ParameterError(f"k must be an integer in 2..64, got {k}")
@@ -600,29 +667,23 @@ def estimate_log_volume_omega(
     width = hi - lo
     scale = h.values[-1] - h.values[0]
     p, cum = _box_proposal(lo, hi, scale)
+    # log q is a density in unit box coordinates; the width Jacobian
+    # converts both it and the integral to eigenvalue coordinates
+    log_p = np.log(p) + math.log(_PROPOSAL_BINS)
     rng = np.random.default_rng(seed)
 
-    lam = np.empty((mc_samples, k))
+    lam = np.empty((k, mc_samples))
     log_q = np.zeros(mc_samples)
     bin_width = width / _PROPOSAL_BINS
     for i in range(k):
         r = rng.random(mc_samples)
-        idx = np.minimum(np.searchsorted(cum[i], r, side="right"), _PROPOSAL_BINS - 1)
+        idx = _draw_bins(cum[i], r)
         frac = rng.random(mc_samples)
-        lam[:, i] = lo[i] + bin_width[i] * (idx + frac)
-        log_q += np.log(p[i, idx]) + math.log(_PROPOSAL_BINS)
-    # log q above is a density in unit box coordinates; the width Jacobian
-    # converts both it and the integral to eigenvalue coordinates
+        lam[i] = lo[i] + bin_width[i] * (idx + frac)
+        log_q += log_p[i, idx]
     log_jacobian = float(np.sum(np.log(width)))
 
-    i_idx, j_idx = np.triu_indices(k, 1)
-    log_w = np.empty(mc_samples)
-    chunk = max(1, (1 << 22) // max(1, i_idx.size))
-    for start in range(0, mc_samples, chunk):
-        block = lam[start : start + chunk]
-        gaps = block[:, j_idx] - block[:, i_idx]
-        log_w[start : start + chunk] = 2.0 * np.sum(np.log(gaps), axis=1)
-    log_w -= log_q
+    log_w = _log_vandermonde_sq(lam) - log_q
 
     log_total = float(logsumexp(log_w))
     ess = float(np.exp(2.0 * log_total - logsumexp(2.0 * log_w)))

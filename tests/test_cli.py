@@ -66,6 +66,27 @@ class TestValidation:
         assert f"{path}:5:" in err
         assert "gaussian" in err
 
+    @pytest.mark.parametrize(
+        "theta", ['{"kind": "custom"}', '{"kind": "custom", "predicate": "p"}']
+    )
+    def test_custom_theta_fails_schema_validation(self, tmp_path, capsys, theta):
+        # a config cannot register a predicate, so the schema has no custom
+        # kind; the error names the theta line, as every schema error does
+        path = tmp_path / "c.json"
+        path.write_text(
+            "{\n"
+            '  "command": "theorem12",\n'
+            '  "seed": 1,\n'
+            '  "params": {\n'
+            '    "a": {"kind": "ball", "radius": 1.0, "dim": 2},\n'
+            '    "b": {"kind": "ball", "radius": 1.0, "dim": 2},\n'
+            f'    "theta": {theta}\n'
+            "  }\n"
+            "}\n"
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        assert f"{path}:7:" in capsys.readouterr().err
+
     def test_missing_required_param(self, tmp_path, capsys):
         code = run_cli(tmp_path, {"command": "theorem12", "seed": 1, "params": {}})
         assert code == 1

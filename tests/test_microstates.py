@@ -1,9 +1,12 @@
 """Slot-constrained random-matrix sampling, membership, and volume tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import freesum.microstates as ms
@@ -314,6 +317,52 @@ class TestEmpiricalChi:
             empirical_chi([0.0, float("nan")])
 
 
+@st.composite
+def increasing_columns(draw):
+    """(k, n) arrays of strictly increasing columns spanning 1e-6 to 1e3.
+
+    The first column may open with a run of equal gaps as small as 1e-200,
+    which caps the group size of its block anywhere from 16 down to 1.
+    """
+    k = draw(st.integers(2, 64))
+    n = draw(st.sampled_from([1, 2, 5, ms._VDM_BLOCK + 3]))
+    span = 10.0 ** draw(st.floats(-6.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = np.cumsum(rng.uniform(0.05, 1.0, size=(k - 1, n)), axis=0)
+    lam = np.vstack([np.zeros(n), span * steps / steps[-1]])
+    run = draw(st.integers(0, min(3, k - 1)))
+    if run:
+        tiny = 10.0 ** -draw(st.floats(1.0, 200.0))
+        lam[: run + 1, 0] = tiny * np.arange(run + 1)
+        lam[run + 1 :, 0] += tiny * run
+    return lam
+
+
+def log_vandermonde_sq_reference(lam):
+    i, j = np.triu_indices(lam.shape[0], 1)
+    return 2.0 * np.sum(np.log(lam[j] - lam[i]), axis=0)
+
+
+class TestLogVandermonde:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(increasing_columns())
+    def test_grouped_products_match_pairwise_logs(self, lam):
+        assert np.all(np.diff(lam, axis=0) > 0.0)
+        ref = log_vandermonde_sq_reference(lam)
+        got = ms._log_vandermonde_sq(lam)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+        k = lam.shape[0]
+        doubled = ms._log_vandermonde_sq(2.0 * lam) - got
+        assert np.all(np.abs(doubled - k * (k - 1) * math.log(2.0)) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    def test_zero_gap_gives_minus_infinity(self):
+        lam = np.array([[0.0, 0.0], [1.0, 0.5], [1.0, 2.0]])
+        with np.errstate(divide="ignore"):
+            got = ms._log_vandermonde_sq(lam)
+        assert got[0] == float("-inf")
+        assert got[1] == pytest.approx(log_vandermonde_sq_reference(lam[:, 1:])[0], rel=1e-15)
+
+
 class TestLogVolume:
     def test_flag_constant_matches_orthogonal_polynomial_product(self):
         # independent oracle: Hankel det of Gaussian moments = (2pi)^(k/2) prod n!
@@ -371,6 +420,41 @@ class TestLogVolume:
         with pytest.raises(PrecisionError) as err:
             estimate_log_volume_omega(H_ID, 64, 10_000, seed=0)
         assert err.value.diagnostics["ess"] < 100
+
+    def test_sample_memory_stays_near_one_sample_array(self):
+        # the (k, samples) draws are the only array of that size; weights
+        # are formed block by block
+        k, samples = 64, 20_000
+        tracemalloc.start()
+        try:
+            estimate_log_volume_omega(H_ID, k, samples, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * k * samples * 8
+
+    @pytest.mark.parametrize("k", [16, 32, 64])
+    @pytest.mark.parametrize("h", [H_ID, H_ID.affine(1.7, -0.4), H_SC], ids=["id", "affine", "sc"])
+    def test_guide_table_bins_match_searchsorted(self, h, k):
+        lo, hi = h.slots(k)
+        _, cum = ms._box_proposal(lo, hi, h.values[-1] - h.values[0])
+        flat = np.cumsum(np.full(ms._PROPOSAL_BINS, 1.0 / ms._PROPOSAL_BINS))
+        cells = np.arange(ms._GUIDE_CELLS) / ms._GUIDE_CELLS
+        rng = np.random.default_rng(k)
+        for row in (*cum, flat):
+            # uniform draws, plus draws on and just below every bin edge, on
+            # every cell start, and the largest draw below 1
+            r = np.concatenate(
+                [
+                    rng.random(20_000),
+                    row[row < 1.0],
+                    np.nextafter(row, 0.0),
+                    cells,
+                    [np.nextafter(1.0, 0.0)],
+                ]
+            )
+            want = np.minimum(np.searchsorted(row, r, side="right"), ms._PROPOSAL_BINS - 1)
+            np.testing.assert_array_equal(ms._draw_bins(row, r), want)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):

@@ -160,8 +160,6 @@ _MC_DEF = {
     "properties": {
         "pair_samples": {"type": "integer", "minimum": 1000},
         "grid_cells_per_axis": {"type": "integer", "minimum": 2},
-        "n_streams": {"type": "integer", "minimum": 1},
-        "pairing_rounds": {"type": "integer", "minimum": 1},
         "c": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "C": {"type": "number", "exclusiveMinimum": 0},
     },

@@ -26,8 +26,6 @@ def moments_from_cumulants(kappa) -> list[float]:
     m[0] = 1.0
     for order in range(1, n + 1):
         # powers of the truncated moment series, refreshed each round
-        poly = np.zeros(order)
-        poly[0] = 1.0  # M^0 truncated to degree order-1
         total = 0.0
         mkcoef = np.array(m[:order])
         power = np.array([1.0] + [0.0] * (order - 1))
@@ -50,24 +48,14 @@ def cumulants_from_moments(m) -> list[float]:
 
 
 def free_cumulant(mu: Measure, order: int) -> float:
-    """Free cumulant of a measure for order 1..4, in closed form.
+    """Free cumulant of a measure for order 1..4, from its first moments.
 
-    These are the Moebius-inverted moment polynomials; they add under
-    free convolution, which is what the convolution tests exploit.
+    Free cumulants add under free convolution, which is what the
+    convolution tests exploit.
     """
     if order not in (1, 2, 3, 4):
         raise ParameterError(f"order must be in 1..4, got {order}")
-    m1 = moment(mu, 1)
-    if order == 1:
-        return m1
-    m2 = moment(mu, 2)
-    if order == 2:
-        return m2 - m1 * m1
-    m3 = moment(mu, 3)
-    if order == 3:
-        return m3 - 3 * m1 * m2 + 2 * m1**3
-    m4 = moment(mu, 4)
-    return m4 - 4 * m1 * m3 - 2 * m2 * m2 + 10 * m1 * m1 * m2 - 5 * m1**4
+    return cumulants_from_moments([moment(mu, p) for p in range(1, order + 1)])[-1]
 
 
 def mixed_free_moment(marginal_cumulants, word) -> float:

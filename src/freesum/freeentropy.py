@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, ParameterError
 from .freeconv import free_convolve
@@ -57,8 +56,9 @@ def _lag_kernel(n: int) -> np.ndarray:
 
 def _staircase_energy(density: np.ndarray, h: float) -> float:
     n = density.size
-    corr = fftconvolve(density, density[::-1])
-    lags = corr[n - 1 :]
+    # autocorrelation at lags 0..n-1; zero padding to 2n keeps it acyclic
+    spectrum = np.fft.rfft(density, 2 * n)
+    lags = np.fft.irfft(spectrum * spectrum.conj(), 2 * n)[:n]
     lags[0] = float(np.dot(density, density))  # exact diagonal term
     weights = np.full(n, 2.0)
     weights[0] = 1.0

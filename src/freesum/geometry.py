@@ -48,6 +48,10 @@ _MAX_MC_DIM = 10
 _MAX_THETA_DIM = 12
 _MAX_SUM_DIM = 6
 _MAX_PROPOSALS = 500_000_000
+# every Monte Carlo budget is split over this many seeded streams
+_STREAMS = 4
+# pairings of each sampled batch when marking the sumset occupancy grid
+_PAIRING_ROUNDS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,6 @@ class VolumeEstimate:
     stderr: float
     samples: int
     method: str
-    low_biased: bool = False
 
     def __post_init__(self):
         if self.value < 0 or self.stderr < 0:
@@ -303,7 +306,6 @@ class VolumeEstimate:
             "stderr": self.stderr,
             "samples": self.samples,
             "method": self.method,
-            "low_biased": self.low_biased,
         }
 
 
@@ -335,18 +337,16 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Sampling budget and constants; streams are part of the contract.
+    """Sampling budget and constants.
 
-    Results depend on (seed, n_streams) but never on threads, which only
-    schedule the per-stream jobs.
+    Results depend on the seed but never on threads, which only schedule
+    the jobs of the fixed number of seeded streams.
     """
 
     pair_samples: int = 200_000
     grid_cells_per_axis: int | None = None
     seed: int = 0
-    n_streams: int = 4
     threads: int = 1
-    pairing_rounds: int = 8
     c: float = 0.01
     C: float = 3.0
 
@@ -355,10 +355,8 @@ class MonteCarloConfig:
             raise ParameterError("pair_samples must be >= 1000")
         if self.grid_cells_per_axis is not None and self.grid_cells_per_axis < 2:
             raise ParameterError("grid_cells_per_axis must be >= 2")
-        if self.n_streams < 1 or self.threads < 1:
-            raise ParameterError("n_streams and threads must be >= 1")
-        if self.pairing_rounds < 1:
-            raise ParameterError("pairing_rounds must be >= 1")
+        if self.threads < 1:
+            raise ParameterError("threads must be >= 1")
         if not 0 < self.c < 1:
             raise ParameterError("gate constant c must lie in (0, 1)")
         if self.C <= 0:
@@ -402,10 +400,10 @@ def _split_budget(total: int, streams: int) -> list[int]:
 
 def _run_streams(cfg: MonteCarloConfig, job) -> list:
     """Run job(stream_index, samples, rng) per stream, fixed reduction order."""
-    budgets = _split_budget(cfg.pair_samples, cfg.n_streams)
+    budgets = _split_budget(cfg.pair_samples, _STREAMS)
     args = [
         (i, budgets[i], np.random.default_rng(stream_seed(cfg.seed, i)))
-        for i in range(cfg.n_streams)
+        for i in range(_STREAMS)
     ]
     if cfg.threads == 1:
         return [job(*a) for a in args]
@@ -498,7 +496,7 @@ def restricted_sum_volume(
         if len(s):
             idx = np.clip(((s - lo_s) / widths).astype(np.int64), 0, cells - 1)
             flat = np.ravel_multi_index(idx.T, (cells,) * n)
-            counts += np.bincount(flat, minlength=cells**n)
+            np.add.at(counts, flat, 1)
 
     def job(_i, m, rng):
         hits = 0
@@ -513,8 +511,8 @@ def restricted_sum_volume(
             keep = theta.indicator(x, y, cfg.seed)
             hits += int(np.count_nonzero(keep))
             mark(counts, (x + y)[keep])
-            for r in range(1, cfg.pairing_rounds):
-                yr = np.roll(y, r * chunk // cfg.pairing_rounds, axis=0)
+            for r in range(1, _PAIRING_ROUNDS):
+                yr = np.roll(y, r * chunk // _PAIRING_ROUNDS, axis=0)
                 kr = theta.indicator(x, yr, cfg.seed)
                 mark(counts, (x + yr)[kr])
             done += chunk
@@ -557,7 +555,6 @@ def restricted_sum_volume(
         stderr=rim_vol + coverage_vol,
         samples=hits,
         method="occupancy_grid",
-        low_biased=True,
     )
     return {
         "volume_a": vol_a,

@@ -454,15 +454,6 @@ def sample(mu: Measure, count: int, seed: int) -> np.ndarray:
 
 def l1_distance(mu: Measure, nu: Measure) -> float:
     """L1 distance between the continuous parts plus atom mass mismatch."""
-    if (
-        mu.grid_lo == nu.grid_lo
-        and mu.grid_hi == nu.grid_hi
-        and mu.n_cells == nu.n_cells
-    ):
-        d = float(np.sum(np.abs(mu.density - nu.density)) * mu.cell_width)
-        locs = sorted({loc for loc, _ in mu.atoms} | {loc for loc, _ in nu.atoms})
-        wa, wb = dict(mu.atoms), dict(nu.atoms)
-        return d + sum(abs(wa.get(loc, 0.0) - wb.get(loc, 0.0)) for loc in locs)
     edges = np.unique(np.concatenate([mu.edges(), nu.edges()]))
 
     def dens_on(m: Measure, mids):
@@ -478,10 +469,8 @@ def l1_distance(mu: Measure, nu: Measure) -> float:
     widths = np.diff(edges)
     d = float(np.sum(np.abs(dens_on(mu, mids) - dens_on(nu, mids)) * widths))
     locs = sorted({loc for loc, _ in mu.atoms} | {loc for loc, _ in nu.atoms})
-    wa = dict(mu.atoms)
-    wb = dict(nu.atoms)
-    d += sum(abs(wa.get(loc, 0.0) - wb.get(loc, 0.0)) for loc in locs)
-    return d
+    wa, wb = dict(mu.atoms), dict(nu.atoms)
+    return d + sum(abs(wa.get(loc, 0.0) - wb.get(loc, 0.0)) for loc in locs)
 
 
 def kolmogorov_distance(mu: Measure, nu: Measure) -> float:

@@ -22,27 +22,11 @@ NEWTON_TOL within NEWTON_MAX_ITER steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InversionQualityError, ParameterError
 from .measure import Measure, moment
-
-
-@dataclass(frozen=True)
-class CauchyEvaluation:
-    """One evaluation G(point) = value with the Herglotz sign recorded."""
-
-    point: complex
-    value: complex
-
-    def __post_init__(self):
-        if self.point.imag > 0 and not self.value.imag < 0:
-            raise ParameterError(
-                "transform of a probability measure must map the upper "
-                "half-plane to the lower one"
-            )
 
 
 NEWTON_MAX_ITER = 200
@@ -136,24 +120,13 @@ def cauchy_transform(mu: Measure, z: complex) -> complex:
     """G(z) = integral of 1/(z-t) dmu(t), exact for the staircase density.
 
     Either half-plane is accepted; only real z is rejected since G has its
-    cut on the support there.
+    cut on the support there.  G and G' together, at one point or an array
+    of points, come from ``StaircaseTransform(mu).g_and_deriv(z)``.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise DomainError("z must not be real")
     return StaircaseTransform(mu).g(z)
-
-
-def cauchy_derivative(mu: Measure, z: complex) -> complex:
-    z = complex(z)
-    if z.imag == 0.0:
-        raise DomainError("z must not be real")
-    return StaircaseTransform(mu).g_and_deriv(z)[1]
-
-
-def evaluate_cauchy(mu: Measure, z: complex) -> CauchyEvaluation:
-    """Bundle point and value, enforcing the half-plane sign invariant."""
-    return CauchyEvaluation(point=complex(z), value=cauchy_transform(mu, z))
 
 
 def _renormalized(

@@ -10,6 +10,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,26 +70,46 @@ class TestValidation:
         assert f"{path}:5:" in err
         assert "gaussian" in err
 
+    @staticmethod
+    def write_disk_pair_config(tmp_path, *param_lines):
+        """A theorem12 config on two unit disks; ``param_lines`` start at line 7."""
+        path = tmp_path / "c.json"
+        params = [
+            '    "a": {"kind": "ball", "radius": 1.0, "dim": 2}',
+            '    "b": {"kind": "ball", "radius": 1.0, "dim": 2}',
+            *param_lines,
+        ]
+        path.write_text(
+            '{\n  "command": "theorem12",\n  "seed": 1,\n  "params": {\n'
+            + ",\n".join(params)
+            + "\n  }\n}\n"
+        )
+        return path
+
     @pytest.mark.parametrize(
         "theta", ['{"kind": "custom"}', '{"kind": "custom", "predicate": "p"}']
     )
     def test_custom_theta_fails_schema_validation(self, tmp_path, capsys, theta):
         # a config cannot register a predicate, so the schema has no custom
         # kind; the error names the theta line, as every schema error does
-        path = tmp_path / "c.json"
-        path.write_text(
-            "{\n"
-            '  "command": "theorem12",\n'
-            '  "seed": 1,\n'
-            '  "params": {\n'
-            '    "a": {"kind": "ball", "radius": 1.0, "dim": 2},\n'
-            '    "b": {"kind": "ball", "radius": 1.0, "dim": 2},\n'
-            f'    "theta": {theta}\n'
-            "  }\n"
-            "}\n"
-        )
+        path = self.write_disk_pair_config(tmp_path, f'    "theta": {theta}')
         assert cli.main(["--config", str(path)]) == 1
         assert f"{path}:7:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knob, value", [("n_streams", 2), ("pairing_rounds", 4)])
+    def test_stream_and_pairing_counts_fail_schema_validation(
+        self, tmp_path, capsys, knob, value
+    ):
+        # both counts are constants of the estimator, not config fields
+        path = self.write_disk_pair_config(
+            tmp_path,
+            '    "theta": {"kind": "full"}',
+            f'    "mc": {{"pair_samples": 20000, "{knob}": {value}}}',
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:8:" in err
+        assert knob in err
 
     def test_missing_required_param(self, tmp_path, capsys):
         code = run_cli(tmp_path, {"command": "theorem12", "seed": 1, "params": {}})
@@ -298,6 +322,8 @@ class TestRunExamples:
         ball = 4.0 / 3.0 * math.pi
         assert abs(result["theta_volume"]["value"] - 0.5 * ball * 0.7**3 * ball) < 0.2
         assert doc["resolved"]["mode"] == "monte-carlo"
+        for key in ("volume_a", "volume_b", "theta_volume", "sum_volume"):
+            assert set(result[key]) == {"value", "stderr", "samples", "method"}
 
     def test_microstates_spectrum_with_reference(self, tmp_path, capsys):
         config = {
@@ -611,3 +637,14 @@ class TestOverrides:
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
         assert doc["result"]["c1_estimate"] > 0.05
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # the log-energy autocorrelation uses numpy's FFT, so the CLI's import
+    # cost does not include scipy.signal and the modules it pulls in
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, freesum.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

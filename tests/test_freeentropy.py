@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from freesum.errors import DomainError, ParameterError
 from freesum.freeentropy import (
     EntropyReport,
+    _lag_kernel,
     chi,
     epi_deficit,
     free_fisher,
@@ -17,6 +18,7 @@ from freesum.freeentropy import (
 )
 from freesum.measure import (
     GridConfig,
+    Measure,
     affine_pushforward,
     arcsine,
     bernoulli,
@@ -49,6 +51,21 @@ def test_energy_refines_quadratically():
     err_coarse = abs(log_energy(semicircle(1.0, grid=GridConfig(2048))) + 0.25)
     err_fine = abs(log_energy(semicircle(1.0, grid=GridConfig(4096))) + 0.25)
     assert err_fine <= 0.5 * err_coarse
+
+
+@pytest.mark.parametrize("n", [2, 7, 64, 257])
+def test_energy_lag_sums_match_pairwise_reference(n):
+    # the FFT autocorrelation of the cell densities must equal the explicit
+    # sum over all cell pairs, zero cells included
+    rng = np.random.default_rng(n)
+    density = rng.uniform(0.0, 2.0, n)
+    density[: n // 3] = 0.0
+    mu = Measure(-1.0, 1.0, density * n / (2.0 * density.sum()))
+    h = mu.cell_width
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    pairs = mu.density @ _lag_kernel(n)[lag] @ mu.density
+    ref = h * h * (mu.density.sum() ** 2 * math.log(h) + pairs)
+    assert log_energy(mu) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
 def test_arcsine_on_radius_two_has_zero_energy():

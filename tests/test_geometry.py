@@ -80,13 +80,9 @@ class TestSpecs:
         with pytest.raises(ParameterError):
             MonteCarloConfig(pair_samples=10)
         with pytest.raises(ParameterError):
-            MonteCarloConfig(n_streams=0)
-        with pytest.raises(ParameterError):
             MonteCarloConfig(c=0.0)
         with pytest.raises(ParameterError):
             MonteCarloConfig(C=-1.0)
-        with pytest.raises(ParameterError):
-            MonteCarloConfig(pairing_rounds=0)
 
     def test_origin_symmetry(self):
         assert SetSpec.ball(1, 3).origin_symmetric()
@@ -168,7 +164,6 @@ class TestRestrictedSum:
         rsv = restricted_sum_volume(SetSpec.ball(1, 2), SetSpec.ball(1, 2), ThetaSpec.full(), cfg)
         sv = rsv["sum_volume"]
         assert sv.method == "occupancy_grid"
-        assert sv.low_biased
         assert abs(sv.value - 4.0 * math.pi) <= 0.03 * 4.0 * math.pi
 
     def test_half_space_pair_fraction(self):

@@ -15,21 +15,11 @@ from freesum.errors import (
 )
 from freesum.measure import GridConfig, Measure, bernoulli, l1_distance, semicircle
 from freesum.transform import (
-    CauchyEvaluation,
     StaircaseTransform,
-    cauchy_derivative,
     cauchy_transform,
-    evaluate_cauchy,
     r_transform,
     stieltjes_invert,
 )
-
-
-def test_cauchy_evaluation_validates_half_plane():
-    CauchyEvaluation(0.3 + 0.7j, 0.1 - 0.2j)
-    with pytest.raises(ParameterError):
-        # upper half plane must map into the lower half plane
-        CauchyEvaluation(0.3 + 0.7j, 0.1 + 0.2j)
 
 
 def test_semicircle_closed_form():
@@ -156,8 +146,6 @@ def test_real_axis_rejected():
     sc = semicircle(1.0)
     with pytest.raises(DomainError):
         cauchy_transform(sc, 1.5)
-    with pytest.raises(DomainError):
-        cauchy_derivative(sc, 0.0)
 
 
 def test_derivative_matches_finite_difference():
@@ -165,15 +153,7 @@ def test_derivative_matches_finite_difference():
     z = 0.3 + 0.7j
     h = 1e-6
     fd = (cauchy_transform(sc, z + h) - cauchy_transform(sc, z - h)) / (2 * h)
-    assert abs(cauchy_derivative(sc, z) - fd) < 1e-8
-
-
-def test_evaluate_cauchy_record():
-    sc = semicircle(1.0)
-    ev = evaluate_cauchy(sc, 1j)
-    assert ev.point == 1j
-    assert ev.value == cauchy_transform(sc, 1j)
-    assert ev.value.imag < 0
+    assert abs(StaircaseTransform(sc).g_and_deriv(z)[1] - fd) < 1e-8
 
 
 def test_inversion_roundtrip_semicircle():

@@ -368,19 +368,54 @@ class MonteCarloConfig:
 
 
 def _sample_in_set(spec: SetSpec, count: int, rng) -> tuple[np.ndarray, int]:
-    """Uniform points via rejection from the bounding box; returns proposals."""
+    """count uniform points of spec and the number of proposals drawn for them.
+
+    A box is drawn coordinate-wise and a ball as radius * U^(1/n) times a
+    Gaussian direction g/|g| (Muller 1959), plus its centre; an ellipsoid is
+    that unit-ball draw scaled by its semi-axes, and a scaled body its base's
+    draw times the factor.  These exact draws take one proposal per point.
+    An intersection rejects from whichever is smaller: its bounding box or
+    its smallest part that is drawn exactly.
+    """
+    n = spec.dim
+    if spec.kind == "box":
+        lo, hi = spec.bounding_box()
+        return rng.uniform(lo, hi, size=(count, n)), count
+    if spec.kind in ("ball", "ellipsoid"):
+        pts = rng.standard_normal((count, n))
+        radius = rng.random(count) ** (1.0 / n)
+        if spec.kind == "ball":
+            radius *= spec.radius
+        radius /= np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        pts *= radius[:, None]
+        if spec.kind == "ellipsoid":
+            pts *= np.asarray(spec.semi_axes)
+        if spec.center is not None:
+            pts += spec._center()
+        return pts, count
+    if spec.kind == "scaled":
+        pts, proposals = _sample_in_set(spec.base, count, rng)
+        pts *= spec.factor
+        return pts, proposals
+
     lo, hi = spec.bounding_box()
     if np.any(hi <= lo):
         raise DegenerateSampleError("empty bounding box")
-    if spec.kind == "box":
-        pts = rng.uniform(lo, hi, size=(count, spec.dim))
-        return pts, count
-    out = np.empty((count, spec.dim))
+    proposal, proposal_volume = None, float(np.prod(hi - lo))
+    for part in spec.parts:
+        part_volume = part.exact_volume()
+        if part_volume is not None and part_volume < proposal_volume:
+            proposal, proposal_volume = part, part_volume
+    out = np.empty((count, n))
     filled = 0
     proposals = 0
+    batch = count
     while filled < count:
-        batch = min(2_000_000, max(8192, 4 * (count - filled)))
-        cand = rng.uniform(lo, hi, size=(batch, spec.dim))
+        batch = min(2_000_000, batch)
+        if proposal is None:
+            cand = rng.uniform(lo, hi, size=(batch, n))
+        else:
+            cand, _ = _sample_in_set(proposal, batch, rng)
         proposals += batch
         good = cand[spec.contains(cand)]
         take = min(len(good), count - filled)
@@ -390,6 +425,8 @@ def _sample_in_set(spec: SetSpec, count: int, rng) -> tuple[np.ndarray, int]:
             raise DegenerateSampleError(
                 f"rejection acceptance too low after {proposals} proposals"
             )
+        # size the next batch by the acceptance seen so far, with 10% to spare
+        batch = max(1024, math.ceil(1.1 * (count - filled) * proposals / max(filled, 1)))
     return out, proposals
 
 
@@ -867,6 +904,7 @@ def _power_check(
             "seed": cfg.seed,
             "pair_samples": cfg.pair_samples,
             "grid_cells_per_axis": rsv["grid_cells_per_axis"],
+            "rejection_proposals": rsv["rejection_proposals"],
             **extra,
         },
     )

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc, ndtr
+from scipy.stats import kstest
 
 import freesum.geometry as geometry
 from freesum.errors import DegenerateSampleError, ParameterError
@@ -155,6 +158,72 @@ class TestVolume:
         cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / m**2
         oracle = np.count_nonzero(inter.contains(pts)) * cell
         assert abs(est.value - oracle) <= 3.0 * est.stderr + 0.01
+
+
+@st.composite
+def exactly_sampled_bodies(draw):
+    """A ball or ellipsoid, maybe off-centre, maybe scaled, with the centre
+    and semi-axes of the map that sends it onto the unit ball."""
+    n = draw(st.integers(1, 12))
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    center = draw(st.one_of(st.none(), coords))
+    if draw(st.booleans()):
+        radius = draw(st.floats(0.1, 3.0))
+        spec, axes = SetSpec.ball(radius, n, center), np.full(n, radius)
+    else:
+        semi_axes = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+        spec, axes = SetSpec.ellipsoid(semi_axes, center), np.array(semi_axes)
+    offset = np.zeros(n) if center is None else np.array(center)
+    factor = draw(st.one_of(st.none(), st.floats(0.2, 5.0)))
+    if factor is not None:
+        spec, axes, offset = SetSpec.scaled(spec, factor), factor * axes, factor * offset
+    return spec, offset, axes
+
+
+class TestSampling:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(exactly_sampled_bodies())
+    def test_exact_draws_are_uniform_in_the_body(self, body):
+        # mapped back onto the unit ball, |u|^n of a uniform point is U(0, 1)
+        spec, offset, axes = body
+        pts, proposals = geometry._sample_in_set(spec, 2000, np.random.default_rng(17))
+        assert pts.shape == (2000, spec.dim)
+        assert proposals == 2000
+        assert spec.contains(pts).all()
+        u = (pts - offset) / axes
+        radial = np.einsum("ij,ij->i", u, u) ** (0.5 * spec.dim)
+        assert kstest(radial, "uniform").pvalue > 1e-3
+
+    def test_intersection_draws_lie_in_every_part(self):
+        off_centre = SetSpec.intersection(
+            SetSpec.ellipsoid([1.5, 0.5, 1.0], center=(0.2, 0.0, 0.0)),
+            SetSpec.ball(1.0, 3, center=(0.5, 0.0, 0.0)),
+        )
+        rng = np.random.default_rng(3)
+        for spec, factor in ((BALL_CAP_BOX, 1.0), (off_centre, 1.0),
+                             (SetSpec.scaled(BALL_CAP_BOX, 2.0), 2.0)):
+            pts, proposals = geometry._sample_in_set(spec, 5000, rng)
+            assert pts.shape == (5000, 3)
+            assert proposals > 5000
+            parts = spec.parts if spec.kind == "intersection" else spec.base.parts
+            for part in parts:
+                assert part.contains(pts / factor).all()
+
+    def test_intersection_proposes_from_its_smallest_exact_part(self):
+        # the ball lies inside the box and has the smaller volume, so every
+        # proposal drawn from it is accepted
+        inside = SetSpec.intersection(SetSpec.box([0.8, 0.8, 0.8]), SetSpec.ball(0.5, 3))
+        pts, proposals = geometry._sample_in_set(inside, 5000, np.random.default_rng(4))
+        assert proposals == 5000
+        assert inside.contains(pts).all()
+
+    @pytest.mark.parametrize("pair", [
+        (SetSpec.ball(1.0, 4), SetSpec.ball(0.6, 4, center=(0.1, 0.0, 0.0, 0.2))),
+        (SetSpec.ellipsoid([1.0, 0.5, 0.8]), SetSpec.ellipsoid([0.3, 0.9, 0.6])),
+    ], ids=["balls", "ellipsoids"])
+    def test_exactly_sampled_pairs_take_one_proposal_per_point(self, pair):
+        rsv = restricted_sum_volume(*pair, ThetaSpec.full(), FAST)
+        assert rsv["rejection_proposals"] == 2 * rsv["pair_samples"]
 
 
 class TestRestrictedSum:
@@ -333,6 +402,13 @@ class TestPowerCheckCore:
         assert rep.context["volume_a"] == rsv["volume_a"].value
         assert rep.context["volume_b"] == rsv["volume_b"].value
         assert rep.context["sum_volume"] == rsv["sum_volume"].to_json()
+
+    def test_reports_carry_rejection_proposals(self):
+        a, b = SetSpec.ellipsoid([1.2, 1.0, 1.0]), BALL_CAP_BOX
+        proposals = restricted_sum_volume(a, b, ThetaSpec.full(), FAST)["rejection_proposals"]
+        for check in self.CHECKS[:3]:
+            rep = check(a, b, ThetaSpec.full(), FAST)
+            assert rep.context["rejection_proposals"] == proposals
 
     def test_corollary15_ci_counts_monte_carlo_input_volumes(self):
         # at delta = 0 the rhs factor is 1, so the CI must match theorem12's,

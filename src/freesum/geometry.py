@@ -52,6 +52,8 @@ _MAX_PROPOSALS = 500_000_000
 _STREAMS = 4
 # pairings of each sampled batch when marking the sumset occupancy grid
 _PAIRING_ROUNDS = 8
+# pairs drawn at a time by each stream of the pair samplers
+_CHUNK = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +385,11 @@ def _sample_in_set(spec: SetSpec, count: int, rng) -> tuple[np.ndarray, int]:
         return rng.uniform(lo, hi, size=(count, n)), count
     if spec.kind in ("ball", "ellipsoid"):
         pts = rng.standard_normal((count, n))
-        radius = rng.random(count) ** (1.0 / n)
+        scale = rng.random(count) ** (1.0 / n)
         if spec.kind == "ball":
-            radius *= spec.radius
-        radius /= np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        pts *= radius[:, None]
+            scale *= spec.radius
+        scale /= np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        pts *= scale[:, None]
         if spec.kind == "ellipsoid":
             pts *= np.asarray(spec.semi_axes)
         if spec.center is not None:
@@ -494,18 +496,53 @@ def _face_rim(grid: np.ndarray) -> np.ndarray:
     return binary_dilation(grid) & ~grid
 
 
+class _OccupancyGrid:
+    """Hit counts of one stream's sums on cells**n equal cells spanning [lo, hi].
+
+    counts is the C-order ravel of the grid.  mark() reuses scratch index
+    buffers of up to ``batch`` rows, so marking allocates nothing per call
+    beyond the kept flat indices when a keep mask is given.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, cells: int, batch: int):
+        n = len(lo)
+        self.lo = lo
+        self.widths = (hi - lo) / cells
+        self.top = cells - 1
+        self.strides = cells ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.counts = np.zeros(cells**n, dtype=np.int64)
+        self._idx = np.empty((batch, n), dtype=np.int64)
+        self._flat = np.empty(batch, dtype=np.int64)
+
+    def mark(self, s: np.ndarray, keep: np.ndarray | None = None) -> None:
+        """Count each row of s, or each row where keep is true; overwrites s.
+
+        Rows outside [lo, hi] count in the nearest boundary cell.
+        """
+        idx, flat = self._idx[: len(s)], self._flat[: len(s)]
+        s -= self.lo
+        s /= self.widths
+        np.copyto(idx, s, casting="unsafe")  # truncates toward zero, as astype does
+        np.clip(idx, 0, self.top, out=idx)
+        np.matmul(idx, self.strides, out=flat)
+        np.add.at(self.counts, flat if keep is None else flat[keep], 1)
+
+
 def restricted_sum_volume(
     A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
 ) -> dict:
     """Volumes of A, B, the pair constraint and the restricted sumset.
 
     volume_a and volume_b are ``volume(A)`` and ``volume(B)`` under cfg.
-    theta_volume is hit-or-miss over independent uniform pairs from A x B.
-    sum_volume marks occupancy-grid cells hit by sampled x + y with (x, y)
-    admitted by theta; besides the independent pairs, each batch is reused
-    through circular-shift repairings (still valid theta-filtered pairs) to
-    cover the thin boundary shell where the sum density vanishes.  The
-    estimate is biased low, and its stderr field carries an additive
+    theta_volume is hit-or-miss over independent uniform pairs from A x B,
+    drawn by ``_sample_in_set``; rejection_proposals counts the points it
+    proposed for them (2 * pair_samples when A and B are drawn exactly).
+    sum_volume counts occupancy-grid cells, spanning the sum of the
+    bounding boxes, hit by sampled x + y with (x, y) admitted by theta;
+    besides the independent pairs, each batch is reused through
+    circular-shift repairings (still valid theta-filtered pairs) to cover
+    the thin boundary shell where the sum density vanishes.  Every marked
+    cell counts at full volume, and the stderr field carries an additive
     allowance (boundary rim plus an unseen-cell estimate) rather than a
     Gaussian standard error.
     """
@@ -526,34 +563,38 @@ def restricted_sum_volume(
     cells = cfg.grid_cells_per_axis or _adaptive_cells(cfg.pair_samples, n)
     if cells**n > 2**23:
         raise ParameterError("occupancy grid too large; lower grid_cells_per_axis")
-    widths = (hi_s - lo_s) / cells
-    cell_vol = float(np.prod(widths))
-
-    def mark(counts, s):
-        if len(s):
-            idx = np.clip(((s - lo_s) / widths).astype(np.int64), 0, cells - 1)
-            flat = np.ravel_multi_index(idx.T, (cells,) * n)
-            np.add.at(counts, flat, 1)
+    cell_vol = float(np.prod((hi_s - lo_s) / cells))
+    full = theta.kind == "full"
 
     def job(_i, m, rng):
         hits = 0
         proposals = 0
-        counts = np.zeros(cells**n, dtype=np.int64)
+        size = min(m, _CHUNK)
+        grid = _OccupancyGrid(lo_s, hi_s, cells, size)
+        s = np.empty((size, n))
+        yr = None if full else np.empty((size, n))
         done = 0
         while done < m:
-            chunk = min(m - done, 500_000)
+            chunk = min(m - done, _CHUNK)
             x, px = _sample_in_set(A, chunk, rng)
             y, py = _sample_in_set(B, chunk, rng)
             proposals += px + py
-            keep = theta.indicator(x, y, cfg.seed)
-            hits += int(np.count_nonzero(keep))
-            mark(counts, (x + y)[keep])
-            for r in range(1, _PAIRING_ROUNDS):
-                yr = np.roll(y, r * chunk // _PAIRING_ROUNDS, axis=0)
-                kr = theta.indicator(x, yr, cfg.seed)
-                mark(counts, (x + yr)[kr])
+            for r in range(_PAIRING_ROUNDS):
+                # pair x[i] with y[i - k]: round 0 holds the independent pairs,
+                # later rounds circular shifts of the same batch
+                k = r * chunk // _PAIRING_ROUNDS
+                np.add(x[:k], y[chunk - k :], out=s[:k])
+                np.add(x[k:], y[: chunk - k], out=s[k:chunk])
+                keep = None
+                if not full:
+                    yr[:k] = y[chunk - k :]
+                    yr[k:chunk] = y[: chunk - k]
+                    keep = theta.indicator(x, yr[:chunk], cfg.seed)
+                if r == 0:
+                    hits += chunk if full else int(np.count_nonzero(keep))
+                grid.mark(s[:chunk], keep)
             done += chunk
-        return hits, counts, proposals
+        return hits, grid.counts, proposals
 
     results = _run_streams(cfg, job)
     m = cfg.pair_samples
@@ -1019,7 +1060,7 @@ def bll_symmetrization_check(
             hits = 0
             done = 0
             while done < m:
-                chunk = min(m - done, 500_000)
+                chunk = min(m - done, _CHUNK)
                 x, _ = _sample_in_set(a, chunk, rng)
                 y, _ = _sample_in_set(b, chunk, rng)
                 hits += int(np.count_nonzero(c.contains(x + y)))

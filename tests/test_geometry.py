@@ -287,6 +287,50 @@ class TestRestrictedSum:
         assert r1["theta_volume"].value == r2["theta_volume"].value
         assert r1["sum_volume"].value == r2["sum_volume"].value
         assert r1["theta_hits"] == r2["theta_hits"]
+        # exact draws on one side, rejection from an intersection on the other
+        a = SetSpec.ellipsoid([1.2, 0.7, 0.9], center=(0.1, 0.0, -0.2))
+        for theta in (ThetaSpec.full(), ThetaSpec.inner_product_leq(0.1)):
+            r1 = restricted_sum_volume(a, BALL_CAP_BOX, theta, base)
+            r2 = restricted_sum_volume(a, BALL_CAP_BOX, theta, multi)
+            assert r1 == r2
+        b1 = bll_symmetrization_check(a, BALL_CAP_BOX, SetSpec.ball(1.5, 3), base)
+        b3 = bll_symmetrization_check(a, BALL_CAP_BOX, SetSpec.ball(1.5, 3), multi)
+        assert b1.to_json() == b3.to_json()
+
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "restricted"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_marking_matches_ravel_multi_index_reference(self, n, full):
+        rng = np.random.default_rng(40 + n)
+        lo_a, hi_a = -rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+        lo_b, hi_b = -rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n)
+        lo, hi = lo_a + lo_b, hi_a + hi_b
+        s = rng.uniform(lo_a, hi_a, (3000, n)) + rng.uniform(lo_b, hi_b, (3000, n))
+        # sums one rounding step below the grid in one or every coordinate,
+        # exactly on its top faces, and on mixed corners,
+        below = np.nextafter(lo, -np.inf)
+        axis = rng.integers(n, size=20)
+        s[np.arange(20), axis] = below[axis]
+        s[20:40] = below
+        s[40:60] = hi
+        s[60] = np.where(np.arange(n) % 2, below, hi)
+        s[61] = np.where(np.arange(n) % 2, hi, lo)
+        keep = None if full else rng.random(len(s)) < 0.6
+        cells = int(rng.integers(2, 9))
+        widths = (hi - lo) / cells
+        # and one and a half cells outside, which clipping folds back in
+        s[62:70] = lo - 1.5 * widths
+        s[70:78] = hi + 1.5 * widths
+        rows = s if keep is None else s[keep]
+        idx = np.clip(((rows - lo) / widths).astype(np.int64), 0, cells - 1)
+        reference = np.bincount(np.ravel_multi_index(idx.T, (cells,) * n), minlength=cells**n)
+
+        grid = geometry._OccupancyGrid(lo, hi, cells, len(s))
+        work = s.copy()
+        # two calls of unequal length use the scratch buffers partly
+        grid.mark(work[:1100], None if full else keep[:1100])
+        grid.mark(work[1100:], None if full else keep[1100:])
+        assert np.array_equal(grid.counts, reference)
+        assert grid.counts.sum() == len(rows)
 
     def test_seed_reproducibility(self):
         r1 = restricted_sum_volume(SetSpec.ball(1, 2), SetSpec.ball(0.5, 2), ThetaSpec.full(), FAST)

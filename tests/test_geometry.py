@@ -209,14 +209,6 @@ class TestSampling:
             for part in parts:
                 assert part.contains(pts / factor).all()
 
-    def test_intersection_proposes_from_its_smallest_exact_part(self):
-        # the ball lies inside the box and has the smaller volume, so every
-        # proposal drawn from it is accepted
-        inside = SetSpec.intersection(SetSpec.box([0.8, 0.8, 0.8]), SetSpec.ball(0.5, 3))
-        pts, proposals = geometry._sample_in_set(inside, 5000, np.random.default_rng(4))
-        assert proposals == 5000
-        assert inside.contains(pts).all()
-
     @pytest.mark.parametrize("pair", [
         (SetSpec.ball(1.0, 4), SetSpec.ball(0.6, 4, center=(0.1, 0.0, 0.0, 0.2))),
         (SetSpec.ellipsoid([1.0, 0.5, 0.8]), SetSpec.ellipsoid([0.3, 0.9, 0.6])),

@@ -2,7 +2,7 @@
 
 Sets are balls, boxes, ellipsoids, intersections and dilates; pair
 constraints (Theta) restrict which x + y contribute to the sumset.  Exact
-volumes use Gamma-function formulas; everything else is seeded hit-or-miss
+volumes use closed forms; everything else is seeded hit-or-miss
 Monte Carlo plus an occupancy grid for sumset volumes.  The occupancy
 estimate counts every marked cell at full volume, so it can err either
 way: missed boundary cells bias it low, partly covered ones bias it high
@@ -19,9 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.ndimage import binary_dilation
-from scipy.special import gammaln
 
 from .errors import DegenerateSampleError, ParameterError
 from .stats import Z99, hash_unit, stream_seed, three_way_verdict, wilson_interval
@@ -205,7 +202,11 @@ class SetSpec:
 
 
 def unit_ball_volume(n: int) -> float:
-    return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
+    # V_n = V_{n-2} 2 pi / n from V_0 = 1, V_1 = 2: exact up to one rounding per step
+    v = 2.0 if n % 2 else 1.0
+    for k in range(2 + n % 2, n + 1, 2):
+        v *= 2.0 * math.pi / k
+    return v
 
 
 _THETA_PREDICATES: dict = {}
@@ -489,7 +490,12 @@ def _adaptive_cells(samples: int, n: int) -> int:
 
 def _face_rim(grid: np.ndarray) -> np.ndarray:
     """Unmarked cells of a boolean grid that share a face with a marked cell."""
-    return binary_dilation(grid) & ~grid
+    grown = grid.copy()
+    for axis in range(grid.ndim):
+        src, dst = np.moveaxis(grid, axis, 0), np.moveaxis(grown, axis, 0)  # views
+        dst[1:] |= src[:-1]
+        dst[:-1] |= src[1:]
+    return grown & ~grid
 
 
 class _OccupancyGrid:
@@ -646,43 +652,42 @@ def restricted_sum_volume(
 # cap geometry (spherical caps of the ball example)
 
 
-def _log_slab_integral(n: int, lo: float, hi: float) -> float:
-    """log of integral over [lo, hi] of (1 - v^2)^((n-1)/2), -1 <= lo <= hi <= 1."""
-    if hi <= lo:
-        return float("-inf")
-    half = 0.5 * (n - 1)
+def _log_beta_ratio(p: float, x: float) -> float:
+    """log I_x(p, p), the regularized incomplete beta ratio, for x <= 1/2 (-inf at x <= 0).
 
-    def log_f(v):
-        vv = min(v * v, 1.0)
-        if vv >= 1.0:
-            return float("-inf")
-        return half * math.log1p(-vv)
-
-    # shift by the max so quad sees an O(1) integrand even for huge n
-    peak = 0.0 if lo <= 0.0 <= hi else (lo if abs(lo) < abs(hi) else hi)
-    shift = log_f(peak)
-    pieces = sorted({lo, hi, *((0.0,) if lo < 0.0 < hi else ())})
-    total = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        val, _ = quad(lambda v: math.exp(log_f(v) - shift), a, b, limit=200)
-        total += val
-    if total <= 0:
-        return float("-inf")
-    return shift + math.log(total)
-
-
-def _log_slab_closed_form(n: int) -> float:
-    # int_{-1}^{1} (1 - v^2)^((n-1)/2) dv = sqrt(pi) Gamma((n+1)/2) / Gamma(n/2+1)
-    return 0.5 * math.log(math.pi) + gammaln(0.5 * (n + 1)) - gammaln(0.5 * n + 1.0)
+    Sums I_x(p, p) = x^p (1-x)^p / (p B(p, p)) * 2F1(2p, 1; p+1; x) (DLMF 8.17.8),
+    whose terms are positive and decreasing for x <= 1/2: O(sqrt(p)) of them.  The
+    prefactor (4x(1-x))^p Gamma(p+1/2) / (2 sqrt(pi) p Gamma(p)) is formed in logs,
+    with an expansion at large p, where differences of lgamma values lose digits.
+    """
+    if x <= 0.0:
+        return -math.inf
+    total, term, k = 1.0, 1.0, 0
+    while term > 1e-17 * total:
+        term *= (2.0 * p + k) * x / (p + 1.0 + k)
+        total += term
+        k += 1
+    if x < 0.25:
+        log_base = math.log(4.0 * x) + math.log1p(-x)
+    else:
+        v = 1.0 - 2.0 * x  # exact for x in [1/4, 1/2]
+        log_base = math.log1p(-v * v)
+    if p < 30.0:
+        log_ratio = math.lgamma(p + 0.5) - math.lgamma(p) - 0.5 * math.log(p)
+    else:
+        # Bernoulli-polynomial expansion in 1/p^2; the first omitted term is < 1e-16 at p >= 30
+        u = 1.0 / (p * p)
+        log_ratio = (((17.0 / 14336.0 * u - 1.0 / 640.0) * u + 1.0 / 192.0) * u - 1.0 / 8.0) / p
+    return p * log_base + log_ratio - 0.5 * math.log(4.0 * math.pi * p) + math.log(total)
 
 
 def cap_fraction(n: int, rho: float, r0: float, detail: bool = False):
     """Fraction of the small ball rho*B^n reachable within the big ball.
 
     For |x0| = r0, returns lambda({y : |y| <= rho, |x0 + y| <= sqrt(1+rho^2)})
-    normalized by lambda(rho B^n).  Computed from two slab integrals: the
-    part of the small ball below the cap plane, plus the lens against the
-    big sphere.
+    normalized by lambda(rho B^n).  Computed from two incomplete beta ratios
+    I_x((n+1)/2, (n+1)/2): the part of the small ball below the cap plane,
+    plus the lens against the big sphere.
     """
     if n < 2:
         raise ParameterError("cap geometry needs n >= 2")
@@ -691,7 +696,7 @@ def cap_fraction(n: int, rho: float, r0: float, detail: bool = False):
     if not 0.0 < r0 <= 1.0:
         raise ParameterError("r0 must lie in (0, 1]")
     big_r = math.sqrt(1.0 + rho * rho)
-    info = {"n": n, "rho": rho, "r0": r0, "clamped": False, "containment": False}
+    info = {"n": n, "rho": rho, "r0": r0, "containment": False}
     if r0 <= big_r - rho:
         # the shifted small ball sits entirely inside the big ball
         info["containment"] = True
@@ -700,22 +705,13 @@ def cap_fraction(n: int, rho: float, r0: float, detail: bool = False):
             return 1.0, info
         return 1.0
 
+    # r0 in (big_r - rho, 1] puts the plane offset s in [0, big_r - r0]
     s = (1.0 - r0 * r0) / (2.0 * r0)
-    t = big_r - r0
-    v_s = s / rho
-    if v_s < -1.0 or s > t:
-        # defensive clamp; unreachable for r0 in the valid range
-        info["clamped"] = True
-        v_s = max(v_s, -1.0)
-        s = v_s * rho
-        t = max(t, s)
-
-    log_i0 = _log_slab_integral(n, -1.0, 1.0) + n * math.log(rho)
-    first = math.exp(_log_slab_integral(n, -1.0, min(v_s, 1.0)) + n * math.log(rho) - log_i0)
-    # second integral: substitute r0 + u = big_r * w on [s, t]
+    p = 0.5 * (n + 1)
+    first = 1.0 - math.exp(_log_beta_ratio(p, 0.5 * (1.0 - s / rho)))
+    # lens: substitute r0 + u = big_r * w on [s, t]
     w0 = (r0 + s) / big_r
-    log_i2 = _log_slab_integral(n, min(w0, 1.0), 1.0) + n * math.log(big_r)
-    second = math.exp(log_i2 - log_i0)
+    second = math.exp(_log_beta_ratio(p, 0.5 * (1.0 - w0)) + n * math.log(big_r / rho))
     fraction = min(first + second, 1.0)
     if detail:
         info.update(
@@ -723,12 +719,8 @@ def cap_fraction(n: int, rho: float, r0: float, detail: bool = False):
             first_integral_fraction=first,
             second_integral_fraction=second,
             s=s,
-            t=t,
+            t=big_r - r0,
             w0=w0,
-            identity_rel_err=abs(
-                math.exp(_log_slab_integral(n, -1.0, 1.0) - _log_slab_closed_form(n))
-                - 1.0
-            ),
         )
         return fraction, info
     return fraction

@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cumulants import cumulants_from_moments, moments_from_cumulants, pair_moment_targets
 from .errors import ParameterError, PrecisionError, StepFunctionError
 from .freeentropy import CHI_SHIFT
 from .measure import Measure
-from .stats import stream_seed, wilson_interval
+from .stats import logsumexp, stream_seed, wilson_interval
 
 _HERMITIAN_TOL = 1e-12
 _SLOT_LANDING_TOL = 1e-9
@@ -685,7 +684,7 @@ def estimate_log_volume_omega(
 
     log_w = _log_vandermonde_sq(lam) - log_q
 
-    log_total = float(logsumexp(log_w))
+    log_total = logsumexp(log_w)
     ess = float(np.exp(2.0 * log_total - logsumexp(2.0 * log_w)))
     if ess < _MIN_ESS:
         raise PrecisionError(

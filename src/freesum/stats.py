@@ -41,6 +41,15 @@ def three_way_verdict(deficit: float, tol: float) -> str:
     return "inconclusive"
 
 
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) shifted by the max; an all -inf input gives -inf."""
+    a = np.asarray(a, dtype=np.float64)
+    peak = np.max(a)
+    if not np.isfinite(peak):
+        return float(peak)
+    return float(peak + np.log(np.sum(np.exp(a - peak))))
+
+
 def splitmix64(x):
     """SplitMix64 finalizer, vectorized over uint64 arrays."""
     x = np.asarray(x, dtype=np.uint64)

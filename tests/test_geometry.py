@@ -104,6 +104,12 @@ class TestVolume:
         assert est.stderr == 0.0
         assert est.value == pytest.approx(math.pi, abs=1e-15)
 
+    def test_unit_ball_volume_closed_form(self):
+        assert [unit_ball_volume(n) for n in range(4)] == [1.0, 2.0, math.pi, 4.0 * math.pi / 3.0]
+        for n in range(4, 65):
+            ref = math.pi ** (0.5 * n) / math.gamma(0.5 * n + 1.0)
+            assert unit_ball_volume(n) == pytest.approx(ref, rel=1e-14)
+
     def test_ball_homogeneity_exact(self):
         # lambda(rho B^n) / lambda(B^n) = rho^n
         for n, rho in ((3, 0.5), (7, 0.9), (12, 0.3)):
@@ -389,6 +395,9 @@ class TestRestrictedSum:
             for p in (0.05, 0.3, 0.7):
                 grid = rng.random((4,) * n) < p
                 assert np.array_equal(geometry._face_rim(grid), reference(grid))
+        for shape in ((1,), (1, 2, 5), (2, 1, 3, 1)):
+            grid = rng.random(shape) < 0.5
+            assert np.array_equal(geometry._face_rim(grid), reference(grid))
 
     def test_custom_theta_predicate(self):
         register_theta_predicate("first_coords_opposite", lambda x, y: x[:, 0] * y[:, 0] <= 0.0)
@@ -641,9 +650,33 @@ class TestCapFraction:
         assert cap_fraction(2, 1.0, 0.3) == 1.0
 
     def test_normalization_identity(self):
-        for n, rho, r0 in ((2, 1.0, 1.0), (4, 0.8, 0.95), (16, 0.3, 0.999)):
-            _, info = cap_fraction(n, rho, r0, detail=True)
-            assert info["identity_rel_err"] <= 1e-10
+        # I_{1/2}(p, p) = 1/2 by symmetry, which pins the Gamma-ratio prefactor
+        for n in (2, 3, 8, 29, 30, 59, 60, 61, 128, 10**4, 3 * 10**4, 10**5):
+            p = 0.5 * (n + 1)
+            assert math.exp(geometry._log_beta_ratio(p, 0.5)) == pytest.approx(0.5, abs=1e-13)
+
+    def test_log_beta_ratio_matches_betainc(self):
+        xs = np.concatenate([np.geomspace(1e-12, 0.1, 23), np.linspace(0.1, 0.5, 81)])
+        for n in (2, 3, 8, 128, 10**4):
+            p = 0.5 * (n + 1)
+            for x in xs:
+                ref = betainc(p, p, x)
+                if ref > 1e-300:
+                    got = math.exp(geometry._log_beta_ratio(p, float(x)))
+                    assert got == pytest.approx(ref, rel=1e-12), (n, x)
+
+    def test_just_past_containment_is_one(self):
+        # rounding can push the beta arguments just below zero here
+        for rho in (0.05, 0.3, 0.77, 1.0):
+            r0 = math.nextafter(math.sqrt(1.0 + rho * rho) - rho, 2.0)
+            assert cap_fraction(5, rho, r0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_large_n_keeps_the_lens(self):
+        # at rho = r0 = 1 the plane passes through the centre, and the lens
+        # adds about 1/sqrt(2 pi n): a share that adaptive quadrature lost
+        for n in (3 * 10**4, 10**5):
+            excess = cap_fraction(n, 1.0, 1.0) - 0.5
+            assert excess == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * n), rel=1e-3)
 
     def test_decreasing_in_r0(self):
         vals = [cap_fraction(2, 1.0, r) for r in (0.75, 0.9, 1.0)]

@@ -7,6 +7,7 @@ from freesum.errors import ParameterError
 from freesum.stats import (
     Z99,
     hash_unit,
+    logsumexp,
     splitmix64,
     stream_seed,
     three_way_verdict,
@@ -88,3 +89,13 @@ def test_three_way_verdict_boundaries():
     # zero tolerance: any negative deficit is a clear violation
     assert three_way_verdict(0.0, 0.0) == "holds"
     assert three_way_verdict(-1e-12, 0.0) == "violated"
+
+
+def test_logsumexp_matches_scipy():
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    assert logsumexp(np.full(4, -np.inf)) == -np.inf
+    assert logsumexp([-3.25]) == -3.25
+    big = np.random.default_rng(5).uniform(-700.0, 700.0, 10**5)
+    for a in (big, big - 1400.0, np.array([0.0, -np.inf, 1e-3])):
+        assert logsumexp(a) == pytest.approx(float(scipy_logsumexp(a)), rel=1e-14)

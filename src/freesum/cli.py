@@ -348,6 +348,21 @@ def _line_of_path(raw: str, keys) -> int:
     return raw.count("\n", 0, found) + 1
 
 
+# a JSON string, or a non-finite token that Python's json accepts outside strings
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
+
+
+def _load_config(raw: str):
+    """json.loads, refusing the NaN and Infinity tokens that JSON itself lacks."""
+
+    def refuse(token):
+        # the decoder calls this at the first such token outside a string
+        at = next(m.start(1) for m in _STRING_OR_CONSTANT.finditer(raw) if m.group(1))
+        raise json.JSONDecodeError(f"non-finite number {token} is not allowed", raw, at)
+
+    return json.loads(raw, parse_constant=refuse)
+
+
 def _validate(config: dict, raw: str, path: str) -> None:
     validator = jsonschema.Draft202012Validator(_TOP_SCHEMA)
     for err in sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path)):
@@ -826,7 +841,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
-        config = json.loads(raw)
+        config = _load_config(raw)
     except json.JSONDecodeError as err:
         print(f"error: {args.config}:{err.lineno}: {err.msg}", file=sys.stderr)
         return 1

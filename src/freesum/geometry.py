@@ -1,15 +1,17 @@
 """Restricted Minkowski sums in R^n: volumes, caps, and inequality checks.
 
-Sets are balls, boxes, ellipsoids, intersections and dilates; pair
-constraints (Theta) restrict which x + y contribute to the sumset.  Exact
-volumes use closed forms; everything else is seeded hit-or-miss
-Monte Carlo plus an occupancy grid for sumset volumes.  The occupancy
-estimate counts every marked cell at full volume, so it can err either
-way: missed boundary cells bias it low, partly covered ones bias it high
-(balls of radius 1 and 0.8 in R^6 with 10^6 pairs read 251.1 against an
-exact 175.8).  A
-nonnegative deficit is therefore not conservative evidence for the
-superadditivity inequalities checked here.
+Every body is stored in one form: an ellipsoid or a box, given by its axes
+and centre, or an intersection of such bodies.  Balls are equal-axis
+ellipsoids and dilates scale the axes and centre, so both keep their
+constructors but need no code of their own.  Pair constraints (Theta)
+restrict which x + y contribute to the sumset.  Exact volumes use closed
+forms; everything else is seeded hit-or-miss Monte Carlo plus an occupancy
+grid for sumset volumes.  The occupancy estimate counts every marked cell
+at full volume, so it can err either way: missed boundary cells bias it
+low, partly covered ones bias it high (balls of radius 1 and 0.8 in R^6
+with 10^6 pairs read 251.1 against an exact 175.8).  A nonnegative deficit
+is therefore not conservative evidence for the superadditivity
+inequalities checked here.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "volume",
 ]
 
-_EXACT_KINDS = ("ball", "box", "ellipsoid")
 _MAX_EXACT_DIM = 64
 _MAX_MC_DIM = 10
 _MAX_THETA_DIM = 12
@@ -63,67 +64,60 @@ _CHUNK = 500_000
 
 @dataclass(frozen=True)
 class SetSpec:
-    """A body in R^n with membership test, bounding box, and volume."""
+    """A body in R^n: an ellipsoid, a box, or an intersection of bodies.
+
+    An ellipsoid or box stores its axes (semi-axes or half-widths) and its
+    centre c; with d = (x - c) / axes it holds the x with |d| <= 1 or
+    max |d_i| <= 1.  A ball is the ellipsoid with equal axes, and a dilate
+    is the body with its axes and centre multiplied.  An intersection stores
+    only its parts.
+    """
 
     kind: str
     dim: int
-    radius: float | None = None
-    half_widths: tuple | None = None
-    semi_axes: tuple | None = None
-    parts: tuple | None = None
-    base: "SetSpec | None" = None
-    factor: float | None = None
+    axes: tuple | None = None
     center: tuple | None = None
+    parts: tuple | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError("dimension must be >= 1")
-        if self.kind == "ball":
-            if self.radius is None or self.radius <= 0:
-                raise ParameterError("ball radius must be positive")
-        elif self.kind == "box":
-            if self.half_widths is None or len(self.half_widths) != self.dim:
-                raise ParameterError("box needs one half-width per axis")
-            if any(w <= 0 for w in self.half_widths):
-                raise ParameterError("box half-widths must be positive")
-        elif self.kind == "ellipsoid":
-            if self.semi_axes is None or len(self.semi_axes) != self.dim:
-                raise ParameterError("ellipsoid needs one semi-axis per axis")
-            if any(a <= 0 for a in self.semi_axes):
-                raise ParameterError("ellipsoid semi-axes must be positive")
-        elif self.kind == "intersection":
+        if self.kind == "intersection":
             if not self.parts:
                 raise ParameterError("intersection needs at least one part")
             if any(p.dim != self.dim for p in self.parts):
                 raise ParameterError("intersection parts must share the dimension")
-        elif self.kind == "scaled":
-            if self.base is None or self.base.dim != self.dim:
-                raise ParameterError("scaled set needs a base of the same dimension")
-            if self.factor is None or self.factor <= 0:
-                raise ParameterError("scale factor must be positive")
-        else:
+            return
+        if self.kind not in ("ellipsoid", "box"):
             raise ParameterError(f"unknown set kind {self.kind!r}")
-        if self.center is not None and len(self.center) != self.dim:
+        if self.axes is None or len(self.axes) != self.dim:
+            raise ParameterError(f"{self.kind} needs one axis per dimension")
+        if not all(0.0 < a < math.inf for a in self.axes):
+            raise ParameterError("radius, semi-axes or half-widths must be positive and finite")
+        if self.center is None or len(self.center) != self.dim:
             raise ParameterError("center must have one coordinate per axis")
+        if not all(math.isfinite(c) for c in self.center):
+            raise ParameterError("center coordinates must be finite")
 
     # constructors
 
     @classmethod
     def ball(cls, radius: float, dim: int, center=None) -> "SetSpec":
-        return cls(kind="ball", dim=dim, radius=float(radius),
-                   center=None if center is None else tuple(center))
+        return cls.ellipsoid([radius] * dim, center)
 
     @classmethod
     def box(cls, half_widths, center=None) -> "SetSpec":
-        hw = tuple(float(w) for w in half_widths)
-        return cls(kind="box", dim=len(hw), half_widths=hw,
-                   center=None if center is None else tuple(center))
+        return cls._axial("box", half_widths, center)
 
     @classmethod
     def ellipsoid(cls, semi_axes, center=None) -> "SetSpec":
-        ax = tuple(float(a) for a in semi_axes)
-        return cls(kind="ellipsoid", dim=len(ax), semi_axes=ax,
-                   center=None if center is None else tuple(center))
+        return cls._axial("ellipsoid", semi_axes, center)
+
+    @classmethod
+    def _axial(cls, kind: str, axes, center) -> "SetSpec":
+        axes = tuple(float(a) for a in axes)
+        center = (0.0,) * len(axes) if center is None else tuple(float(c) for c in center)
+        return cls(kind=kind, dim=len(axes), axes=axes, center=center)
 
     @classmethod
     def intersection(cls, *parts) -> "SetSpec":
@@ -132,73 +126,47 @@ class SetSpec:
 
     @classmethod
     def scaled(cls, base: "SetSpec", factor: float) -> "SetSpec":
-        return cls(kind="scaled", dim=base.dim, base=base, factor=float(factor))
+        """The dilate factor * base: axes and centre scale, parts scale one by one."""
+        f = float(factor)
+        if not 0.0 < f < math.inf:
+            raise ParameterError("scale factor must be positive and finite")
+        if base.kind == "intersection":
+            return cls.intersection(*(cls.scaled(p, f) for p in base.parts))
+        return cls._axial(base.kind, [f * a for a in base.axes], [f * c for c in base.center])
 
     # geometry
 
-    def _center(self) -> np.ndarray:
-        if self.center is None:
-            return np.zeros(self.dim)
-        return np.asarray(self.center, dtype=float)
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "ball":
-            d = x - self._center()
-            return np.einsum("ij,ij->i", d, d) <= self.radius * self.radius
-        if self.kind == "box":
-            d = np.abs(x - self._center())
-            return np.all(d <= np.asarray(self.half_widths), axis=1)
-        if self.kind == "ellipsoid":
-            d = (x - self._center()) / np.asarray(self.semi_axes)
-            return np.einsum("ij,ij->i", d, d) <= 1.0
         if self.kind == "intersection":
             out = np.ones(x.shape[0], dtype=bool)
             for part in self.parts:
                 out &= part.contains(x)
             return out
-        return self.base.contains(x / self.factor)
+        d = (x - np.asarray(self.center)) / np.asarray(self.axes)
+        if self.kind == "box":
+            return np.all(np.abs(d) <= 1.0, axis=1)
+        return np.einsum("ij,ij->i", d, d) <= 1.0
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "ball":
-            c = self._center()
-            return c - self.radius, c + self.radius
-        if self.kind == "box":
-            c = self._center()
-            hw = np.asarray(self.half_widths)
-            return c - hw, c + hw
-        if self.kind == "ellipsoid":
-            c = self._center()
-            ax = np.asarray(self.semi_axes)
-            return c - ax, c + ax
         if self.kind == "intersection":
             los, his = zip(*(p.bounding_box() for p in self.parts))
             return np.max(los, axis=0), np.min(his, axis=0)
-        lo, hi = self.base.bounding_box()
-        return lo * self.factor, hi * self.factor
+        c, ax = np.asarray(self.center), np.asarray(self.axes)
+        return c - ax, c + ax
 
     def exact_volume(self) -> float | None:
         """Closed-form volume, or None when only Monte Carlo applies."""
-        if self.kind == "ball":
-            return unit_ball_volume(self.dim) * self.radius**self.dim
-        if self.kind == "box":
-            return float(np.prod(2.0 * np.asarray(self.half_widths)))
-        if self.kind == "ellipsoid":
-            return unit_ball_volume(self.dim) * float(np.prod(self.semi_axes))
-        if self.kind == "scaled":
-            base = self.base.exact_volume()
-            return None if base is None else self.factor**self.dim * base
-        return None
+        if self.kind == "intersection":
+            return None
+        unit = unit_ball_volume(self.dim) if self.kind == "ellipsoid" else 2.0**self.dim
+        return unit * float(np.prod(self.axes))
 
     def origin_symmetric(self) -> bool:
         """True when the set is provably invariant under x -> -x."""
-        if self.center is not None and any(c != 0 for c in self.center):
-            return False
-        if self.kind in _EXACT_KINDS:
-            return True
         if self.kind == "intersection":
             return all(p.origin_symmetric() for p in self.parts)
-        return self.base.origin_symmetric()
+        return not any(self.center)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -231,11 +199,11 @@ class ThetaSpec:
         if self.kind == "full":
             pass
         elif self.kind == "inner_product_leq":
-            if self.c is None:
-                raise ParameterError("inner_product_leq needs a threshold")
+            if self.c is None or not math.isfinite(self.c):
+                raise ParameterError("inner_product_leq needs a finite threshold")
         elif self.kind == "sum_norm_leq":
-            if self.bound is None or self.bound <= 0:
-                raise ParameterError("sum_norm_leq needs a positive bound")
+            if self.bound is None or not 0 < self.bound < math.inf:
+                raise ParameterError("sum_norm_leq needs a positive finite bound")
         elif self.kind == "complement_fraction":
             if self.density is None or not 0.0 <= self.density < 1.0:
                 raise ParameterError("complement density must lie in [0, 1)")
@@ -366,8 +334,8 @@ class MonteCarloConfig:
             raise ParameterError("threads must be >= 1")
         if not 0 < self.c < 1:
             raise ParameterError("gate constant c must lie in (0, 1)")
-        if self.C <= 0:
-            raise ParameterError("constant C must be positive")
+        if not 0 < self.C < math.inf:
+            raise ParameterError("constant C must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -377,33 +345,24 @@ class MonteCarloConfig:
 def _sample_in_set(spec: SetSpec, count: int, rng) -> tuple[np.ndarray, int]:
     """count uniform points of spec and the number of proposals drawn for them.
 
-    A box is drawn coordinate-wise and a ball as radius * U^(1/n) times a
-    Gaussian direction g/|g| (Muller 1959), plus its centre; an ellipsoid is
-    that unit-ball draw scaled by its semi-axes, and a scaled body its base's
-    draw times the factor.  These exact draws take one proposal per point.
-    An intersection rejects from its bounding box, sizing each batch from
-    the acceptance seen so far.
+    A box is drawn coordinate-wise and an ellipsoid as the unit-ball draw
+    U^(1/n) g/|g| with a Gaussian direction g (Muller 1959), times its axes,
+    plus its centre.  These exact draws take one proposal per point.  An
+    intersection rejects from its bounding box, sizing each batch from the
+    acceptance seen so far.
     """
     n = spec.dim
     if spec.kind == "box":
         lo, hi = spec.bounding_box()
         return rng.uniform(lo, hi, size=(count, n)), count
-    if spec.kind in ("ball", "ellipsoid"):
+    if spec.kind == "ellipsoid":
         pts = rng.standard_normal((count, n))
         scale = rng.random(count) ** (1.0 / n)
-        if spec.kind == "ball":
-            scale *= spec.radius
         scale /= np.sqrt(np.einsum("ij,ij->i", pts, pts))
         pts *= scale[:, None]
-        if spec.kind == "ellipsoid":
-            pts *= np.asarray(spec.semi_axes)
-        if spec.center is not None:
-            pts += spec._center()
+        pts *= spec.axes
+        pts += spec.center
         return pts, count
-    if spec.kind == "scaled":
-        pts, proposals = _sample_in_set(spec.base, count, rng)
-        pts *= spec.factor
-        return pts, proposals
 
     lo, hi = spec.bounding_box()
     if np.any(hi <= lo):
@@ -788,29 +747,20 @@ def _volume_ratio_rho(vol_a: float, vol_b: float, n: int) -> float:
     return min(ratio, 1.0 / ratio)
 
 
-def _balls_at_origin(A: SetSpec, B: SetSpec) -> tuple[float, float] | None:
-    def ball_radius(spec):
-        if spec.kind == "ball" and (spec.center is None or not any(spec.center)):
-            return spec.radius
-        if spec.kind == "scaled":
-            r = ball_radius(spec.base)
-            return None if r is None else r * spec.factor
-        return None
-
-    ra, rb = ball_radius(A), ball_radius(B)
-    if ra is None or rb is None:
-        return None
-    return ra, rb
+def _origin_ball_radius(spec: SetSpec) -> float | None:
+    """Radius of an origin-centred ball, an ellipsoid with equal axes, else None."""
+    if spec.kind == "ellipsoid" and not any(spec.center) and len(set(spec.axes)) == 1:
+        return spec.axes[0]
+    return None
 
 
 def _theta_fraction_quadrature(A: SetSpec, B: SetSpec, theta: ThetaSpec) -> float | None:
     """Exact pair fraction for sum-norm constraints on origin-centered balls."""
     if theta.kind != "sum_norm_leq":
         return None
-    radii = _balls_at_origin(A, B)
-    if radii is None:
+    ra, rb = _origin_ball_radius(A), _origin_ball_radius(B)
+    if ra is None or rb is None:
         return None
-    ra, rb = radii
     if ra < rb:
         ra, rb = rb, ra
     rho = rb / ra

@@ -157,6 +157,27 @@ class TestValidation:
         assert cli.main(["--config", str(path)]) == 1
         assert f"{path}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, a_set", [
+        ("theorem12", '{"kind": "ball", "radius": NaN, "dim": 2}'),
+        ("minkowski", '{"kind": "box", "half_widths": [1.0, Infinity]}'),
+        ("minkowski", '{"kind": "box", "half_widths": [1.0, -Infinity]}'),
+    ])
+    def test_non_finite_number_tokens_rejected(self, tmp_path, capsys, command, a_set):
+        # Python's json reads these tokens, which JSON lacks, as floats; the
+        # schema would pass them, and the run would end inconclusive or crash
+        # (the tokens inside the output string are not numbers and pass)
+        path, output = tmp_path / "c.json", tmp_path / "NaN-Infinity.json"
+        path.write_text(
+            '{\n  "command": "%s",\n  "seed": 7,\n  "output": %s,\n  "params": {\n'
+            '    "a": %s,\n'
+            '    "b": {"kind": "box", "half_widths": [1.0, 1.0]},\n'
+            '    "theta": {"kind": "full"}\n  }\n}\n' % (command, json.dumps(str(output)), a_set)
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:6: non-finite number")
+        assert not output.exists()
+
     def test_non_object_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text("[1, 2]\n")

@@ -1,5 +1,6 @@
 """Tests for restricted Minkowski sum volumes and inequality checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,27 @@ class TestSpecs:
             SetSpec(kind="pyramid", dim=3)
         with pytest.raises(ParameterError):
             SetSpec.scaled(SetSpec.ball(1, 2), 0.0)
+        with pytest.raises(ParameterError):  # a dilate whose axes overflow
+            SetSpec.scaled(SetSpec.box([1e300, 1.0]), 1e10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sets_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            SetSpec.ball(bad, 2)
+        with pytest.raises(ParameterError):
+            SetSpec.box([1.0, bad])
+        with pytest.raises(ParameterError):
+            SetSpec.ellipsoid([bad, 1.0])
+        with pytest.raises(ParameterError):
+            SetSpec.ball(1.0, 2, center=(0.0, bad))
+        with pytest.raises(ParameterError):
+            SetSpec.scaled(BALL_CAP_BOX, bad)
+        with pytest.raises(ParameterError):
+            ThetaSpec.inner_product_leq(bad)
+        with pytest.raises(ParameterError):
+            ThetaSpec.sum_norm_leq(bad)
+        with pytest.raises(ParameterError):
+            MonteCarloConfig(C=bad)
 
     def test_theta_validation(self):
         with pytest.raises(ParameterError):
@@ -95,6 +117,47 @@ class TestSpecs:
             SetSpec.intersection(SetSpec.ball(1, 2), SetSpec.box([0.5, 0.7])), 2.0
         )
         assert nested.origin_symmetric()
+
+    def test_ball_is_an_equal_axis_ellipsoid(self):
+        for n, r, c in ((1, 0.5, None), (3, 2.0, (0.1, -0.2, 0.3)), (12, 0.7, None)):
+            ball = SetSpec.ball(r, n, c)
+            assert ball == SetSpec.ellipsoid([r] * n, c)
+            assert ball.kind == "ellipsoid"
+            assert SetSpec.scaled(SetSpec.ball(1, n), r) == SetSpec.ball(r, n)
+
+    def test_stored_fields(self):
+        names = [f.name for f in dataclasses.fields(SetSpec)]
+        assert names == ["kind", "dim", "axes", "center", "parts"]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_dilate_agrees_with_the_directly_built_body(self, data):
+        n = data.draw(st.integers(1, 6))
+        coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+        axes = data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+        center = data.draw(coords)
+        kind = data.draw(st.sampled_from(["box", "ellipsoid"]))
+        make = getattr(SetSpec, kind)
+        factor = data.draw(st.floats(0.2, 5.0))
+        base = make(axes, center)
+        dilate = SetSpec.scaled(base, factor)
+        direct = make(np.multiply(factor, axes), np.multiply(factor, center))
+        for got, want in zip(dilate.bounding_box(), direct.bounding_box()):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+        assert dilate.exact_volume() == pytest.approx(direct.exact_volume(), rel=1e-15)
+        assert dilate.exact_volume() == pytest.approx(
+            factor**n * base.exact_volume(), rel=1e-15
+        )
+        # membership of u in the dilate is membership of u / factor in the base
+        lo, hi = direct.bounding_box()
+        u = np.random.default_rng(0).uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (500, n))
+        d = (u - direct.center) / direct.axes
+        gauge = np.abs(d).max(axis=1) if kind == "box" else np.sqrt((d * d).sum(axis=1))
+        away = np.abs(gauge - 1.0) > 1e-9
+        inside = dilate.contains(u)[away]
+        assert np.array_equal(inside, direct.contains(u)[away])
+        assert np.array_equal(inside, base.contains(u / factor)[away])
+        assert np.array_equal(inside, gauge[away] <= 1.0)
 
 
 class TestVolume:
@@ -205,15 +268,15 @@ class TestSampling:
             SetSpec.ellipsoid([1.5, 0.5, 1.0], center=(0.2, 0.0, 0.0)),
             SetSpec.ball(1.0, 3, center=(0.5, 0.0, 0.0)),
         )
+        doubled = SetSpec.scaled(BALL_CAP_BOX, 2.0)
+        assert doubled.parts == (SetSpec.ball(2.0, 3), SetSpec.box([1.6, 1.6, 1.6]))
         rng = np.random.default_rng(3)
-        for spec, factor in ((BALL_CAP_BOX, 1.0), (off_centre, 1.0),
-                             (SetSpec.scaled(BALL_CAP_BOX, 2.0), 2.0)):
+        for spec in (BALL_CAP_BOX, off_centre, doubled):
             pts, proposals = geometry._sample_in_set(spec, 5000, rng)
             assert pts.shape == (5000, 3)
             assert proposals > 5000
-            parts = spec.parts if spec.kind == "intersection" else spec.base.parts
-            for part in parts:
-                assert part.contains(pts / factor).all()
+            for part in spec.parts:
+                assert part.contains(pts).all()
 
     @pytest.mark.parametrize("pair", [
         (SetSpec.ball(1.0, 4), SetSpec.ball(0.6, 4, center=(0.1, 0.0, 0.0, 0.2))),
@@ -514,6 +577,29 @@ class TestTheoremTwelve:
         assert gate["passed"]
         assert 0.80 <= gate["fraction"] <= 0.82
         assert rep.verdict == "holds"
+
+    def test_equal_axis_ellipsoids_get_the_ball_quadrature_gate(self):
+        theta = ThetaSpec.sum_norm_leq(math.sqrt(1.25))
+        cfg = MonteCarloConfig(pair_samples=20_000, seed=5, c=0.2)
+        balls = check_theorem12(SetSpec.ball(1, 5), SetSpec.ball(0.5, 5), theta, cfg)
+        ellipsoids = check_theorem12(
+            SetSpec.ellipsoid([1.0] * 5), SetSpec.scaled(SetSpec.ellipsoid([1.0] * 5), 0.5),
+            theta, cfg,
+        )
+        assert ellipsoids.context["gate"]["source"] == "quadrature"
+        assert ellipsoids.context["gate"] == balls.context["gate"]
+        assert ellipsoids.verdict == balls.verdict
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 64), st.floats(0.1, 0.9))
+    def test_default_gate_constant_admits_the_equality_case(self, n, rho):
+        # at Theta = {|x + y| <= sqrt(1 + rho^2)} on B^n and rho B^n the
+        # theorem's gate admits any c below (1 - fraction) / min(rho sqrt(n), 1)
+        theta = ThetaSpec.sum_norm_leq(math.sqrt(1.0 + rho * rho))
+        fraction = geometry._theta_fraction_quadrature(
+            SetSpec.ball(1.0, n), SetSpec.ball(rho, n), theta
+        )
+        assert MonteCarloConfig().c < (1.0 - fraction) / min(rho * math.sqrt(n), 1.0)
 
     def test_report_serializes(self):
         rep = check_theorem12(

@@ -161,14 +161,17 @@ class MatrixMicrostate:
 
     Provenance is one of ``omega_sample:<table-id>``, ``haar_conjugate``,
     ``sum``; the tag records how the matrix was produced, not what it equals.
-    The spectrum is computed once, when the matrix is built, and every
-    reader shares that read-only array.
+    The spectrum is computed on the first ``spectrum()`` call and cached, and
+    every later reader shares that read-only array.  A matrix drawn by the
+    slot sampler also carries an upper bound on its operator norm, known
+    without an eigensolve (None for every other matrix).
     """
 
     k: int
     entries: np.ndarray
     provenance: str
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _norm_bound: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
@@ -186,12 +189,13 @@ class MatrixMicrostate:
             raise ParameterError(f"unknown provenance {self.provenance!r}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        spectrum = np.linalg.eigvalsh(m)
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "_spectrum", spectrum)
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
+        """Eigenvalues in ascending order, solved on the first call."""
+        if self._spectrum is None:
+            spectrum = np.linalg.eigvalsh(self.entries)
+            spectrum.flags.writeable = False
+            object.__setattr__(self, "_spectrum", spectrum)
         return self._spectrum
 
     def normalized_trace(self) -> float:
@@ -274,7 +278,8 @@ class GammaTarget:
 # -- sampling -------------------------------------------------------------------
 
 
-def _haar_from_rng(k: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_from_rng(k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Haar unitary U and its measured unitarity defect max |fl(U U*) - I|."""
     z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -285,7 +290,7 @@ def _haar_from_rng(k: int, rng: np.random.Generator) -> np.ndarray:
         raise PrecisionError(
             "orthonormalization lost unitarity", diagnostics={"k": k, "gap": gap}
         )
-    return u
+    return u, gap
 
 
 def haar_unitary(k: int, seed: int) -> np.ndarray:
@@ -296,25 +301,72 @@ def haar_unitary(k: int, seed: int) -> np.ndarray:
     """
     if not isinstance(k, int) or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k}")
-    return _haar_from_rng(k, np.random.default_rng(seed))
+    return _haar_from_rng(k, np.random.default_rng(seed))[0]
+
+
+def _gamma(n: int) -> float:
+    """Higham's rounding constant n u / (1 - n u), u = 2^-53 the unit roundoff."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu)
 
 
 def _sample_omega(
     h: StepFunctionSpec, k: int, rng: np.random.Generator
 ) -> tuple[MatrixMicrostate, np.ndarray]:
+    """Slot draw lam and the matrix S built from it, with its spectrum certified.
+
+    S is U diag(lam) U* in floating point, then averaged with its adjoint.
+    Its spectrum is shown to lie within ``_SLOT_LANDING_TOL`` of lam, hence
+    of the slots, without an eigensolve.  Write u = 2^-53, g_n = ``_gamma(n)``,
+    L = max |lam|, and delta for the defect max |fl(U U*) - I| measured by
+    ``_haar_from_rng``.
+
+    - Row norms.  A complex inner product of length k is computed within
+      g_{k+2} |x|^T |y| (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, sec. 3.5-3.6).  Each squared row norm r of U therefore
+      obeys r <= 1 + delta + g_{k+2} r, so r <= rho = (1 + delta) / (1 -
+      g_{k+2}), and sum_l |u_il| |u_jl| <= rho by Cauchy-Schwarz.
+    - Congruence.  The exact U U* - I has entries at most delta + g_{k+2} rho
+      and so 2-norm at most eta = k (delta + g_{k+2} rho).  By Ostrowski's
+      theorem (Horn & Johnson, *Matrix Analysis*, Thm 4.5.9) the i-th
+      eigenvalue of A = U diag(lam) U* is t_i lam_i with |t_i - 1| <= eta.
+    - Rounding.  Scaling the columns of U by lam costs one rounding and the
+      product g_{k+2} more, so fl(U diag(lam) U*) is within g_{k+3} L rho of
+      A entrywise.  The average with the adjoint adds at most 2 u L rho, so
+      every entry of S - A is at most (g_{k+3} + 2 u) L rho and ||S - A||_2 is
+      at most k rho (g_{k+3} + 2 u) L.  By Weyl's inequality no eigenvalue
+      moves further than that.
+
+    Together |lam_i(S) - lam_i| <= L (eta + k rho (g_{k+3} + 2 u)), about
+    1e-11 at k = 128.  (``np.abs`` rounds delta by an ulp or two; that
+    changes the bound by under 1e-25 L and is left out.)  When the bound
+    exceeds the tolerance, the spectrum is solved and checked against the
+    slots instead, and an escape raises ``PrecisionError``.  The matrix's
+    norm bound is L plus the certified bound, or the largest modulus of the
+    solved spectrum.
+    """
     lo, hi = h.slots(k)
     lam = rng.uniform(lo, hi)
-    u = _haar_from_rng(k, rng)
+    u, delta = _haar_from_rng(k, rng)
     m = (u * lam) @ u.conj().T
     m = 0.5 * (m + m.conj().T)
     state = MatrixMicrostate(k, m, f"omega_sample:{h.table_id()}")
-    spectrum = state.spectrum()
-    if np.any(spectrum < lo - _SLOT_LANDING_TOL) or np.any(spectrum > hi + _SLOT_LANDING_TOL):
-        worst = float(np.max(np.maximum(lo - spectrum, spectrum - hi)))
-        raise PrecisionError(
-            "reconstructed spectrum left its slots",
-            diagnostics={"k": k, "worst_escape": worst},
-        )
+    top = float(np.max(np.abs(lam)))
+    rho = (1.0 + delta) / (1.0 - _gamma(k + 2))
+    eta = k * (delta + _gamma(k + 2) * rho)
+    drift = top * (eta + k * rho * (_gamma(k + 3) + 2.0**-52))
+    if drift <= _SLOT_LANDING_TOL:
+        norm = top + drift
+    else:
+        spectrum = state.spectrum()
+        if np.any(spectrum < lo - _SLOT_LANDING_TOL) or np.any(spectrum > hi + _SLOT_LANDING_TOL):
+            worst = float(np.max(np.maximum(lo - spectrum, spectrum - hi)))
+            raise PrecisionError(
+                "reconstructed spectrum left its slots",
+                diagnostics={"k": k, "worst_escape": worst},
+            )
+        norm = float(np.max(np.abs(spectrum)))
+    object.__setattr__(state, "_norm_bound", norm)
     return state, lam
 
 
@@ -323,7 +375,8 @@ def sample_omega(h: StepFunctionSpec, k: int, seed: int) -> MatrixMicrostate:
 
     Eigenvalue s+1 is uniform in [h(s/k), h((2s+1)/(2k))]; the slots are
     disjoint, so the draw is already sorted.  The reconstructed matrix's
-    spectrum is re-checked against the slots to 1e-9.
+    spectrum is certified to lie within 1e-9 of the draw, or else solved and
+    checked against the slots to 1e-9; ``spectrum()`` solves it on demand.
     """
     if not isinstance(k, int) or k < 2:
         raise ParameterError(f"k must be an integer >= 2, got {k}")
@@ -335,47 +388,53 @@ def sample_omega(h: StepFunctionSpec, k: int, seed: int) -> MatrixMicrostate:
 
 
 def _word_traces(mats: list[np.ndarray], words) -> dict[tuple, float]:
-    """Normalized traces of matrix words, reusing prefix products.
+    """Normalized traces of matrix words, one product per cached prefix.
 
-    Sorted tuples put every proper prefix before its extensions whenever the
-    word set is prefix-closed, which target dictionaries always are.
+    Every matrix must be Hermitian; callers pass ``MatrixMicrostate.entries``.
+    A word of length 1 is read off the diagonal.  A longer word w = p c needs
+    only the product P of its prefix p, because tr(P M) = sum_ij P_ij M_ji =
+    ``np.vdot(M, P)`` for Hermitian M.  Prefix products are cached, and a
+    prefix whose reversal is already cached is that product's conjugate
+    transpose, since (A B ... C)* = C ... B A.  At max_len 3 a pair of
+    matrices costs 3 products: AA, AB and BB, with BA = (AB)*.
     """
     k = mats[0].shape[0]
     cache: dict[tuple, np.ndarray] = {}
+
+    def product(word: tuple) -> np.ndarray:
+        if len(word) == 1:
+            return mats[word[0]]
+        prod = cache.get(word)
+        if prod is None:
+            mirror = cache.get(word[::-1])
+            if mirror is not None:
+                prod = mirror.conj().T
+            else:
+                prod = product(word[:-1]) @ mats[word[-1]]
+            cache[word] = prod
+        return prod
+
     out: dict[tuple, float] = {}
     for word in sorted(words):
-        prefix = word[:-1]
-        base = cache.get(prefix)
-        if base is None:
-            prod = mats[word[0]]
-            for c in word[1:]:
-                prod = prod @ mats[c]
+        if len(word) == 1:
+            value = np.trace(mats[word[0]]).real
         else:
-            prod = base @ mats[word[-1]]
-        cache[word] = prod
-        out[word] = float(np.trace(prod).real) / k
+            value = np.vdot(mats[word[-1]], product(word[:-1])).real
+        out[word] = float(value) / k
     return out
 
 
-def membership_report(states, target: GammaTarget) -> dict:
-    """Moment-matching verdict with diagnostics.
+def _membership(states, norm_bounds, target: GammaTarget) -> dict:
+    """``membership_report`` for matrices with known upper bounds on their norms.
 
-    Returns member flag, the norm-violation flag, the worst word and its
-    error.  ``member`` is true iff no norm exceeds the bound and every word
-    trace of length <= max_len matches its target within eps.
+    A bound above ``target.norm_bound`` is replaced by the norm read from
+    the matrix's spectrum, so no verdict rests on a bound alone.
     """
-    states = list(states)
-    if not states:
-        raise ParameterError("need at least one matrix")
-    k = states[0].k
-    if any(s.k != k for s in states):
-        raise ParameterError("matrix sizes differ")
-    if target.n_variables > len(states):
-        raise ParameterError(
-            f"targets mention variable {target.n_variables - 1} "
-            f"but only {len(states)} matrices were given"
-        )
-    norms = [float(np.max(np.abs(s.spectrum()))) for s in states]
+    limit = target.norm_bound + _NORM_SLACK
+    norms = [
+        b if b <= limit else float(np.max(np.abs(s.spectrum())))
+        for s, b in zip(states, norm_bounds)
+    ]
     report = {
         "member": False,
         "norm_violation": False,
@@ -383,7 +442,7 @@ def membership_report(states, target: GammaTarget) -> dict:
         "worst_word": None,
         "worst_error": 0.0,
     }
-    if max(norms) > target.norm_bound + _NORM_SLACK:
+    if max(norms) > limit:
         report["norm_violation"] = True
         return report
     mats = [s.entries for s in states]
@@ -399,6 +458,29 @@ def membership_report(states, target: GammaTarget) -> dict:
     return report
 
 
+def membership_report(states, target: GammaTarget) -> dict:
+    """Moment-matching verdict with diagnostics.
+
+    Returns member flag, the norm-violation flag, the worst word and its
+    error.  ``member`` is true iff no norm exceeds the bound and every word
+    trace of length <= max_len matches its target within eps.  Norms are
+    read from the spectra.
+    """
+    states = list(states)
+    if not states:
+        raise ParameterError("need at least one matrix")
+    k = states[0].k
+    if any(s.k != k for s in states):
+        raise ParameterError("matrix sizes differ")
+    if target.n_variables > len(states):
+        raise ParameterError(
+            f"targets mention variable {target.n_variables - 1} "
+            f"but only {len(states)} matrices were given"
+        )
+    norms = [float(np.max(np.abs(s.spectrum()))) for s in states]
+    return _membership(states, norms, target)
+
+
 # -- pair fraction ----------------------------------------------------------------
 
 
@@ -412,7 +494,9 @@ def _pair_trials(h1, h2, k: int, target: GammaTarget, trials: int, seed: int):
         rng = np.random.default_rng(stream_seed(seed, t))
         first = _sample_omega(h1, k, rng)
         second = _sample_omega(h2, k, rng)
-        yield first, second, bool(membership_report((first[0], second[0]), target)["member"])
+        pair = (first[0], second[0])
+        report = _membership(pair, [s._norm_bound for s in pair], target)
+        yield first, second, bool(report["member"])
 
 
 def _log_vandermonde_sq(lam: np.ndarray) -> np.ndarray:
@@ -548,8 +632,8 @@ def sum_spectrum_experiment(alpha: Measure, beta: Measure, k: int, seed: int) ->
     ps = (np.arange(k) + 0.5) / k
     qa = np.asarray(alpha.quantile(ps), dtype=float)
     qb = np.asarray(beta.quantile(ps), dtype=float)
-    u = _haar_from_rng(k, rng)
-    v = _haar_from_rng(k, rng)
+    u, _ = _haar_from_rng(k, rng)
+    v, _ = _haar_from_rng(k, rng)
     a = (u * qa) @ u.conj().T
     b = (v * qb) @ v.conj().T
     s = a + b
@@ -739,7 +823,10 @@ def check_sum_containment(
     Pairs are drawn as in ``theta_fraction``; those passing the freeness
     filter have their sum tested against the moments of the free convolution
     of the two push-forward laws (computed exactly through cumulant
-    additivity), with norm bound 2R.  The filter defaults come from the crude
+    additivity), with norm bound 2R.  A trial solves no eigenvalue problem:
+    each summand's norm bound comes from its certified slot draw, and the
+    sum's is their total by the triangle inequality; only a sum whose bound
+    exceeds 2R has its spectrum solved.  The filter defaults come from the crude
     word-splitting bound (length 2*max_len, tolerance eps/(4 (2R)^max_len)),
     which at practical k keeps almost nothing; pass explicit filter
     parameters for a usable estimate.
@@ -772,7 +859,9 @@ def check_sum_containment(
         if not paired:
             continue
         kept += 1
-        passes += int(membership_report((a1 + a2,), sum_target)["member"])
+        # the sum's norm is at most the sum of its parts' (triangle inequality)
+        bound = a1._norm_bound + a2._norm_bound
+        passes += int(_membership((a1 + a2,), (bound,), sum_target)["member"])
     if kept == 0:
         return ContainmentResult(
             passes=0,

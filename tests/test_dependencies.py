@@ -1,4 +1,5 @@
-"""The runtime's third-party imports are exactly the declared dependencies."""
+"""Static checks on imports: the declared dependencies, and the names that
+``perfbench/tracing.py`` wraps."""
 
 import ast
 import re
@@ -30,3 +31,31 @@ def test_third_party_imports_match_project_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]}
     assert third_party == declared
+
+
+def test_microstates_reaches_qr_and_eigvalsh_through_np_linalg():
+    # perfbench/tracing.py counts QR calls and eigensolves by replacing
+    # ``freesum.microstates.np`` with a view whose ``linalg.qr`` and
+    # ``linalg.eigvalsh`` are wrapped; a name bound any other way would
+    # escape the count
+    tree = ast.parse((ROOT / "src" / "freesum" / "microstates.py").read_text())
+    numpy_imports = []
+    uses = {"qr": 0, "eigvalsh": 0}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_imports += [(a.name, a.asname) for a in node.names if a.name.startswith("numpy")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            assert not node.module.startswith("numpy"), f"from {node.module} import ..."
+        elif isinstance(node, ast.Name):
+            assert node.id not in uses, f"bare name {node.id} on line {node.lineno}"
+        elif isinstance(node, ast.Attribute) and node.attr in uses:
+            base = node.value
+            assert (
+                isinstance(base, ast.Attribute)
+                and base.attr == "linalg"
+                and isinstance(base.value, ast.Name)
+                and base.value.id == "np"
+            ), f"{node.attr} reached other than as np.linalg.{node.attr} on line {node.lineno}"
+            uses[node.attr] += 1
+    assert numpy_imports == [("numpy", "np")]
+    assert all(uses.values()), uses

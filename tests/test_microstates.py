@@ -121,6 +121,65 @@ class TestSampleOmega:
         b = sample_omega(H_SC, 64, seed=42)
         assert np.array_equal(a.entries, b.entries)
 
+    def test_spectrum_is_solved_at_most_once(self, monkeypatch):
+        calls = _count_eigensolves(monkeypatch)
+        state = sample_omega(H_SC, 16, seed=2)
+        total = state + state
+        assert calls == []
+        first = state.spectrum()
+        assert state.spectrum() is first
+        assert not first.flags.writeable
+        membership_report((state, total), GammaTarget({(0,): 0.0}, 1, eps=1.0, norm_bound=4.0))
+        total.spectrum()
+        assert len(calls) == 2
+
+
+def _count_eigensolves(monkeypatch) -> list:
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    return calls
+
+
+def _scale_qr(monkeypatch, factor: float) -> None:
+    # the Haar draw's orthonormal factor comes back scaled, so U U* = factor^2 I
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda z: (lambda q, r: (q * factor, r))(*qr(z)))
+
+
+class TestSlotCertificate:
+    def test_uncertified_draw_solves_and_keeps_the_outcome(self, monkeypatch):
+        # a defect of 9e-11 passes the unitarity check (1e-10) but puts the
+        # landing bound near 3e-9 at k = 32, above the slot tolerance
+        plain = theta_fraction(H_SC, H_UN, 32, 3, 0.1, trials=100, seed=17)
+        calls = _count_eigensolves(monkeypatch)
+        _scale_qr(monkeypatch, 1.0 + 4.5e-11)
+        solved = theta_fraction(H_SC, H_UN, 32, 3, 0.1, trials=100, seed=17)
+        assert len(calls) == 2 * 100
+        assert 0 < solved.passes < solved.trials
+        assert solved == plain
+
+    def test_escaped_spectrum_raises(self, monkeypatch):
+        # a Haar draw that lets a non-unitary U through, reporting its defect
+        haar = ms._haar_from_rng
+
+        def inflated(k, rng):
+            u = 1.01 * haar(k, rng)[0]
+            return u, float(np.max(np.abs(u @ u.conj().T - np.eye(k))))
+
+        monkeypatch.setattr(ms, "_haar_from_rng", inflated)
+        with pytest.raises(PrecisionError, match="reconstructed spectrum left its slots"):
+            sample_omega(H_SC, 16, seed=0)
+        with pytest.raises(PrecisionError, match="reconstructed spectrum left its slots"):
+            theta_fraction(H_SC, H_UN, 16, 2, 0.2, trials=100, seed=3)
+
+    def test_non_unitary_draw_raises(self, monkeypatch):
+        _scale_qr(monkeypatch, 1.0 + 1e-9)
+        with pytest.raises(PrecisionError, match="orthonormalization lost unitarity"):
+            sample_omega(H_SC, 16, seed=0)
+        with pytest.raises(PrecisionError, match="orthonormalization lost unitarity"):
+            check_sum_containment(H_SC, H_UN, 16, 2, 0.2, trials=100, seed=5)
+
 
 class TestHaarUnitary:
     def test_unitarity_and_determinant(self):
@@ -187,6 +246,15 @@ class TestMembership:
         assert report["norm_violation"]
         assert not report["member"]
 
+    def test_loose_norm_bound_defers_to_the_spectrum(self):
+        # a norm bound above the target's never decides the verdict alone
+        state = sample_omega(H_SC, 16, seed=4)
+        norm = float(np.max(np.abs(state.spectrum())))
+        target = GammaTarget({(0,): state.normalized_trace()}, 1, eps=1e-9, norm_bound=norm)
+        report = ms._membership((state,), (10.0 * norm,), target)
+        assert report["member"]
+        assert report == membership_report((state,), target)
+
     def test_target_validation(self):
         with pytest.raises(ParameterError):
             GammaTarget({(0,): 0.5}, 1, eps=0.0, norm_bound=1.0)
@@ -201,6 +269,39 @@ class TestMembership:
         pair = GammaTarget.free_pair(m, m, 2, eps=0.1, norm_bound=2.0)
         with pytest.raises(ParameterError):
             membership_report((state,), pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_vars=st.integers(2, 3),
+        k=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+        tails=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=6),
+        mirrored=st.booleans(),
+    )
+    def test_word_traces_match_naive_products(self, n_vars, k, seed, tails, mirrored):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(n_vars):
+            z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            mats.append(0.5 * (z + z.conj().T))
+        if mirrored:
+            # every word w of length >= 3 brings the word reversed(w[:-1]) + w[-1],
+            # so the two mirrored prefixes are both needed
+            words = [(0, 1, 0)] + [tuple(c % n_vars for c in t) for t in tails]
+            words += [w[-2::-1] + w[-1:] for w in words if len(w) >= 3]
+        else:
+            # letter 0 only in first place: no prefix's reversal is a prefix
+            words = [(0,) + tuple(1 + c % (n_vars - 1) for c in t) for t in tails]
+        closed = {w[:n] for w in words for n in range(1, len(w) + 1)} | {(v,) for v in range(n_vars)}
+        got = ms._word_traces(mats, closed)
+        assert set(got) == closed
+        scale = max(np.linalg.norm(m, 2) for m in mats)
+        for word in closed:
+            prod = mats[word[0]]
+            for c in word[1:]:
+                prod = prod @ mats[c]
+            naive = float(np.trace(prod).real) / k
+            assert abs(got[word] - naive) <= 1e-12 * scale ** len(word)
 
     def test_matrix_validation(self):
         with pytest.raises(ParameterError):
@@ -231,14 +332,11 @@ class TestThetaFraction:
         with pytest.raises(ParameterError):
             theta_fraction(H_SC, H_UN, 32, 2, 0.1, trials=99, seed=0)
 
-    def test_one_eigensolve_per_matrix(self, monkeypatch):
-        # each trial's two matrices are solved once; the slot check and the
-        # norm check share that spectrum
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    def test_no_eigensolve_per_trial(self, monkeypatch):
+        # slot landing and norms are certified from each trial's slot draws
+        calls = _count_eigensolves(monkeypatch)
         theta_fraction(H_SC, H_UN, 16, 2, 0.2, trials=100, seed=3)
-        assert len(calls) == 2 * 100
+        assert calls == []
 
     def test_determinism(self):
         a = theta_fraction(H_SC, H_UN, 32, 2, 0.1, trials=100, seed=4)
@@ -498,17 +596,15 @@ class TestSumContainment:
         assert fracs == sorted(fracs)
         assert fracs[-1] > fracs[0]
 
-    def test_one_eigensolve_per_matrix(self, monkeypatch):
-        # two per trial for the pair, one more for the sum of each kept pair;
-        # filter_eps 0.06 keeps 37 of the 100 pairs
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    def test_no_eigensolve_per_trial(self, monkeypatch):
+        # neither the pair nor the sum of a kept pair is solved: the sum's
+        # norm bound is its parts' total; filter_eps 0.06 keeps 37 of 100
+        calls = _count_eigensolves(monkeypatch)
         result = check_sum_containment(
             H_SC, H_UN, 16, 2, 0.2, trials=100, seed=5, filter_max_len=2, filter_eps=0.06
         )
         assert 0 < result.kept < result.trials
-        assert len(calls) == 2 * 100 + result.kept
+        assert calls == []
 
     def test_trials_validation(self):
         with pytest.raises(ParameterError):

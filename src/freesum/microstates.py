@@ -544,6 +544,9 @@ class FractionEstimate:
     ``fraction`` counts trials as drawn (slot-uniform law) and carries the
     Wilson interval; ``weighted_fraction`` reweights each trial by the
     squared Vandermonde of its slot draws, targeting the flat matrix law.
+    It is None when the weights' effective sample size ``weight_ess`` is
+    below ``_MIN_ESS`` (100), the gate ``estimate_log_volume_omega`` applies;
+    ``weight_ess`` is reported either way.
     """
 
     passes: int
@@ -551,7 +554,7 @@ class FractionEstimate:
     fraction: float
     ci_low: float
     ci_high: float
-    weighted_fraction: float
+    weighted_fraction: float | None
     weight_ess: float
 
 
@@ -589,8 +592,11 @@ def theta_fraction(
     passes = int(np.count_nonzero(member))
     lo, hi = wilson_interval(passes, trials)
     log_total = logsumexp(logw)
-    weighted = float(np.exp(logsumexp(logw[member]) - log_total)) if passes else 0.0
     ess = float(np.exp(2.0 * log_total - logsumexp(2.0 * logw)))
+    if ess < _MIN_ESS:
+        weighted = None
+    else:
+        weighted = float(np.exp(logsumexp(logw[member]) - log_total)) if passes else 0.0
     return FractionEstimate(
         passes=passes,
         trials=trials,

@@ -338,12 +338,12 @@ def _sample_omega(
       moves further than that.
 
     Together |lam_i(S) - lam_i| <= L (eta + k rho (g_{k+3} + 2 u)), about
-    1e-11 at k = 128.  (``np.abs`` rounds delta by an ulp or two; that
-    changes the bound by under 1e-25 L and is left out.)  When the bound
-    exceeds the tolerance, the spectrum is solved and checked against the
-    slots instead, and an escape raises ``PrecisionError``.  The matrix's
-    norm bound is L plus the certified bound, or the largest modulus of the
-    solved spectrum.
+    1e-11 at k = 128.  (``np.abs`` may round delta down by a relative 2^-52
+    or so, which lowers the bound by at most as much; that is left out.)
+    When the bound exceeds the tolerance, the spectrum is solved and checked
+    against the slots instead, and an escape raises ``PrecisionError``.  The
+    matrix's norm bound is L plus the certified bound, or the largest
+    modulus of the solved spectrum.
     """
     lo, hi = h.slots(k)
     lam = rng.uniform(lo, hi)
@@ -354,7 +354,7 @@ def _sample_omega(
     top = float(np.max(np.abs(lam)))
     rho = (1.0 + delta) / (1.0 - _gamma(k + 2))
     eta = k * (delta + _gamma(k + 2) * rho)
-    drift = top * (eta + k * rho * (_gamma(k + 3) + 2.0**-52))
+    drift = top * (eta + k * rho * (_gamma(k + 3) + 2.0 * 2.0**-53))
     if drift <= _SLOT_LANDING_TOL:
         norm = top + drift
     else:
@@ -400,28 +400,29 @@ def _word_traces(mats: list[np.ndarray], words) -> dict[tuple, float]:
     """
     k = mats[0].shape[0]
     cache: dict[tuple, np.ndarray] = {}
-
-    def product(word: tuple) -> np.ndarray:
-        if len(word) == 1:
-            return mats[word[0]]
-        prod = cache.get(word)
-        if prod is None:
-            mirror = cache.get(word[::-1])
-            if mirror is not None:
-                prod = mirror.conj().T
-            else:
-                prod = product(word[:-1]) @ mats[word[-1]]
-            cache[word] = prod
-        return prod
-
     out: dict[tuple, float] = {}
     for word in sorted(words):
         if len(word) == 1:
             value = np.trace(mats[word[0]]).real
         else:
-            value = np.vdot(mats[word[-1]], product(word[:-1])).real
+            value = np.vdot(mats[word[-1]], _word_product(mats, word[:-1], cache)).real
         out[word] = float(value) / k
     return out
+
+
+def _word_product(mats: list[np.ndarray], word: tuple, cache: dict) -> np.ndarray:
+    """Product of the matrices ``word`` names, caching every product formed."""
+    if len(word) == 1:
+        return mats[word[0]]
+    prod = cache.get(word)
+    if prod is None:
+        mirror = cache.get(word[::-1])
+        if mirror is not None:
+            prod = mirror.conj().T
+        else:
+            prod = _word_product(mats, word[:-1], cache) @ mats[word[-1]]
+        cache[word] = prod
+    return prod
 
 
 def _membership(states, norm_bounds, target: GammaTarget) -> dict:

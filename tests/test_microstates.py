@@ -1,5 +1,6 @@
 """Slot-constrained random-matrix sampling, membership, and volume tests."""
 
+import gc
 import math
 import tracemalloc
 
@@ -302,6 +303,19 @@ class TestMembership:
                 prod = prod @ mats[c]
             naive = float(np.trace(prod).real) / k
             assert abs(got[word] - naive) <= 1e-12 * scale ** len(word)
+
+    def test_word_traces_leave_no_reference_cycle(self):
+        # products kept alive by a cycle wait for the cyclic collector, which
+        # let peak memory grow with the number of trials
+        mats = [sample_omega(h, 8, seed=1).entries for h in (H_SC, H_UN)]
+        words = GammaTarget.free_pair(H_SC.moments(3), H_UN.moments(3), 3, 0.1, 2.0).target_moments
+        gc.collect()
+        gc.disable()
+        try:
+            ms._word_traces(mats, words)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_matrix_validation(self):
         with pytest.raises(ParameterError):

@@ -866,7 +866,6 @@ def check_sum_containment(
         if not paired:
             continue
         kept += 1
-        # the sum's norm is at most the sum of its parts' (triangle inequality)
         bound = a1._norm_bound + a2._norm_bound
         passes += int(_membership((a1 + a2,), (bound,), sum_target)["member"])
     if kept == 0:

@@ -145,7 +145,12 @@ def _count_eigensolves(monkeypatch) -> list:
 def _scale_qr(monkeypatch, factor: float) -> None:
     # the Haar draw's orthonormal factor comes back scaled, so U U* = factor^2 I
     qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda z: (lambda q, r: (q * factor, r))(*qr(z)))
+
+    def scaled(z):
+        q, r = qr(z)
+        return q * factor, r
+
+    monkeypatch.setattr(np.linalg, "qr", scaled)
 
 
 class TestSlotCertificate:

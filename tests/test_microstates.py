@@ -281,10 +281,10 @@ class TestMembership:
         n_vars=st.integers(2, 3),
         k=st.integers(2, 24),
         seed=st.integers(0, 2**32 - 1),
-        tails=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=6),
+        letters=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4), min_size=1, max_size=6),
         mirrored=st.booleans(),
     )
-    def test_word_traces_match_naive_products(self, n_vars, k, seed, tails, mirrored):
+    def test_word_traces_match_naive_products(self, n_vars, k, seed, letters, mirrored):
         rng = np.random.default_rng(seed)
         mats = []
         for _ in range(n_vars):
@@ -293,11 +293,11 @@ class TestMembership:
         if mirrored:
             # every word w of length >= 3 brings the word reversed(w[:-1]) + w[-1],
             # so the two mirrored prefixes are both needed
-            words = [(0, 1, 0)] + [tuple(c % n_vars for c in t) for t in tails]
+            words = [(0, 1, 0)] + [tuple(c % n_vars for c in w) for w in letters]
             words += [w[-2::-1] + w[-1:] for w in words if len(w) >= 3]
         else:
             # letter 0 only in first place: no prefix's reversal is a prefix
-            words = [(0,) + tuple(1 + c % (n_vars - 1) for c in t) for t in tails]
+            words = [(0,) + tuple(1 + c % (n_vars - 1) for c in w[1:]) for w in letters]
         closed = {w[:n] for w in words for n in range(1, len(w) + 1)} | {(v,) for v in range(n_vars)}
         got = ms._word_traces(mats, closed)
         assert set(got) == closed

@@ -5,13 +5,16 @@ and centre, or an intersection of such bodies.  Balls are equal-axis
 ellipsoids and dilates scale the axes and centre, so both keep their
 constructors but need no code of their own.  Pair constraints (Theta)
 restrict which x + y contribute to the sumset.  Exact volumes use closed
-forms; everything else is seeded hit-or-miss Monte Carlo plus an occupancy
-grid for sumset volumes.  The occupancy estimate counts every marked cell
-at full volume, so it can err either way: missed boundary cells bias it
-low, partly covered ones bias it high (balls of radius 1 and 0.8 in R^6
-with 10^6 pairs read 251.1 against an exact 175.8).  A nonnegative deficit
-is therefore not conservative evidence for the superadditivity
-inequalities checked here.
+forms, and so do the sumsets whose geometry is exact: origin-centred balls
+(a ball or an annulus) and box pairs (a box).  Everything else is seeded
+hit-or-miss Monte Carlo plus an occupancy grid for sumset volumes.  The
+occupancy estimate counts every marked cell at full volume, so it can err
+either way: missed boundary cells bias it low, partly covered ones bias it
+high.  Run with 10^6 pairs on balls whose sums are known, it read 5% low
+for radii 1 and 0.5 in R^4 under a full Theta, 11% high under
+<x, y> <= 0.2, and 43% high for radii 1 and 0.8 in R^6.  A nonnegative
+deficit resting on the grid is therefore not conservative evidence for the
+superadditivity inequalities checked here.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +60,9 @@ _STREAMS = 4
 _PAIRING_ROUNDS = 8
 # pairs drawn at a time by each stream of the pair samplers
 _CHUNK = 500_000
+# relative rounding bound of a closed-form sumset volume, whose kappa_n,
+# square root and powers up to n = _MAX_SUM_DIM round by under 1e-14
+_CLOSED_FORM_ETA = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +279,7 @@ class VolumeEstimate:
             raise ParameterError("volume and stderr must be nonnegative")
         if self.method == "exact" and self.stderr != 0:
             raise ParameterError("exact volumes carry zero stderr")
-        if self.method not in ("exact", "mc_hit_or_miss", "occupancy_grid"):
+        if self.method not in ("exact", "mc_hit_or_miss", "occupancy_grid", "closed_form"):
             raise ParameterError(f"unknown method {self.method!r}")
 
     def to_json(self) -> dict:
@@ -489,35 +496,108 @@ class _OccupancyGrid:
         np.add.at(self.counts, flat if keep is None else flat[keep], 1)
 
 
-def restricted_sum_volume(
-    A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
-) -> dict:
-    """Volumes of A, B, the pair constraint and the restricted sumset.
+def _origin_ball_radius(spec: SetSpec) -> float | None:
+    """Radius of an origin-centred ball, an ellipsoid with equal axes, else None."""
+    if spec.kind == "ellipsoid" and not any(spec.center) and len(set(spec.axes)) == 1:
+        return spec.axes[0]
+    return None
 
-    volume_a and volume_b are ``volume(A)`` and ``volume(B)`` under cfg.
-    theta_volume is hit-or-miss over independent uniform pairs from A x B,
-    drawn by ``_sample_in_set``; rejection_proposals counts the points it
-    proposed for them (2 * pair_samples when A and B are drawn exactly).
-    sum_volume counts occupancy-grid cells, spanning the sum of the
-    bounding boxes, hit by sampled x + y with (x, y) admitted by theta;
-    besides the independent pairs, each batch is reused through
-    circular-shift repairings (still valid theta-filtered pairs) to cover
-    the thin boundary shell where the sum density vanishes.  Every marked
-    cell counts at full volume, and the stderr field carries an additive
-    allowance (boundary rim plus an unseen-cell estimate) rather than a
-    Gaussian standard error.
+
+def _annulus(a, b, c):
+    """(R^2, r0) of {x + y : |x| <= a, |y| <= b, <x, y> <= c}, a >= b > 0, c >= -ab.
+
+    R^2 = a^2 + b^2 + 2 min(c, ab) and r0 = max(0, -c/b - b), in plain
+    arithmetic, so floats and Fractions both work.  For u = x + y:
+    - |u| <= R: |u|^2 = |x|^2 + |y|^2 + 2<x, y> with <x, y> <= min(c, |x||y|).
+    - |u| >= r0 when r0 > 0, i.e. c < -b^2: then t = |y| > 0 and
+      <u, y> = <x, y> + t^2 <= c + t^2 < 0, so |u| t >= -c - t^2 and
+      |u| >= -c/t - t >= -c/b - b, since -c/t - t falls in t.
+    - Every r in [r0, R] is reached, so for n >= 2, where Theta is rotation
+      invariant, the sumset is the annulus r0 <= |u| <= R.  Take u = r e
+      with |e| = 1.  For r <= a - b, x = (r + b) e and y = -b e have
+      <x, y> = -b(r + b) <= c exactly when r >= -c/b - b, which is at most
+      a - b as c >= -ab.  For a - b <= r <= R <= a + b, the triangle with
+      sides a, b and r, spanned by e and a unit vector orthogonal to it,
+      has <x, y> = (r^2 - a^2 - b^2)/2 <= c.
+    On the line (n = 1) there is no such triangle and the sumset can be
+    smaller: c = 0 gives [-a, a].
     """
-    if A.dim != B.dim:
-        raise ParameterError("A and B must share the dimension")
-    n = A.dim
-    if n > _MAX_THETA_DIM:
-        raise ParameterError(f"pair sampling limited to n <= {_MAX_THETA_DIM}")
-    if n > _MAX_SUM_DIM:
-        raise ParameterError(f"sumset estimation limited to n <= {_MAX_SUM_DIM}")
-    cfg = cfg or MonteCarloConfig()
+    cc = min(c, a * b)
+    return a * a + b * b + 2 * cc, max(-cc / b - b, 0 * b)  # 0 * b keeps the type
 
-    vol_a = volume(A, cfg)
-    vol_b = volume(B, cfg)
+
+def _closed_form_sum_volume(A: SetSpec, B: SetSpec, theta: ThetaSpec) -> float | None:
+    """Exact volume of A +_Theta B where the geometry gives one, else None.
+
+    - Origin-centred balls of radii a >= b: the ball (a + b) B^n under a full
+      Theta or complement_fraction (its hash keeps a dense set of pairs, so
+      only a null set of sums goes), its part min(t, a + b) B^n under
+      sum_norm_leq(t), and for n >= 2 the annulus of ``_annulus`` under
+      inner_product_leq(c) with c >= -ab.
+    - Box + box under a full Theta or complement_fraction: the box with
+      summed half-widths and centres.
+    """
+    whole = theta.kind in ("full", "complement_fraction")
+    if A.kind == B.kind == "box":
+        return 2.0**A.dim * float(np.prod(np.add(A.axes, B.axes))) if whole else None
+    a, b = _origin_ball_radius(A), _origin_ball_radius(B)
+    if a is None or b is None:
+        return None
+    a, b, n = max(a, b), min(a, b), A.dim
+    if whole:
+        return unit_ball_volume(n) * (a + b) ** n
+    if theta.kind == "sum_norm_leq":
+        return unit_ball_volume(n) * min(theta.bound, a + b) ** n
+    if theta.kind == "inner_product_leq" and n >= 2:
+        outer_sq, inner = _annulus(Fraction(a), Fraction(b), Fraction(theta.c))
+        if outer_sq < inner * inner:  # exactly when c < -ab: no pair is admitted
+            return None
+        # R^n - r0^n = (R^2n - r0^2n) / (R^n + r0^n), whose numerator is exact,
+        # keeps the digits of a thin annulus
+        outer = math.sqrt(outer_sq)
+        ring = float(outer_sq**n - inner ** (2 * n)) / (outer**n + float(inner) ** n)
+        return unit_ball_volume(n) * ring
+    return None
+
+
+def _pair_chunks(A: SetSpec, B: SetSpec, count: int, rng):
+    """count independent uniform pairs of A x B, as (x, y, proposals) chunks of <= _CHUNK."""
+    done = 0
+    while done < count:
+        chunk = min(count - done, _CHUNK)
+        x, px = _sample_in_set(A, chunk, rng)
+        y, py = _sample_in_set(B, chunk, rng)
+        yield x, y, px + py
+        done += chunk
+
+
+def _admitted_pairs(A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig):
+    """(pairs admitted by theta, proposals) over cfg.pair_samples independent pairs."""
+
+    def job(_i, m, rng):
+        hits = proposals = 0
+        for x, y, drawn in _pair_chunks(A, B, m, rng):
+            proposals += drawn
+            hits += int(np.count_nonzero(theta.indicator(x, y, cfg.seed)))
+        return hits, proposals
+
+    results = _run_streams(cfg, job)
+    return sum(r[0] for r in results), sum(r[1] for r in results)
+
+
+def _occupancy_sum_volume(A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig):
+    """(theta hits, proposals, sum volume, cells per axis) from the occupancy grid.
+
+    The grid spans the sum of the bounding boxes; it counts the cells hit by
+    sampled x + y with (x, y) admitted by theta.  Besides the independent
+    pairs, whose admitted count is the theta hit count, each batch is reused
+    through circular-shift repairings (still valid theta-filtered pairs) to
+    cover the thin boundary shell where the sum density vanishes.  Every
+    marked cell counts at full volume, and the stderr field carries an
+    additive allowance (boundary rim plus an unseen-cell estimate) rather
+    than a Gaussian standard error.
+    """
+    n = A.dim
     lo_a, hi_a = A.bounding_box()
     lo_b, hi_b = B.bounding_box()
     lo_s, hi_s = lo_a + lo_b, hi_a + hi_b
@@ -534,12 +614,9 @@ def restricted_sum_volume(
         grid = _OccupancyGrid(lo_s, hi_s, cells, size)
         s = np.empty((size, n))
         yr = None if full else np.empty((size, n))
-        done = 0
-        while done < m:
-            chunk = min(m - done, _CHUNK)
-            x, px = _sample_in_set(A, chunk, rng)
-            y, py = _sample_in_set(B, chunk, rng)
-            proposals += px + py
+        for x, y, drawn in _pair_chunks(A, B, m, rng):
+            proposals += drawn
+            chunk = len(x)
             for r in range(_PAIRING_ROUNDS):
                 # pair x[i] with y[i - k]: round 0 holds the independent pairs,
                 # later rounds circular shifts of the same batch
@@ -554,29 +631,14 @@ def restricted_sum_volume(
                 if r == 0:
                     hits += chunk if full else int(np.count_nonzero(keep))
                 grid.mark(s[:chunk], keep)
-            done += chunk
         return hits, grid.counts, proposals
 
     results = _run_streams(cfg, job)
-    m = cfg.pair_samples
     hits = sum(r[0] for r in results)
     counts = results[0][1]
     for r in results[1:]:
         counts += r[1]
     proposals = sum(r[2] for r in results)
-    if hits == 0:
-        raise DegenerateSampleError("pair constraint admitted no sampled pairs")
-
-    p = hits / m
-    pair_vol = vol_a.value * vol_b.value
-    stderr_p = math.sqrt(p * (1.0 - p) / m)
-    # propagate MC volume uncertainty when A or B has no closed form
-    theta_stderr = pair_vol * stderr_p
-    theta_stderr = math.hypot(theta_stderr, p * vol_b.value * vol_a.stderr)
-    theta_stderr = math.hypot(theta_stderr, p * vol_a.value * vol_b.stderr)
-    theta_vol = VolumeEstimate(
-        value=pair_vol * p, stderr=theta_stderr, samples=m, method="mc_hit_or_miss"
-    )
 
     marked = counts > 0
     n_marked = int(np.count_nonzero(marked))
@@ -594,6 +656,63 @@ def restricted_sum_volume(
         stderr=rim_vol + coverage_vol,
         samples=hits,
         method="occupancy_grid",
+    )
+    return hits, proposals, sum_vol, cells
+
+
+def restricted_sum_volume(
+    A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
+) -> dict:
+    """Volumes of A, B, the pair constraint and the restricted sumset.
+
+    volume_a and volume_b are ``volume(A)`` and ``volume(B)`` under cfg.
+    theta_volume is hit-or-miss over independent uniform pairs from A x B,
+    drawn by ``_sample_in_set``; rejection_proposals counts the points it
+    proposed for them (2 * pair_samples when A and B are drawn exactly).
+
+    sum_volume is exact where ``_closed_form_sum_volume`` gives the volume v:
+    method "closed_form", value v (1 - eta) and stderr 2 eta value, with the
+    rounding bound eta = 1e-12, so v lies in [value, value + stderr].  No
+    grid is built and grid_cells_per_axis is None; a full Theta, whose
+    hit-or-miss is identically 1, then draws no pairs either, and
+    rejection_proposals is 0.  Every other pair goes through
+    ``_occupancy_sum_volume``, whose stderr is an additive allowance read
+    the same way, though the grid can miss the exact volume.
+    """
+    if A.dim != B.dim:
+        raise ParameterError("A and B must share the dimension")
+    n = A.dim
+    if n > _MAX_THETA_DIM:
+        raise ParameterError(f"pair sampling limited to n <= {_MAX_THETA_DIM}")
+    if n > _MAX_SUM_DIM:
+        raise ParameterError(f"sumset estimation limited to n <= {_MAX_SUM_DIM}")
+    cfg = cfg or MonteCarloConfig()
+    m = cfg.pair_samples
+
+    vol_a = volume(A, cfg)
+    vol_b = volume(B, cfg)
+    exact = _closed_form_sum_volume(A, B, theta)
+    if exact is None:
+        hits, proposals, sum_vol, cells = _occupancy_sum_volume(A, B, theta, cfg)
+    else:
+        value = exact * (1.0 - _CLOSED_FORM_ETA)
+        sum_vol = VolumeEstimate(
+            value=value, stderr=2.0 * _CLOSED_FORM_ETA * value, samples=0, method="closed_form"
+        )
+        cells = None
+        hits, proposals = (m, 0) if theta.kind == "full" else _admitted_pairs(A, B, theta, cfg)
+    if hits == 0:
+        raise DegenerateSampleError("pair constraint admitted no sampled pairs")
+
+    p = hits / m
+    pair_vol = vol_a.value * vol_b.value
+    stderr_p = math.sqrt(p * (1.0 - p) / m)
+    # propagate MC volume uncertainty when A or B has no closed form
+    theta_stderr = pair_vol * stderr_p
+    theta_stderr = math.hypot(theta_stderr, p * vol_b.value * vol_a.stderr)
+    theta_stderr = math.hypot(theta_stderr, p * vol_a.value * vol_b.stderr)
+    theta_vol = VolumeEstimate(
+        value=pair_vol * p, stderr=theta_stderr, samples=m, method="mc_hit_or_miss"
     )
     return {
         "volume_a": vol_a,
@@ -747,13 +866,6 @@ def _volume_ratio_rho(vol_a: float, vol_b: float, n: int) -> float:
     return min(ratio, 1.0 / ratio)
 
 
-def _origin_ball_radius(spec: SetSpec) -> float | None:
-    """Radius of an origin-centred ball, an ellipsoid with equal axes, else None."""
-    if spec.kind == "ellipsoid" and not any(spec.center) and len(set(spec.axes)) == 1:
-        return spec.axes[0]
-    return None
-
-
 def _theta_fraction_quadrature(A: SetSpec, B: SetSpec, theta: ThetaSpec) -> float | None:
     """Exact pair fraction for sum-norm constraints on origin-centered balls."""
     if theta.kind != "sum_norm_leq":
@@ -830,7 +942,8 @@ def _power_ci(vol: VolumeEstimate, n: int, z: float) -> float:
     """Halfwidth of vol.value ** (2/n) via the delta method."""
     if vol.value <= 0:
         return 0.0
-    spread = vol.stderr if vol.method == "occupancy_grid" else z * vol.stderr
+    # the grid's allowance and a closed form's rounding bracket are additive
+    spread = vol.stderr if vol.method in ("occupancy_grid", "closed_form") else z * vol.stderr
     return (2.0 / n) * vol.value ** (2.0 / n - 1.0) * spread
 
 
@@ -995,15 +1108,9 @@ def bll_symmetrization_check(
         va, vb = volume(a, cfg), volume(b, cfg)
 
         def job(_i, m, rng):
-            hits = 0
-            done = 0
-            while done < m:
-                chunk = min(m - done, _CHUNK)
-                x, _ = _sample_in_set(a, chunk, rng)
-                y, _ = _sample_in_set(b, chunk, rng)
-                hits += int(np.count_nonzero(c.contains(x + y)))
-                done += chunk
-            return hits
+            return sum(
+                int(np.count_nonzero(c.contains(x + y))) for x, y, _ in _pair_chunks(a, b, m, rng)
+            )
 
         hits = sum(_run_streams(cfg, job))
         m = cfg.pair_samples
@@ -1037,14 +1144,14 @@ def ball_example_exact(rho: float, n: int) -> dict:
     """Closed-form equality case: half the pairs, sum a dilated ball.
 
     The orthogonal pair constraint keeps exactly half of lambda(A)lambda(B)
-    and the restricted sum is sqrt(1 + rho^2) B^n, which makes the 2/n-th
-    power identity exact.
+    and the restricted sum is sqrt(1 + rho^2) B^n, the c = 0 case of
+    ``_annulus``, which makes the 2/n-th power identity exact.
     """
     if not 0.0 < rho < 1.0:
         raise ParameterError("rho must lie in (0, 1)")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    sum_radius = math.sqrt(1.0 + rho * rho)
+    sum_radius = math.sqrt(_annulus(1.0, rho, 0.0)[0])
     w = unit_ball_volume(n)
     gap = (
         (w * sum_radius**n) ** (2.0 / n)

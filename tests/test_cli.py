@@ -346,6 +346,27 @@ class TestRunExamples:
         for key in ("volume_a", "volume_b", "theta_volume", "sum_volume"):
             assert set(result[key]) == {"value", "stderr", "samples", "method"}
 
+    def test_minkowski_n6_balls_use_the_closed_form(self, tmp_path, capsys):
+        config = {
+            "command": "minkowski",
+            "seed": 20240817,
+            "params": {
+                "a": {"kind": "ball", "radius": 1.0, "dim": 6},
+                "b": {"kind": "ball", "radius": 0.8, "dim": 6},
+                "theta": {"kind": "full"},
+                "mc": {"pair_samples": 1_000_000},
+            },
+        }
+        assert run_cli(tmp_path, config) == 0
+        result = last_stdout_json(capsys)["result"]
+        exact = math.pi**3 / math.gamma(4.0) * 1.8**6  # about 175.77
+        est = result["sum_volume"]
+        assert est["method"] == "closed_form"
+        assert est["value"] <= exact <= est["value"] + est["stderr"]
+        assert est["stderr"] <= 2e-12 * est["value"]
+        assert result["grid_cells_per_axis"] is None
+        assert result["rejection_proposals"] == 0
+
     def test_microstates_spectrum_with_reference(self, tmp_path, capsys):
         config = {
             "command": "microstates-spectrum",

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,9 +291,12 @@ class TestSampling:
 
 class TestRestrictedSum:
     def test_disk_doubling_close_to_4pi(self):
-        # A + A = 2A for convex A; full pair constraint on two unit disks
+        # A + A = 2A for convex A; full pair constraint on two unit disks, one
+        # off the origin so that the sum goes through the grid
         cfg = MonteCarloConfig(pair_samples=10_000_000, grid_cells_per_axis=512, seed=11)
-        rsv = restricted_sum_volume(SetSpec.ball(1, 2), SetSpec.ball(1, 2), ThetaSpec.full(), cfg)
+        rsv = restricted_sum_volume(
+            SetSpec.ball(1, 2, center=(0.1, -0.2)), SetSpec.ball(1, 2), ThetaSpec.full(), cfg
+        )
         sv = rsv["sum_volume"]
         assert sv.method == "occupancy_grid"
         assert abs(sv.value - 4.0 * math.pi) <= 0.03 * 4.0 * math.pi
@@ -308,15 +313,18 @@ class TestRestrictedSum:
 
     def test_orthogonal_sum_is_dilated_ball(self):
         # restricted sum of B^3 and 0.8 B^3 under <x,y> <= 0 fills
-        # sqrt(1.64) B^3; occupancy is low-biased with a covering allowance
+        # sqrt(1.64) B^3: exactly in closed form, and on the occupancy grid
+        # within its covering allowance
         cfg = MonteCarloConfig(pair_samples=1_000_000, seed=3)
-        rsv = restricted_sum_volume(
-            SetSpec.ball(1, 3), SetSpec.ball(0.8, 3), ThetaSpec.inner_product_leq(0.0), cfg
-        )
+        a, b, theta = SetSpec.ball(1, 3), SetSpec.ball(0.8, 3), ThetaSpec.inner_product_leq(0.0)
         target = (1.0 + 0.64) ** 1.5 * unit_ball_volume(3)
-        sv = rsv["sum_volume"]
-        assert sv.value <= 1.05 * target
-        assert sv.value + 3.0 * sv.stderr >= target
+        sv = restricted_sum_volume(a, b, theta, cfg)["sum_volume"]
+        assert sv.method == "closed_form"
+        assert sv.value <= target <= sv.value + sv.stderr
+        grid = geometry._occupancy_sum_volume(a, b, theta, cfg)[2]
+        assert grid.method == "occupancy_grid"
+        assert grid.value <= 1.05 * target
+        assert grid.value + 3.0 * grid.stderr >= target
 
     def test_no_admitted_pairs_raises(self):
         with pytest.raises(DegenerateSampleError):
@@ -327,8 +335,8 @@ class TestRestrictedSum:
     def test_grid_size_guard(self):
         with pytest.raises(ParameterError):
             restricted_sum_volume(
-                SetSpec.ball(1, 4),
-                SetSpec.ball(1, 4),
+                SetSpec.ellipsoid([1.0, 0.8, 0.6, 0.9]),
+                SetSpec.ellipsoid([0.5, 0.7, 0.4, 0.6]),
                 ThetaSpec.full(),
                 MonteCarloConfig(pair_samples=10_000, grid_cells_per_axis=512),
             )
@@ -402,10 +410,11 @@ class TestRestrictedSum:
     def test_nested_thetas_monotone(self):
         # dropping more pairs can only shrink the observed sumset when the
         # kept subsets are nested, which a shared hash seed guarantees
-        a, b = SetSpec.ball(1, 2), SetSpec.ball(0.7, 2)
+        a, b = SetSpec.ball(1, 2), SetSpec.ball(0.7, 2, center=(0.2, 0.1))
         values = []
         for d in (0.0, 0.3, 0.6):
             rsv = restricted_sum_volume(a, b, ThetaSpec.complement_fraction(d), FAST)
+            assert rsv["sum_volume"].method == "occupancy_grid"
             values.append(rsv["sum_volume"].value)
         assert values[0] >= values[1] >= values[2]
 
@@ -417,9 +426,10 @@ class TestRestrictedSum:
 
     def test_brunn_minkowski_sanity(self):
         cfg = MonteCarloConfig(pair_samples=1_000_000, seed=11)
-        a, b = SetSpec.ball(1, 2), SetSpec.ball(0.6, 2)
+        a, b = SetSpec.ball(1, 2), SetSpec.ball(0.6, 2, center=(0.3, -0.1))
         rsv = restricted_sum_volume(a, b, ThetaSpec.full(), cfg)
         sv = rsv["sum_volume"]
+        assert sv.method == "occupancy_grid"
         lhs = sv.value**0.5
         rhs = volume(a).value**0.5 + volume(b).value**0.5
         tol = 0.5 * sv.value ** (-0.5) * 3.0 * sv.stderr
@@ -474,6 +484,184 @@ class TestRestrictedSum:
             restricted_sum_volume(
                 SetSpec.ball(1, 2), SetSpec.ball(1, 2), ThetaSpec.custom("never_registered"), FAST
             )
+
+
+def kappa(n):
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def annulus_witness(e, v, r, a, b):
+    """x in aB^n and y in bB^n with x + y = r e, spanned by e and v (unit, orthogonal).
+
+    Collinear for r <= a - b; otherwise the triangle with sides a, b and r.
+    """
+    if r <= a - b:
+        return (r + b) * e, -b * e
+    along = (r * r + a * a - b * b) / (2.0 * r)
+    x = along * e + math.sqrt(max(a * a - along * along, 0.0)) * v
+    return x, r * e - x
+
+
+@st.composite
+def origin_ball_annuli(draw, min_dim):
+    """(n, a, b, c) with a >= b and c in [-ab, ab]."""
+    n = draw(st.integers(min_dim, 6))
+    a = draw(st.floats(0.1, 3.0))
+    b = a * draw(st.floats(0.05, 1.0))
+    c = a * b * draw(st.floats(-1.0, 1.0))
+    return n, a, b, c
+
+
+class TestClosedFormSums:
+    @pytest.mark.parametrize("a, b, theta, exact", [
+        (SetSpec.ball(1.0, 6), SetSpec.ball(0.8, 6), ThetaSpec.full(), kappa(6) * 1.8**6),
+        (SetSpec.ball(0.5, 3), SetSpec.scaled(SetSpec.ball(1.0, 3), 1.5),
+         ThetaSpec.complement_fraction(0.3), kappa(3) * 2.0**3),
+        (SetSpec.ball(1.0, 4), SetSpec.ball(0.5, 4), ThetaSpec.sum_norm_leq(1.2), kappa(4) * 1.2**4),
+        (SetSpec.ball(1.0, 2), SetSpec.ball(0.5, 2), ThetaSpec.sum_norm_leq(9.0), kappa(2) * 1.5**2),
+        (SetSpec.ball(1.0, 3), SetSpec.ball(0.8, 3), ThetaSpec.inner_product_leq(0.0),
+         kappa(3) * 1.64**1.5),
+        # R^2 = 1 + 0.36 - 0.8 and r0 = 0.4/0.6 - 0.6
+        (SetSpec.ball(0.6, 5), SetSpec.ball(1.0, 5), ThetaSpec.inner_product_leq(-0.4),
+         kappa(5) * (0.56**2.5 - (0.4 / 0.6 - 0.6) ** 5)),
+        (SetSpec.ball(1.0, 2), SetSpec.ball(0.5, 2), ThetaSpec.inner_product_leq(3.0),
+         kappa(2) * 1.5**2),
+        (SetSpec.box([1.0, 0.5, 0.2]), SetSpec.box([0.3, 0.2, 0.1], center=(1.0, 2.0, 3.0)),
+         ThetaSpec.full(), 8.0 * 1.3 * 0.7 * 0.3),
+        (SetSpec.box([1.0, 0.5]), SetSpec.box([0.3, 0.2]), ThetaSpec.complement_fraction(0.2),
+         4.0 * 1.3 * 0.7),
+    ], ids=["balls-full", "balls-complement", "balls-sum-norm", "balls-sum-norm-loose",
+            "balls-orthogonal", "balls-annulus", "balls-loose-inner-product",
+            "boxes-full", "boxes-complement"])
+    def test_exact_pairs_skip_the_grid(self, a, b, theta, exact):
+        rsv = restricted_sum_volume(a, b, theta, FAST)
+        sv = rsv["sum_volume"]
+        assert sv.method == "closed_form"
+        assert sv.value <= exact <= sv.value + sv.stderr
+        assert sv.stderr <= 2e-12 * sv.value
+        assert sv.samples == 0
+        assert rsv["grid_cells_per_axis"] is None
+
+    @pytest.mark.parametrize("a, b, theta", [
+        (SetSpec.ball(1.0, 3, center=(0.1, 0.0, 0.0)), SetSpec.ball(0.5, 3), ThetaSpec.full()),
+        (SetSpec.ellipsoid([1.0, 0.5]), SetSpec.ball(0.5, 2), ThetaSpec.full()),
+        (SetSpec.box([1.0, 0.5]), SetSpec.ball(0.5, 2), ThetaSpec.full()),
+        (SetSpec.box([1.0, 0.5]), SetSpec.box([0.5, 0.5]), ThetaSpec.inner_product_leq(0.0)),
+        (SetSpec.box([1.0, 0.5]), SetSpec.box([0.5, 0.5]), ThetaSpec.sum_norm_leq(1.0)),
+        (SetSpec.ball(1.0, 1), SetSpec.ball(0.5, 1), ThetaSpec.inner_product_leq(0.0)),
+        (BALL_CAP_BOX, SetSpec.ball(0.5, 3), ThetaSpec.full()),
+    ], ids=["off-centre-ball", "ellipsoid", "box-ball", "boxes-inner-product",
+            "boxes-sum-norm", "line-inner-product", "intersection"])
+    def test_other_pairs_keep_the_grid(self, a, b, theta):
+        rsv = restricted_sum_volume(a, b, theta, FAST)
+        assert rsv["sum_volume"].method == "occupancy_grid"
+        assert rsv["grid_cells_per_axis"] == geometry._adaptive_cells(FAST.pair_samples, a.dim)
+
+    def test_on_the_line_the_orthogonal_sum_is_the_larger_interval(self):
+        # no triangle exists in R^1, so <x, y> <= 0 leaves [-a, a], not the
+        # annulus radius sqrt(a^2 + b^2): the grid, not the closed form, is right
+        rsv = restricted_sum_volume(
+            SetSpec.ball(1.0, 1), SetSpec.ball(0.5, 1), ThetaSpec.inner_product_leq(0.0), FAST
+        )
+        sv = rsv["sum_volume"]
+        assert sv.method == "occupancy_grid"
+        assert abs(sv.value - 2.0) <= sv.stderr
+        assert sv.value + sv.stderr < 2.0 * math.sqrt(1.25)
+
+    def test_full_theta_draws_no_pairs(self):
+        a, b = SetSpec.ball(1.0, 3), SetSpec.ball(0.7, 3)
+        rsv = restricted_sum_volume(a, b, ThetaSpec.full(), FAST)
+        assert rsv["rejection_proposals"] == 0
+        assert rsv["theta_hits"] == rsv["pair_samples"] == FAST.pair_samples
+        pair_vol = volume(a).value * volume(b).value
+        assert rsv["theta_volume"] == VolumeEstimate(
+            value=pair_vol, stderr=0.0, samples=FAST.pair_samples, method="mc_hit_or_miss"
+        )
+
+    @pytest.mark.parametrize("theta", [
+        ThetaSpec.inner_product_leq(0.1),
+        ThetaSpec.sum_norm_leq(1.1),
+        ThetaSpec.complement_fraction(0.2),
+    ], ids=["inner-product", "sum-norm", "complement"])
+    def test_restricted_theta_counts_the_grid_paths_hits(self, theta):
+        # the closed form still draws the pairs for theta_volume, and counts
+        # exactly the hits of the grid's round of independent pairs
+        a, b = SetSpec.ball(1.0, 3), SetSpec.ball(0.7, 3)
+        cfg = MonteCarloConfig(pair_samples=100_000, seed=8, threads=2)
+        rsv = restricted_sum_volume(a, b, theta, cfg)
+        hits, proposals, _, _ = geometry._occupancy_sum_volume(a, b, theta, cfg)
+        assert (rsv["theta_hits"], rsv["rejection_proposals"]) == (hits, proposals)
+        assert rsv["sum_volume"].method == "closed_form"
+
+    def test_below_minus_ab_no_pair_is_admitted(self):
+        with pytest.raises(DegenerateSampleError):
+            restricted_sum_volume(
+                SetSpec.ball(1.0, 3), SetSpec.ball(0.5, 3), ThetaSpec.inner_product_leq(-0.51), FAST
+            )
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_thin_annulus_keeps_its_digits(self, n):
+        # c just above -ab leaves a shell of width ~1e-9 around |u| = a - b
+        a, b = 1.0, 0.75
+        c = -a * b + 1e-9
+        outer_sq, inner = geometry._annulus(Fraction(a), Fraction(b), Fraction(c))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            outer = (Decimal(outer_sq.numerator) / Decimal(outer_sq.denominator)).sqrt()
+            exact = outer**n - (Decimal(inner.numerator) / Decimal(inner.denominator)) ** n
+        got = geometry._closed_form_sum_volume(
+            SetSpec.ball(a, n), SetSpec.ball(b, n), ThetaSpec.inner_product_leq(c)
+        ) / unit_ball_volume(n)
+        assert abs(got / float(exact) - 1.0) < 1e-14
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(origin_ball_annuli(min_dim=1), st.integers(0, 2**32 - 1))
+    def test_annulus_contains_every_admitted_sum(self, params, seed):
+        n, a, b, c = params
+        outer_sq, inner = geometry._annulus(a, b, c)
+        outer = math.sqrt(outer_sq)
+        rng = np.random.default_rng(seed)
+        x, _ = geometry._sample_in_set(SetSpec.ball(a, n), 4000, rng)
+        y, _ = geometry._sample_in_set(SetSpec.ball(b, n), 4000, rng)
+        keep = ThetaSpec.inner_product_leq(c).indicator(x, y, 0)
+        norms = np.linalg.norm(x[keep] + y[keep], axis=1)
+        assert np.all(norms >= inner - 1e-12)
+        assert np.all(norms <= outer + 1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(origin_ball_annuli(min_dim=2), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_annulus_radii_are_all_reached(self, params, where, seed):
+        n, a, b, c = params
+        outer_sq, inner = geometry._annulus(a, b, c)
+        r = inner + where * (math.sqrt(outer_sq) - inner)
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal(n)
+        e /= np.linalg.norm(e)
+        v = rng.standard_normal(n)
+        v -= (v @ e) * e
+        v /= np.linalg.norm(v)
+        x, y = annulus_witness(e, v, r, a, b)
+        tol = 1e-12 * (1.0 + a * a)
+        assert np.linalg.norm(x) <= a + tol
+        assert np.linalg.norm(y) <= b + tol
+        assert x @ y <= c + tol
+        assert np.allclose(x + y, r * e, rtol=0.0, atol=tol)
+        # x, y and u = x + y lie in the plane of e and v
+        for w in (x, y):
+            assert np.linalg.norm(w - (w @ e) * e - (w @ v) * v) <= tol
+
+    def test_default_gate_constant_below_the_equality_case_on_the_grid(self):
+        # the largest gate constant Theorem 12 admits on B^n, rho B^n and
+        # Theta = {|x + y| <= sqrt(1 + rho^2)} is 0.13-0.40 over this grid
+        worst = min(
+            (1.0 - geometry._theta_fraction_quadrature(
+                SetSpec.ball(1.0, n), SetSpec.ball(rho, n),
+                ThetaSpec.sum_norm_leq(math.sqrt(1.0 + rho * rho)),
+            )) / min(rho * math.sqrt(n), 1.0)
+            for n in range(2, 65)
+            for rho in np.linspace(0.1, 0.9, 9)
+        )
+        assert worst >= MonteCarloConfig().c
 
 
 class TestPowerCheckCore:

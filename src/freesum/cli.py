@@ -52,22 +52,6 @@ from .microstates import (
 )
 from .stats import three_way_verdict
 
-COMMANDS = (
-    "entropy",
-    "freeconv",
-    "epi",
-    "minkowski",
-    "theorem12",
-    "corollary15",
-    "lemma13",
-    "bll",
-    "microstates-spectrum",
-    "microstates-theta",
-    "microstates-volume",
-    "microstates-sum",
-    "stam",
-)
-
 # commands whose results depend on random sampling; these require a seed
 STOCHASTIC_COMMANDS = frozenset(
     (
@@ -159,7 +143,6 @@ _MC_DEF = {
     "type": "object",
     "properties": {
         "pair_samples": {"type": "integer", "minimum": 1000},
-        "grid_cells_per_axis": {"type": "integer", "minimum": 2},
         "c": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "C": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -182,25 +165,6 @@ _DEFS = {
     "profile": _PROFILE_DEF,
     "mc": _MC_DEF,
     "grid": _GRID_DEF,
-}
-
-_TOP_SCHEMA = {
-    "type": "object",
-    "required": ["command", "params"],
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "params": {"type": "object"},
-        "seed": {"type": "integer"},
-        "output": {"type": "string"},
-        "format": {"enum": ["json", "csv"]},
-        "threads": {"type": "integer", "minimum": 1},
-        "sweep": {
-            "type": "object",
-            "minProperties": 1,
-            "additionalProperties": {"type": "array", "minItems": 1},
-        },
-    },
-    "additionalProperties": False,
 }
 
 
@@ -259,7 +223,7 @@ _PARAM_SCHEMAS = {
         "properties": {
             "example": {"const": "ball"},
             "rho": {"type": "number"},
-            "n": {"type": "integer", "minimum": 1},
+            "n": {"type": "integer", "minimum": 2},
             "a": {"$ref": "#/$defs/set"},
             "b": {"$ref": "#/$defs/set"},
             "theta": {"$ref": "#/$defs/theta"},
@@ -456,8 +420,7 @@ def _mc_config(params: dict, seed: int, threads: int) -> MonteCarloConfig:
 
 
 def _grid_echo(grid: GridConfig | None) -> dict:
-    resolved = grid or GridConfig()
-    return {"n_cells": resolved.n_cells, "padding": resolved.padding}
+    return dataclasses.asdict(grid or GridConfig())
 
 
 def _run_entropy(params, seed, threads):
@@ -632,6 +595,28 @@ _HANDLERS = {
     "microstates-volume": _run_microstates_volume,
     "microstates-sum": _run_microstates_sum,
     "stam": _run_stam,
+}
+
+# the command table: every command has a parameter schema and a handler
+COMMANDS = tuple(_HANDLERS)
+
+_TOP_SCHEMA = {
+    "type": "object",
+    "required": ["command", "params"],
+    "properties": {
+        "command": {"enum": list(COMMANDS)},
+        "params": {"type": "object"},
+        "seed": {"type": "integer"},
+        "output": {"type": "string"},
+        "format": {"enum": ["json", "csv"]},
+        "threads": {"type": "integer", "minimum": 1},
+        "sweep": {
+            "type": "object",
+            "minProperties": 1,
+            "additionalProperties": {"type": "array", "minItems": 1},
+        },
+    },
+    "additionalProperties": False,
 }
 
 

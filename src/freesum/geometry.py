@@ -3,18 +3,20 @@
 Every body is stored in one form: an ellipsoid or a box, given by its axes
 and centre, or an intersection of such bodies.  Balls are equal-axis
 ellipsoids and dilates scale the axes and centre, so both keep their
-constructors but need no code of their own.  Pair constraints (Theta)
-restrict which x + y contribute to the sumset.  Exact volumes use closed
-forms, and so do the sumsets whose geometry is exact: origin-centred balls
-(a ball or an annulus) and box pairs (a box).  Everything else is seeded
-hit-or-miss Monte Carlo plus an occupancy grid for sumset volumes.  The
-occupancy estimate counts every marked cell at full volume, so it can err
-either way: missed boundary cells bias it low, partly covered ones bias it
-high.  Run with 10^6 pairs on balls whose sums are known, it read 5% low
-for radii 1 and 0.5 in R^4 under a full Theta, 11% high under
-<x, y> <= 0.2, and 43% high for radii 1 and 0.8 in R^6.  A nonnegative
-deficit resting on the grid is therefore not conservative evidence for the
-superadditivity inequalities checked here.
+constructors but need no code of their own.  A pair constraint (Theta)
+restricts which x + y contribute to the sumset; it is one of four kinds:
+full, inner_product_leq, sum_norm_leq and complement_fraction.  Exact
+volumes use closed forms, and so do the sumsets whose geometry is exact:
+origin-centred balls (a ball or an annulus) and box pairs (a box).
+Everything else is seeded hit-or-miss Monte Carlo plus an occupancy grid
+for sumset volumes, whose cells per axis follow from the pair budget and
+the dimension alone.  The occupancy estimate counts every marked cell at
+full volume, so it can err either way: missed boundary cells bias it low,
+partly covered ones bias it high.  Run with 10^6 pairs on balls whose sums
+are known, it read 5% low for radii 1 and 0.5 in R^4 under a full Theta,
+11% high under <x, y> <= 0.2, and 43% high for radii 1 and 0.8 in R^6.  A
+nonnegative deficit resting on the grid is therefore not conservative
+evidence for the superadditivity inequalities checked here.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +47,6 @@ __all__ = [
     "check_theorem12",
     "first_integral_fraction_at_extremal_r0",
     "fubini_lower_bound",
-    "register_theta_predicate",
     "restricted_sum_volume",
     "volume",
 ]
@@ -60,6 +62,8 @@ _STREAMS = 4
 _PAIRING_ROUNDS = 8
 # pairs drawn at a time by each stream of the pair samplers
 _CHUNK = 500_000
+# most cells of one stream's occupancy grid: 64 MiB of int64 counts
+_MAX_GRID_CELLS = 2**23
 # relative rounding bound of a closed-form sumset volume, whose kappa_n,
 # square root and powers up to n = _MAX_SUM_DIM round by under 1e-14
 _CLOSED_FORM_ETA = 1e-12
@@ -184,23 +188,15 @@ def unit_ball_volume(n: int) -> float:
     return v
 
 
-_THETA_PREDICATES: dict = {}
-
-
-def register_theta_predicate(name: str, fn) -> None:
-    """Register a deterministic pair predicate usable as ThetaSpec.custom."""
-    _THETA_PREDICATES[name] = fn
-
-
 @dataclass(frozen=True)
 class ThetaSpec:
-    """Constraint on pairs (x, y) defining the restricted sum."""
+    """Constraint on pairs (x, y) defining the restricted sum: every pair,
+    <x, y> <= c, |x + y| <= bound, or a seeded hash >= density."""
 
     kind: str
     c: float | None = None
     bound: float | None = None
     density: float | None = None
-    predicate: str | None = None
 
     def __post_init__(self):
         if self.kind == "full":
@@ -214,9 +210,6 @@ class ThetaSpec:
         elif self.kind == "complement_fraction":
             if self.density is None or not 0.0 <= self.density < 1.0:
                 raise ParameterError("complement density must lie in [0, 1)")
-        elif self.kind == "custom":
-            if not self.predicate:
-                raise ParameterError("custom theta needs a predicate id")
         else:
             raise ParameterError(f"unknown theta kind {self.kind!r}")
 
@@ -236,10 +229,6 @@ class ThetaSpec:
     def complement_fraction(cls, density: float) -> "ThetaSpec":
         return cls(kind="complement_fraction", density=float(density))
 
-    @classmethod
-    def custom(cls, predicate: str) -> "ThetaSpec":
-        return cls(kind="custom", predicate=predicate)
-
     def indicator(self, x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
         if self.kind == "full":
             return np.ones(x.shape[0], dtype=bool)
@@ -248,23 +237,9 @@ class ThetaSpec:
         if self.kind == "sum_norm_leq":
             s = x + y
             return np.einsum("ij,ij->i", s, s) <= self.bound * self.bound
-        if self.kind == "complement_fraction":
-            cols = [x[:, j] for j in range(x.shape[1])]
-            cols += [y[:, j] for j in range(y.shape[1])]
-            return hash_unit(seed, cols) >= self.density
-        fn = _THETA_PREDICATES.get(self.predicate)
-        if fn is None:
-            raise ParameterError(f"no theta predicate registered as {self.predicate!r}")
-        return np.asarray(fn(x, y), dtype=bool)
-
-    def known_fraction(self) -> float | None:
-        """Pair-measure fraction fixed by construction, when available."""
-        if self.kind == "full":
-            return 1.0
-        if self.kind == "complement_fraction":
-            # the keep/drop hash is uniform on [0, 1) by construction
-            return 1.0 - self.density
-        return None
+        cols = [x[:, j] for j in range(x.shape[1])]
+        cols += [y[:, j] for j in range(y.shape[1])]
+        return hash_unit(seed, cols) >= self.density
 
 
 @dataclass(frozen=True)
@@ -326,7 +301,6 @@ class MonteCarloConfig:
     """
 
     pair_samples: int = 200_000
-    grid_cells_per_axis: int | None = None
     seed: int = 0
     threads: int = 1
     c: float = 0.01
@@ -335,8 +309,6 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.pair_samples < 1000:
             raise ParameterError("pair_samples must be >= 1000")
-        if self.grid_cells_per_axis is not None and self.grid_cells_per_axis < 2:
-            raise ParameterError("grid_cells_per_axis must be >= 2")
         if self.threads < 1:
             raise ParameterError("threads must be >= 1")
         if not 0 < self.c < 1:
@@ -451,7 +423,9 @@ def volume(spec: SetSpec, cfg: MonteCarloConfig | None = None) -> VolumeEstimate
 
 
 def _adaptive_cells(samples: int, n: int) -> int:
-    return int(np.clip(round((samples / 4.0) ** (1.0 / n)), 8, 512))
+    """Grid cells per axis: about samples / 4 cells, 8 to 512 per axis, at most 2**23 in all."""
+    top = min(512, int(_MAX_GRID_CELLS ** (1.0 / n)))
+    return int(np.clip(round((samples / 4.0) ** (1.0 / n)), 8, top))
 
 
 def _face_rim(grid: np.ndarray) -> np.ndarray:
@@ -571,14 +545,17 @@ def _pair_chunks(A: SetSpec, B: SetSpec, count: int, rng):
         done += chunk
 
 
-def _admitted_pairs(A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig):
-    """(pairs admitted by theta, proposals) over cfg.pair_samples independent pairs."""
+def _pair_hits(A: SetSpec, B: SetSpec, keep, cfg: MonteCarloConfig) -> tuple[int, int]:
+    """(pairs with keep(x, y) true, proposals) over cfg.pair_samples independent pairs.
+
+    keep maps batches of rows x of A and y of B to a boolean mask.
+    """
 
     def job(_i, m, rng):
         hits = proposals = 0
         for x, y, drawn in _pair_chunks(A, B, m, rng):
             proposals += drawn
-            hits += int(np.count_nonzero(theta.indicator(x, y, cfg.seed)))
+            hits += int(np.count_nonzero(keep(x, y)))
         return hits, proposals
 
     results = _run_streams(cfg, job)
@@ -601,9 +578,7 @@ def _occupancy_sum_volume(A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCa
     lo_a, hi_a = A.bounding_box()
     lo_b, hi_b = B.bounding_box()
     lo_s, hi_s = lo_a + lo_b, hi_a + hi_b
-    cells = cfg.grid_cells_per_axis or _adaptive_cells(cfg.pair_samples, n)
-    if cells**n > 2**23:
-        raise ParameterError("occupancy grid too large; lower grid_cells_per_axis")
+    cells = _adaptive_cells(cfg.pair_samples, n)
     cell_vol = float(np.prod((hi_s - lo_s) / cells))
     full = theta.kind == "full"
 
@@ -677,7 +652,9 @@ def restricted_sum_volume(
     hit-or-miss is identically 1, then draws no pairs either, and
     rejection_proposals is 0.  Every other pair goes through
     ``_occupancy_sum_volume``, whose stderr is an additive allowance read
-    the same way, though the grid can miss the exact volume.
+    the same way, though the grid can miss the exact volume; its cells per
+    axis, reported as grid_cells_per_axis, are ``_adaptive_cells`` of
+    pair_samples and n.
     """
     if A.dim != B.dim:
         raise ParameterError("A and B must share the dimension")
@@ -700,7 +677,8 @@ def restricted_sum_volume(
             value=value, stderr=2.0 * _CLOSED_FORM_ETA * value, samples=0, method="closed_form"
         )
         cells = None
-        hits, proposals = (m, 0) if theta.kind == "full" else _admitted_pairs(A, B, theta, cfg)
+        admitted = partial(theta.indicator, seed=cfg.seed)
+        hits, proposals = (m, 0) if theta.kind == "full" else _pair_hits(A, B, admitted, cfg)
     if hits == 0:
         raise DegenerateSampleError("pair constraint admitted no sampled pairs")
 
@@ -867,9 +845,7 @@ def _volume_ratio_rho(vol_a: float, vol_b: float, n: int) -> float:
 
 
 def _theta_fraction_quadrature(A: SetSpec, B: SetSpec, theta: ThetaSpec) -> float | None:
-    """Exact pair fraction for sum-norm constraints on origin-centered balls."""
-    if theta.kind != "sum_norm_leq":
-        return None
+    """Exact pair fraction for a sum-norm constraint on origin-centered balls."""
     ra, rb = _origin_ball_radius(A), _origin_ball_radius(B)
     if ra is None or rb is None:
         return None
@@ -887,37 +863,29 @@ def _theta_fraction_quadrature(A: SetSpec, B: SetSpec, theta: ThetaSpec) -> floa
     return float(np.sum(ww * n * tt ** (n - 1) * vals))
 
 
-def _known_pair_fraction(A: SetSpec, B: SetSpec, theta: ThetaSpec):
-    """Pair fraction with a deterministic derivation, else None.
-
-    complement_fraction and full are fixed by construction; a zero
-    inner-product threshold on origin-symmetric sets keeps exactly half by
-    the (x, y) -> (x, -y) symmetry; sum-norm constraints on origin balls
-    with the equality-case radius reduce to the cap quadrature.
-    """
-    known = theta.known_fraction()
-    if known is not None:
-        return known, "by_construction"
-    if (
-        theta.kind == "inner_product_leq"
-        and theta.c == 0.0
-        and A.origin_symmetric()
-        and B.origin_symmetric()
-    ):
-        return 0.5, "by_construction"
-    quad_val = _theta_fraction_quadrature(A, B, theta)
-    if quad_val is not None:
-        return quad_val, "quadrature"
-    return None, "mc"
-
-
 def _pair_fraction(A: SetSpec, B: SetSpec, theta: ThetaSpec, rsv: dict):
-    """(fraction, (lo, hi), source): a derived value, else the 99% Wilson CI."""
-    known, source = _known_pair_fraction(A, B, theta)
+    """(fraction, (lo, hi), source): a derived value, else the 99% Wilson CI.
+
+    full and complement_fraction are fixed by construction (the keep/drop
+    hash is uniform on [0, 1)); a zero inner-product threshold on
+    origin-symmetric sets keeps exactly half by the (x, y) -> (x, -y)
+    symmetry; sum-norm constraints on origin balls with the equality-case
+    radius reduce to the cap quadrature.
+    """
+    known, source = None, "by_construction"
+    if theta.kind == "full":
+        known = 1.0
+    elif theta.kind == "complement_fraction":
+        known = 1.0 - theta.density
+    elif theta.kind == "inner_product_leq":
+        if theta.c == 0.0 and A.origin_symmetric() and B.origin_symmetric():
+            known = 0.5
+    else:
+        known, source = _theta_fraction_quadrature(A, B, theta), "quadrature"
     if known is not None:
         return known, (known, known), source
     lo, hi = wilson_interval(rsv["theta_hits"], rsv["pair_samples"])
-    return rsv["theta_hits"] / rsv["pair_samples"], (float(lo), float(hi)), source
+    return rsv["theta_hits"] / rsv["pair_samples"], (float(lo), float(hi)), "mc"
 
 
 def _gate(fraction_needed: float, A: SetSpec, B: SetSpec, theta: ThetaSpec, rsv: dict) -> dict:
@@ -1102,32 +1070,16 @@ def bll_symmetrization_check(
     if A.dim > 4:
         raise ParameterError("symmetrization check limited to n <= 4")
     cfg = cfg or MonteCarloConfig()
-    n = A.dim
+    n, m = A.dim, cfg.pair_samples
 
-    def pair_mass(a, b, c):
-        va, vb = volume(a, cfg), volume(b, cfg)
+    def pair_mass(a, b, c, va, vb):
+        p = _pair_hits(a, b, lambda x, y: c.contains(x + y), cfg)[0] / m
+        return p * va * vb, va * vb * math.sqrt(max(p * (1 - p), 1e-12) / m)
 
-        def job(_i, m, rng):
-            return sum(
-                int(np.count_nonzero(c.contains(x + y))) for x, y, _ in _pair_chunks(a, b, m, rng)
-            )
-
-        hits = sum(_run_streams(cfg, job))
-        m = cfg.pair_samples
-        p = hits / m
-        val = p * va.value * vb.value
-        err = va.value * vb.value * math.sqrt(max(p * (1 - p), 1e-12) / m)
-        return val, err
-
-    lhs, err_l = pair_mass(A, B, C)
-
-    def ball_of_same_volume(spec):
-        v = volume(spec, cfg).value
-        return SetSpec.ball((v / unit_ball_volume(n)) ** (1.0 / n), n)
-
-    rhs, err_r = pair_mass(
-        ball_of_same_volume(A), ball_of_same_volume(B), ball_of_same_volume(C)
-    )
+    vols = [volume(spec, cfg).value for spec in (A, B, C)]
+    balls = [SetSpec.ball((v / unit_ball_volume(n)) ** (1.0 / n), n) for v in vols]
+    lhs, err_l = pair_mass(A, B, C, vols[0], vols[1])
+    rhs, err_r = pair_mass(*balls, volume(balls[0]).value, volume(balls[1]).value)
     ci = Z99 * math.hypot(err_l, err_r)
     deficit = rhs - lhs  # inequality says lhs <= rhs
     return CheckReport(
@@ -1145,12 +1097,13 @@ def ball_example_exact(rho: float, n: int) -> dict:
 
     The orthogonal pair constraint keeps exactly half of lambda(A)lambda(B)
     and the restricted sum is sqrt(1 + rho^2) B^n, the c = 0 case of
-    ``_annulus``, which makes the 2/n-th power identity exact.
+    ``_annulus``, which makes the 2/n-th power identity exact.  It needs
+    n >= 2: on the line the orthogonal sum is [-1, 1], not sqrt(1 + rho^2) B^1.
     """
     if not 0.0 < rho < 1.0:
         raise ParameterError("rho must lie in (0, 1)")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    if n < 2:
+        raise ParameterError("the ball example needs n >= 2")
     sum_radius = math.sqrt(_annulus(1.0, rho, 0.0)[0])
     w = unit_ball_volume(n)
     gap = (

@@ -96,11 +96,14 @@ class TestValidation:
         assert cli.main(["--config", str(path)]) == 1
         assert f"{path}:7:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("knob, value", [("n_streams", 2), ("pairing_rounds", 4)])
+    @pytest.mark.parametrize(
+        "knob, value", [("n_streams", 2), ("pairing_rounds", 4), ("grid_cells_per_axis", 64)]
+    )
     def test_stream_and_pairing_counts_fail_schema_validation(
         self, tmp_path, capsys, knob, value
     ):
-        # both counts are constants of the estimator, not config fields
+        # the counts are constants of the estimator, and the grid size
+        # follows from pair_samples and n: none is a config field
         path = self.write_disk_pair_config(
             tmp_path,
             '    "theta": {"kind": "full"}',
@@ -110,6 +113,18 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"{path}:8:" in err
         assert knob in err
+
+    def test_ball_example_on_the_line_exits_1(self, tmp_path, capsys):
+        # on the line the orthogonal sum is [-1, 1]: there is no equality case
+        config = {"command": "minkowski", "params": {"example": "ball", "rho": 0.7, "n": 1}}
+        assert run_cli(tmp_path, config) == 1
+        assert "params: 1 is less than the minimum of 2" in capsys.readouterr().err
+
+    def test_every_command_has_a_schema_and_a_handler(self):
+        assert cli.COMMANDS == tuple(cli._HANDLERS)
+        assert set(cli._PARAM_SCHEMAS) == set(cli.COMMANDS)
+        assert cli._TOP_SCHEMA["properties"]["command"]["enum"] == list(cli.COMMANDS)
+        assert cli.STOCHASTIC_COMMANDS <= set(cli.COMMANDS)
 
     def test_missing_required_param(self, tmp_path, capsys):
         code = run_cli(tmp_path, {"command": "theorem12", "seed": 1, "params": {}})

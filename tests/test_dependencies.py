@@ -1,5 +1,5 @@
-"""Static checks on imports: the declared dependencies, and the names that
-``perfbench/tracing.py`` wraps."""
+"""Static checks on imports: the declared dependencies, the names that
+``perfbench/tracing.py`` wraps, and the package's exports."""
 
 import ast
 import re
@@ -59,3 +59,41 @@ def test_microstates_reaches_qr_and_eigvalsh_through_np_linalg():
             uses[node.attr] += 1
     assert numpy_imports == [("numpy", "np")]
     assert all(uses.values()), uses
+
+
+def _module_names(tree: ast.Module) -> tuple[list[str] | None, set[str]]:
+    """(the module's ``__all__`` or None, every name bound at its top level)."""
+    exported, bound = None, set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [ast.literal_eval(e) for e in node.value.elts]
+    return exported, bound
+
+
+def test_package_exports_match_the_submodules():
+    # the two hand-kept lists of __init__.py, its imports and __all__, must
+    # not drift from each other or from the submodules' own __all__
+    package = ROOT / "src" / "freesum"
+    init = ast.parse((package / "__init__.py").read_text())
+    exported, bound = _module_names(init)
+    assert exported == sorted(set(exported))
+    assert set(exported) <= bound
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            _, defined = _module_names(ast.parse((package / f"{node.module}.py").read_text()))
+            missing = {a.name for a in node.names} - defined
+            assert not missing, f"freesum.{node.module} does not define {sorted(missing)}"
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        own, _ = _module_names(ast.parse(path.read_text()))
+        missing = set(own or ()) - set(exported)
+        assert not missing, f"{path.name} exports {sorted(missing)} that freesum does not"

@@ -29,7 +29,6 @@ from freesum.geometry import (
     check_theorem12,
     first_integral_fraction_at_extremal_r0,
     fubini_lower_bound,
-    register_theta_predicate,
     restricted_sum_volume,
     unit_ball_volume,
     volume,
@@ -85,7 +84,7 @@ class TestSpecs:
         with pytest.raises(ParameterError):
             ThetaSpec.complement_fraction(1.0)
         with pytest.raises(ParameterError):
-            ThetaSpec.custom("")
+            ThetaSpec(kind="custom")
         with pytest.raises(ParameterError):
             ThetaSpec(kind="weird")
 
@@ -130,6 +129,10 @@ class TestSpecs:
     def test_stored_fields(self):
         names = [f.name for f in dataclasses.fields(SetSpec)]
         assert names == ["kind", "dim", "axes", "center", "parts"]
+        assert [f.name for f in dataclasses.fields(ThetaSpec)] == ["kind", "c", "bound", "density"]
+        # the grid size is derived from the budget, not stored
+        names = [f.name for f in dataclasses.fields(MonteCarloConfig)]
+        assert names == ["pair_samples", "seed", "threads", "c", "C"]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
@@ -293,12 +296,13 @@ class TestRestrictedSum:
     def test_disk_doubling_close_to_4pi(self):
         # A + A = 2A for convex A; full pair constraint on two unit disks, one
         # off the origin so that the sum goes through the grid
-        cfg = MonteCarloConfig(pair_samples=10_000_000, grid_cells_per_axis=512, seed=11)
+        cfg = MonteCarloConfig(pair_samples=10_000_000, seed=11)
         rsv = restricted_sum_volume(
             SetSpec.ball(1, 2, center=(0.1, -0.2)), SetSpec.ball(1, 2), ThetaSpec.full(), cfg
         )
         sv = rsv["sum_volume"]
         assert sv.method == "occupancy_grid"
+        assert rsv["grid_cells_per_axis"] == 512
         assert abs(sv.value - 4.0 * math.pi) <= 0.03 * 4.0 * math.pi
 
     def test_half_space_pair_fraction(self):
@@ -332,14 +336,16 @@ class TestRestrictedSum:
                 SetSpec.ball(1, 2), SetSpec.ball(1, 2), ThetaSpec.inner_product_leq(-100.0), FAST
             )
 
-    def test_grid_size_guard(self):
-        with pytest.raises(ParameterError):
-            restricted_sum_volume(
-                SetSpec.ellipsoid([1.0, 0.8, 0.6, 0.9]),
-                SetSpec.ellipsoid([0.5, 0.7, 0.4, 0.6]),
-                ThetaSpec.full(),
-                MonteCarloConfig(pair_samples=10_000, grid_cells_per_axis=512),
-            )
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_grid_size_capped_by_its_memory_bound(self, n):
+        # the budget sets the cells per axis; past 2**23 cells in all the
+        # largest grid that fits is used instead of refusing the budget
+        fits = max(c for c in range(8, 513) if c**n <= 2**23)
+        assert geometry._adaptive_cells(10**12, n) == fits
+        for samples in (1000, 10**4, 10**6, 4 * 10**7, 10**8):
+            cells = geometry._adaptive_cells(samples, n)
+            assert cells**n <= 2**23
+            assert cells == min(max(round((samples / 4.0) ** (1.0 / n)), 8), fits)
 
     def test_dimension_limits(self):
         with pytest.raises(ParameterError):
@@ -471,19 +477,6 @@ class TestRestrictedSum:
         for shape in ((1,), (1, 2, 5), (2, 1, 3, 1)):
             grid = rng.random(shape) < 0.5
             assert np.array_equal(geometry._face_rim(grid), reference(grid))
-
-    def test_custom_theta_predicate(self):
-        register_theta_predicate("first_coords_opposite", lambda x, y: x[:, 0] * y[:, 0] <= 0.0)
-        rsv = restricted_sum_volume(
-            SetSpec.ball(1, 2), SetSpec.ball(1, 2), ThetaSpec.custom("first_coords_opposite"), FAST
-        )
-        pair_vol = math.pi**2
-        frac = rsv["theta_volume"].value / pair_vol
-        assert abs(frac - 0.5) <= 3.0 * rsv["theta_volume"].stderr / pair_vol
-        with pytest.raises(ParameterError):
-            restricted_sum_volume(
-                SetSpec.ball(1, 2), SetSpec.ball(1, 2), ThetaSpec.custom("never_registered"), FAST
-            )
 
 
 def kappa(n):
@@ -881,6 +874,25 @@ class TestSymmetrization:
         assert rep.lhs == pytest.approx(pair_vol, rel=1e-12)
         assert rep.rhs == pytest.approx(pair_vol, rel=1e-12)
 
+    @pytest.mark.parametrize("seed, lhs, rhs, ci", [
+        (3, 2.886127466825447, 2.993433622216795, 0.00705972756209036),
+        (4, 2.8808779839428604, 2.9858460223349956, 0.007077087486468397),
+    ])
+    def test_each_volume_computed_once(self, monkeypatch, seed, lhs, rhs, ci):
+        # one volume per input body and one per ball that is sampled; the
+        # report is the one computed when each input volume was taken twice
+        calls = []
+        counted = geometry.volume
+        monkeypatch.setattr(geometry, "volume", lambda *a: calls.append(a[0]) or counted(*a))
+        rep = bll_symmetrization_check(
+            BALL_CAP_BOX,
+            SetSpec.ellipsoid([0.6, 0.5, 0.7], center=(0.1, 0.0, -0.1)),
+            SetSpec.intersection(SetSpec.ball(1.5, 3), SetSpec.box([1.2, 1.0, 1.1])),
+            MonteCarloConfig(pair_samples=100_000, seed=seed),
+        )
+        assert len(calls) == 5
+        assert (rep.lhs, rep.rhs, rep.ci_halfwidth, rep.verdict) == (lhs, rhs, ci, "holds")
+
     def test_dimension_limit(self):
         with pytest.raises(ParameterError):
             bll_symmetrization_check(
@@ -1029,8 +1041,10 @@ class TestBallExample:
         for rho in (0.1, 0.5, 0.99):
             assert ball_example_exact(rho, 4)["theta_fraction"] == 0.5
 
-    def test_one_dimension_still_exact(self):
-        assert abs(ball_example_exact(0.9, 1)["equality_gap"]) <= 1e-12
+    def test_the_line_is_refused(self):
+        # on the line the orthogonal sum is [-1, 1], not sqrt(1 + rho^2) B^1
+        with pytest.raises(ParameterError, match="n >= 2"):
+            ball_example_exact(0.9, 1)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -40,7 +40,7 @@ from .geometry import (
     check_theorem12,
     restricted_sum_volume,
 )
-from .measure import GridConfig, kolmogorov_distance, point_mass, standard_family
+from .measure import GridConfig, kolmogorov_distance, standard_family
 from .microstates import (
     StepFunctionSpec,
     check_sum_containment,
@@ -229,6 +229,10 @@ _PARAM_SCHEMAS = {
             "theta": {"$ref": "#/$defs/theta"},
             "mc": {"$ref": "#/$defs/mc"},
         },
+        # the ball example needs rho and n; Monte Carlo mode needs a, b and theta
+        "if": {"required": ["example"]},
+        "then": {"required": ["rho", "n"]},
+        "else": {"required": ["a", "b", "theta"]},
         "additionalProperties": False,
     },
     "theorem12": _pair_sets(),
@@ -357,13 +361,7 @@ def _validate(config: dict, raw: str, path: str) -> None:
 
 
 def _parse_measure(spec: dict, grid: GridConfig | None = None):
-    family = spec["family"]
-    params = spec.get("params", [])
-    if family == "point_mass":
-        if len(params) != 1:
-            raise ParameterError("point_mass takes exactly one parameter")
-        return point_mass(params[0], grid)
-    return standard_family(family, params, grid)
+    return standard_family(spec["family"], spec.get("params", []), grid)
 
 
 def _parse_grid(spec: dict | None) -> GridConfig | None:
@@ -493,17 +491,11 @@ def _run_lemma13(params, seed, threads):
 
 def _run_minkowski(params, seed, threads):
     if params.get("example") == "ball":
-        for field in ("rho", "n"):
-            if field not in params:
-                raise ParameterError(f"ball example needs field {field!r}")
         out = ball_example_exact(params["rho"], params["n"])
         scale = 1.0 + params["rho"] ** 2
         verdict = "holds" if abs(out["equality_gap"]) <= 1e-9 * scale else "violated"
         result = {**out, "verdict": verdict}
         return result, verdict, {"mode": "exact"}
-    for field in ("a", "b", "theta"):
-        if field not in params:
-            raise ParameterError(f"monte-carlo mode needs field {field!r}")
     cfg = _mc_config(params, seed, threads)
     out = restricted_sum_volume(
         _parse_set(params["a"]), _parse_set(params["b"]), _parse_theta(params["theta"]), cfg

@@ -737,13 +737,13 @@ def _log_beta_ratio(p: float, x: float) -> float:
     return p * log_base + log_ratio - 0.5 * math.log(4.0 * math.pi * p) + math.log(total)
 
 
-def cap_fraction(n: int, rho: float, r0: float, detail: bool = False):
-    """Fraction of the small ball rho*B^n reachable within the big ball.
+def _cap_shares(n: int, rho: float, r0: float) -> tuple[float, float, float]:
+    """(s, first, second): the cap plane's offset s and the two integral shares.
 
-    For |x0| = r0, returns lambda({y : |y| <= rho, |x0 + y| <= sqrt(1+rho^2)})
-    normalized by lambda(rho B^n).  Computed from two incomplete beta ratios
-    I_x((n+1)/2, (n+1)/2): the part of the small ball below the cap plane,
-    plus the lens against the big sphere.
+    ``first`` is the part of rho*B^n below the plane at offset s from the
+    shifted centre, I_x((n+1)/2, (n+1)/2) with x = (1 + s/rho)/2, and
+    ``second`` the lens between that plane and the big sphere.  When the
+    shifted small ball lies inside the big one the shares are 1 and 0.
     """
     if n < 2:
         raise ParameterError("cap geometry needs n >= 2")
@@ -752,34 +752,29 @@ def cap_fraction(n: int, rho: float, r0: float, detail: bool = False):
     if not 0.0 < r0 <= 1.0:
         raise ParameterError("r0 must lie in (0, 1]")
     big_r = math.sqrt(1.0 + rho * rho)
-    info = {"n": n, "rho": rho, "r0": r0, "containment": False}
-    if r0 <= big_r - rho:
-        # the shifted small ball sits entirely inside the big ball
-        info["containment"] = True
-        if detail:
-            info.update(fraction=1.0)
-            return 1.0, info
-        return 1.0
-
     # r0 in (big_r - rho, 1] puts the plane offset s in [0, big_r - r0]
     s = (1.0 - r0 * r0) / (2.0 * r0)
+    if r0 <= big_r - rho:
+        # the shifted small ball sits entirely inside the big ball
+        return s, 1.0, 0.0
     p = 0.5 * (n + 1)
     first = 1.0 - math.exp(_log_beta_ratio(p, 0.5 * (1.0 - s / rho)))
     # lens: substitute r0 + u = big_r * w on [s, t]
     w0 = (r0 + s) / big_r
     second = math.exp(_log_beta_ratio(p, 0.5 * (1.0 - w0)) + n * math.log(big_r / rho))
-    fraction = min(first + second, 1.0)
-    if detail:
-        info.update(
-            fraction=fraction,
-            first_integral_fraction=first,
-            second_integral_fraction=second,
-            s=s,
-            t=big_r - r0,
-            w0=w0,
-        )
-        return fraction, info
-    return fraction
+    return s, first, second
+
+
+def cap_fraction(n: int, rho: float, r0: float) -> float:
+    """Fraction of the small ball rho*B^n reachable within the big ball.
+
+    For |x0| = r0, returns lambda({y : |y| <= rho, |x0 + y| <= sqrt(1+rho^2)})
+    normalized by lambda(rho B^n).  Computed from two incomplete beta ratios
+    I_x((n+1)/2, (n+1)/2): the part of the small ball below the cap plane,
+    plus the lens against the big sphere.
+    """
+    _, first, second = _cap_shares(n, rho, r0)
+    return min(first + second, 1.0)
 
 
 def first_integral_fraction_at_extremal_r0(n: int, rho: float) -> float:
@@ -793,10 +788,7 @@ def first_integral_fraction_at_extremal_r0(n: int, rho: float) -> float:
         raise ParameterError("needs n >= 2")
     q = rho / math.sqrt(n)
     r0 = math.sqrt(q * q + 1.0) - q
-    _, info = cap_fraction(n, rho, min(r0, 1.0), detail=True)
-    if info.get("containment"):
-        return 1.0
-    return info["first_integral_fraction"]
+    return _cap_shares(n, rho, min(r0, 1.0))[1]
 
 
 def check_lemma13(n: int, rho: float, grid_r0: int = 33) -> dict:

@@ -369,6 +369,7 @@ _FAMILIES = {
     "arcsine": (arcsine, 1),
     "uniform": (uniform, 2),
     "free_poisson": (free_poisson, 1),
+    "point_mass": (point_mass, 1),
 }
 
 

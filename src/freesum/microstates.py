@@ -11,7 +11,6 @@ entropy of the profile's push-forward distribution.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -42,8 +41,6 @@ _VDM_GROUP = 16
 _VDM_LOG_RANGE = 690.0
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-_PROVENANCE_KINDS = ("omega_sample", "haar_conjugate", "sum")
 
 
 # -- profile functions --------------------------------------------------------
@@ -110,10 +107,6 @@ class StepFunctionSpec:
         """sup |h|; attained at a node because h is piecewise linear."""
         return max(abs(self.values[0]), abs(self.values[-1]))
 
-    def table_id(self) -> str:
-        raw = np.asarray(self.nodes + self.values, dtype=float).tobytes()
-        return hashlib.sha1(raw).hexdigest()[:8]
-
     def slots(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalue slots [h(s/k), h((2s+1)/(2k))] for s = 0..k-1.
 
@@ -157,21 +150,19 @@ class StepFunctionSpec:
 
 @dataclass(frozen=True)
 class MatrixMicrostate:
-    """Self-adjoint k x k matrix with a provenance tag.
+    """Self-adjoint k x k matrix.
 
-    Provenance is one of ``omega_sample:<table-id>``, ``haar_conjugate``,
-    ``sum``; the tag records how the matrix was produced, not what it equals.
     The spectrum is computed on the first ``spectrum()`` call and cached, and
     every later reader shares that read-only array.  A matrix drawn by the
-    slot sampler also carries an upper bound on its operator norm, known
-    without an eigensolve (None for every other matrix).
+    slot sampler carries an upper bound on its operator norm, known without
+    an eigensolve, and a sum of two such matrices carries the total of their
+    bounds (the triangle inequality); every other matrix carries None.
     """
 
     k: int
     entries: np.ndarray
-    provenance: str
+    _norm_bound: float | None = field(default=None, kw_only=True, repr=False, compare=False)
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _norm_bound: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
@@ -184,9 +175,6 @@ class MatrixMicrostate:
         gap = float(np.max(np.abs(m - m.conj().T))) if self.k else 0.0
         if gap > _HERMITIAN_TOL:
             raise ParameterError(f"matrix deviates from self-adjoint by {gap:.3e}")
-        kind = self.provenance.split(":", 1)[0]
-        if kind not in _PROVENANCE_KINDS:
-            raise ParameterError(f"unknown provenance {self.provenance!r}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -206,7 +194,9 @@ class MatrixMicrostate:
             return NotImplemented
         if other.k != self.k:
             raise ParameterError("matrix sizes differ")
-        return MatrixMicrostate(self.k, self.entries + other.entries, "sum")
+        bounds = (self._norm_bound, other._norm_bound)
+        total = None if None in bounds else bounds[0] + bounds[1]
+        return MatrixMicrostate(self.k, self.entries + other.entries, _norm_bound=total)
 
 
 # -- membership targets ---------------------------------------------------------
@@ -340,33 +330,30 @@ def _sample_omega(
     Together |lam_i(S) - lam_i| <= L (eta + k rho (g_{k+3} + 2 u)), about
     1e-11 at k = 128.  (``np.abs`` may round delta down by a relative 2^-52
     or so, which lowers the bound by at most as much; that is left out.)
-    When the bound exceeds the tolerance, the spectrum is solved and checked
-    against the slots instead, and an escape raises ``PrecisionError``.  The
-    matrix's norm bound is L plus the certified bound, or the largest
-    modulus of the solved spectrum.
+    The matrix carries the norm bound L plus the certified bound.  When the
+    certified bound exceeds the tolerance, the spectrum is solved and checked
+    against the slots instead, an escape raises ``PrecisionError``, and the
+    matrix carries no bound: its norm is read from the solved spectrum.
     """
     lo, hi = h.slots(k)
     lam = rng.uniform(lo, hi)
     u, delta = _haar_from_rng(k, rng)
     m = (u * lam) @ u.conj().T
     m = 0.5 * (m + m.conj().T)
-    state = MatrixMicrostate(k, m, f"omega_sample:{h.table_id()}")
     top = float(np.max(np.abs(lam)))
     rho = (1.0 + delta) / (1.0 - _gamma(k + 2))
     eta = k * (delta + _gamma(k + 2) * rho)
     drift = top * (eta + k * rho * (_gamma(k + 3) + 2.0 * 2.0**-53))
     if drift <= _SLOT_LANDING_TOL:
-        norm = top + drift
-    else:
-        spectrum = state.spectrum()
-        if np.any(spectrum < lo - _SLOT_LANDING_TOL) or np.any(spectrum > hi + _SLOT_LANDING_TOL):
-            worst = float(np.max(np.maximum(lo - spectrum, spectrum - hi)))
-            raise PrecisionError(
-                "reconstructed spectrum left its slots",
-                diagnostics={"k": k, "worst_escape": worst},
-            )
-        norm = float(np.max(np.abs(spectrum)))
-    object.__setattr__(state, "_norm_bound", norm)
+        return MatrixMicrostate(k, m, _norm_bound=top + drift), lam
+    state = MatrixMicrostate(k, m)
+    spectrum = state.spectrum()
+    if np.any(spectrum < lo - _SLOT_LANDING_TOL) or np.any(spectrum > hi + _SLOT_LANDING_TOL):
+        worst = float(np.max(np.maximum(lo - spectrum, spectrum - hi)))
+        raise PrecisionError(
+            "reconstructed spectrum left its slots",
+            diagnostics={"k": k, "worst_escape": worst},
+        )
     return state, lam
 
 
@@ -425,16 +412,33 @@ def _word_product(mats: list[np.ndarray], word: tuple, cache: dict) -> np.ndarra
     return prod
 
 
-def _membership(states, norm_bounds, target: GammaTarget) -> dict:
-    """``membership_report`` for matrices with known upper bounds on their norms.
+def membership_report(states, target: GammaTarget) -> dict:
+    """Moment-matching verdict with diagnostics.
 
-    A bound above ``target.norm_bound`` is replaced by the norm read from
-    the matrix's spectrum, so no verdict rests on a bound alone.
+    Returns member flag, the norm-violation flag, the norms used, the worst
+    word and its error.  ``member`` is true iff no norm exceeds the bound and
+    every word trace of length <= max_len matches its target within eps.  A
+    matrix's own norm bound stands for its norm when it is at most
+    ``target.norm_bound`` (plus ``_NORM_SLACK``); otherwise the norm is read
+    from the matrix's spectrum, so no verdict rests on a loose bound.
     """
+    states = list(states)
+    if not states:
+        raise ParameterError("need at least one matrix")
+    k = states[0].k
+    if any(s.k != k for s in states):
+        raise ParameterError("matrix sizes differ")
+    if target.n_variables > len(states):
+        raise ParameterError(
+            f"targets mention variable {target.n_variables - 1} "
+            f"but only {len(states)} matrices were given"
+        )
     limit = target.norm_bound + _NORM_SLACK
     norms = [
-        b if b <= limit else float(np.max(np.abs(s.spectrum())))
-        for s, b in zip(states, norm_bounds)
+        s._norm_bound
+        if s._norm_bound is not None and s._norm_bound <= limit
+        else float(np.max(np.abs(s.spectrum())))
+        for s in states
     ]
     report = {
         "member": False,
@@ -459,45 +463,36 @@ def _membership(states, norm_bounds, target: GammaTarget) -> dict:
     return report
 
 
-def membership_report(states, target: GammaTarget) -> dict:
-    """Moment-matching verdict with diagnostics.
-
-    Returns member flag, the norm-violation flag, the worst word and its
-    error.  ``member`` is true iff no norm exceeds the bound and every word
-    trace of length <= max_len matches its target within eps.  Norms are
-    read from the spectra.
-    """
-    states = list(states)
-    if not states:
-        raise ParameterError("need at least one matrix")
-    k = states[0].k
-    if any(s.k != k for s in states):
-        raise ParameterError("matrix sizes differ")
-    if target.n_variables > len(states):
-        raise ParameterError(
-            f"targets mention variable {target.n_variables - 1} "
-            f"but only {len(states)} matrices were given"
-        )
-    norms = [float(np.max(np.abs(s.spectrum()))) for s in states]
-    return _membership(states, norms, target)
-
-
 # -- pair fraction ----------------------------------------------------------------
 
 
-def _pair_trials(h1, h2, k: int, target: GammaTarget, trials: int, seed: int):
-    """Yield ((a1, lam1), (a2, lam2), member) for trials t = 0..trials-1.
+def _pair_trials(h1, h2, k: int, max_len: int, eps: float, trials: int, seed: int):
+    """Iterator of ((a1, lam1), (a2, lam2), member) for trials t = 0..trials-1.
 
-    Trial t samples one matrix per profile, each with its slot draw, from the
-    stream stream_seed(seed, t), and tests the pair against ``target``.
+    Checks ``trials`` and builds the freeness target of the two push-forward
+    laws (words up to ``max_len``, tolerance ``eps``, norm bound the larger
+    sup |h|) before any trial runs.  Trial t samples one matrix per profile,
+    each with its slot draw, from the stream stream_seed(seed, t), and tests
+    the pair against that target.
     """
-    for t in range(trials):
+    if trials < 100:
+        raise ParameterError(f"trials must be >= 100, got {trials}")
+    target = GammaTarget.free_pair(
+        h1.moments(max_len),
+        h2.moments(max_len),
+        max_len,
+        eps,
+        max(h1.sup_abs, h2.sup_abs),
+    )
+
+    def trial(t):
         rng = np.random.default_rng(stream_seed(seed, t))
         first = _sample_omega(h1, k, rng)
         second = _sample_omega(h2, k, rng)
-        pair = (first[0], second[0])
-        report = _membership(pair, [s._norm_bound for s in pair], target)
-        yield first, second, bool(report["member"])
+        report = membership_report((first[0], second[0]), target)
+        return first, second, bool(report["member"])
+
+    return map(trial, range(trials))
 
 
 def _log_vandermonde_sq(lam: np.ndarray) -> np.ndarray:
@@ -575,19 +570,11 @@ def theta_fraction(
     Trial t draws from stream_seed(seed, t), so parallel and serial
     evaluation agree exactly and distinct seeds never share a trial stream.
     """
-    if trials < 100:
-        raise ParameterError(f"trials must be >= 100, got {trials}")
-    target = GammaTarget.free_pair(
-        h1.moments(max_len),
-        h2.moments(max_len),
-        max_len,
-        eps,
-        max(h1.sup_abs, h2.sup_abs),
-    )
+    pairs = _pair_trials(h1, h2, k, max_len, eps, trials, seed)
     lam1 = np.empty((k, trials))
     lam2 = np.empty((k, trials))
     member = np.zeros(trials, dtype=bool)
-    for t, (first, second, ok) in enumerate(_pair_trials(h1, h2, k, target, trials, seed)):
+    for t, (first, second, ok) in enumerate(pairs):
         lam1[:, t], lam2[:, t], member[t] = first[1], second[1], ok
     logw = _log_vandermonde_sq(lam1) + _log_vandermonde_sq(lam2)
     passes = int(np.count_nonzero(member))
@@ -831,27 +818,19 @@ def check_sum_containment(
     filter have their sum tested against the moments of the free convolution
     of the two push-forward laws (computed exactly through cumulant
     additivity), with norm bound 2R.  A trial solves no eigenvalue problem:
-    each summand's norm bound comes from its certified slot draw, and the
-    sum's is their total by the triangle inequality; only a sum whose bound
-    exceeds 2R has its spectrum solved.  The filter defaults come from the crude
-    word-splitting bound (length 2*max_len, tolerance eps/(4 (2R)^max_len)),
-    which at practical k keeps almost nothing; pass explicit filter
-    parameters for a usable estimate.
+    each summand carries the norm bound of its certified slot draw, and the
+    sum carries their total; ``membership_report`` solves a spectrum only for
+    a matrix whose bound is missing or exceeds its target's.  The filter
+    defaults come from the crude word-splitting bound (length 2*max_len,
+    tolerance eps/(4 (2R)^max_len)), which at practical k keeps almost
+    nothing; pass explicit filter parameters for a usable estimate.
     """
-    if trials < 100:
-        raise ParameterError(f"trials must be >= 100, got {trials}")
     bound = max(h1.sup_abs, h2.sup_abs)
     if filter_max_len is None:
         filter_max_len = 2 * max_len
     if filter_eps is None:
         filter_eps = eps / (4.0 * (2.0 * bound) ** max_len)
-    pair_target = GammaTarget.free_pair(
-        h1.moments(filter_max_len),
-        h2.moments(filter_max_len),
-        filter_max_len,
-        filter_eps,
-        bound,
-    )
+    pairs = _pair_trials(h1, h2, k, filter_max_len, filter_eps, trials, seed)
     kappa = [
         a + b
         for a, b in zip(
@@ -862,33 +841,19 @@ def check_sum_containment(
     sum_target = GammaTarget.single(moments_from_cumulants(kappa), eps, 2.0 * bound)
     passes = 0
     kept = 0
-    for (a1, _), (a2, _), paired in _pair_trials(h1, h2, k, pair_target, trials, seed):
-        if not paired:
-            continue
-        kept += 1
-        bound = a1._norm_bound + a2._norm_bound
-        passes += int(_membership((a1 + a2,), (bound,), sum_target)["member"])
-    if kept == 0:
-        return ContainmentResult(
-            passes=0,
-            kept=0,
-            trials=trials,
-            fraction=float("nan"),
-            ci_low=0.0,
-            ci_high=1.0,
-            filter_max_len=filter_max_len,
-            filter_eps=filter_eps,
-            inconclusive=True,
-        )
-    lo, hi = wilson_interval(passes, kept)
+    for (a1, _), (a2, _), paired in pairs:
+        if paired:
+            kept += 1
+            passes += int(membership_report((a1 + a2,), sum_target)["member"])
+    lo, hi = wilson_interval(passes, kept) if kept else (0.0, 1.0)
     return ContainmentResult(
         passes=passes,
         kept=kept,
         trials=trials,
-        fraction=passes / kept,
+        fraction=passes / kept if kept else float("nan"),
         ci_low=lo,
         ci_high=hi,
         filter_max_len=filter_max_len,
         filter_eps=filter_eps,
-        inconclusive=False,
+        inconclusive=kept == 0,
     )

@@ -120,6 +120,25 @@ class TestValidation:
         assert run_cli(tmp_path, config) == 1
         assert "params: 1 is less than the minimum of 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, missing", [
+        (['"example": "ball"', '"rho": 0.7'], "'n'"),
+        (['"example": "ball"', '"n": 3'], "'rho'"),
+        (['"a": {"kind": "ball", "radius": 1.0, "dim": 2}', '"theta": {"kind": "full"}'], "'b'"),
+        (['"a": {"kind": "ball", "radius": 1.0, "dim": 2}',
+          '"b": {"kind": "ball", "radius": 1.0, "dim": 2}'], "'theta'"),
+    ])
+    def test_minkowski_missing_field_names_its_line(self, tmp_path, capsys, params, missing):
+        # the ball example needs rho and n, Monte Carlo mode a, b and theta
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{\n  "command": "minkowski",\n  "seed": 1,\n  "params": {\n    '
+            + ",\n    ".join(params)
+            + "\n  }\n}\n"
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:4: params: {missing} is a required property" in err
+
     def test_every_command_has_a_schema_and_a_handler(self):
         assert cli.COMMANDS == tuple(cli._HANDLERS)
         assert set(cli._PARAM_SCHEMAS) == set(cli.COMMANDS)

@@ -974,10 +974,9 @@ class TestCapFraction:
         # the plane-cut share of the small ball is a regularized
         # incomplete beta value; scipy computes it independently
         for n, rho, r0 in ((4, 0.8, 0.95), (7, 0.5, 0.99), (3, 0.3, 0.999)):
-            _, info = cap_fraction(n, rho, r0, detail=True)
-            v_s = info["s"] / rho
-            oracle = betainc(0.5 * (n + 1), 0.5 * (n + 1), 0.5 * (1.0 + v_s))
-            assert info["first_integral_fraction"] == pytest.approx(oracle, abs=1e-9)
+            s, first, _ = geometry._cap_shares(n, rho, r0)
+            oracle = betainc(0.5 * (n + 1), 0.5 * (n + 1), 0.5 * (1.0 + s / rho))
+            assert first == pytest.approx(oracle, abs=1e-9)
 
     def test_matches_planar_monte_carlo(self):
         frac = cap_fraction(2, 1.0, 1.0)

@@ -227,3 +227,12 @@ def test_standard_family_dispatch():
         standard_family("semicircle", [-1.0])
     with pytest.raises(ParameterError):
         standard_family("semicircle", [1.0, 2.0])
+
+
+def test_point_mass_is_a_standard_family():
+    grid = GridConfig(n_cells=64)
+    assert standard_family("point_mass", [0.3]).to_json() == point_mass(0.3).to_json()
+    assert standard_family("point_mass", [0.3], grid).to_json() == point_mass(0.3, grid).to_json()
+    for params in ([], [0.3, 0.5]):
+        with pytest.raises(ParameterError, match="takes 1 parameter"):
+            standard_family("point_mass", params)

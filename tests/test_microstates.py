@@ -108,10 +108,13 @@ class TestSampleOmega:
         state = sample_omega(H_SC, 256, seed=3)
         assert ks_statistic(state.spectrum(), semicircle(1.0)) <= 0.03
 
-    def test_provenance_and_hermiticity(self):
+    def test_hermiticity_and_norm_bound(self):
+        # the norm and the certified bound both lie within the landing
+        # tolerance of the largest slot draw
         state = sample_omega(H_SC, 32, seed=5)
-        assert state.provenance == f"omega_sample:{H_SC.table_id()}"
         assert np.max(np.abs(state.entries - state.entries.conj().T)) <= 1e-12
+        norm = float(np.max(np.abs(state.spectrum())))
+        assert norm <= state._norm_bound <= norm + 2e-9
 
     def test_k_validation(self):
         with pytest.raises(ParameterError):
@@ -142,6 +145,20 @@ def _count_eigensolves(monkeypatch) -> list:
     return calls
 
 
+def _count_membership(monkeypatch) -> list:
+    # records the number of matrices in each membership test
+    calls = []
+    report = ms.membership_report
+
+    def counted(states, target):
+        states = list(states)
+        calls.append(len(states))
+        return report(states, target)
+
+    monkeypatch.setattr(ms, "membership_report", counted)
+    return calls
+
+
 def _scale_qr(monkeypatch, factor: float) -> None:
     # the Haar draw's orthonormal factor comes back scaled, so U U* = factor^2 I
     qr = np.linalg.qr
@@ -164,6 +181,13 @@ class TestSlotCertificate:
         assert len(calls) == 2 * 100
         assert 0 < solved.passes < solved.trials
         assert solved == plain
+
+    def test_uncertified_draw_carries_no_bound(self, monkeypatch):
+        # its norm is read from the spectrum solved for the slot check
+        _scale_qr(monkeypatch, 1.0 + 4.5e-11)
+        state = sample_omega(H_SC, 32, seed=17)
+        assert state._norm_bound is None
+        assert state._spectrum is not None
 
     def test_escaped_spectrum_raises(self, monkeypatch):
         # a Haar draw that lets a non-unitary U through, reporting its defect
@@ -242,12 +266,12 @@ class TestMembership:
         assert report["worst_error"] > 0.5
 
     def test_zero_matrices_match_zero_targets(self):
-        zero = MatrixMicrostate(8, np.zeros((8, 8), dtype=complex), "sum")
+        zero = MatrixMicrostate(8, np.zeros((8, 8), dtype=complex))
         target = GammaTarget({(0,): 0.0, (0, 0): 0.0}, 2, eps=1e-12, norm_bound=1.0)
         assert membership_report((zero,), target)["member"]
 
     def test_norm_violation_flag(self):
-        big = MatrixMicrostate(8, np.eye(8, dtype=complex) * 5.0, "sum")
+        big = MatrixMicrostate(8, np.eye(8, dtype=complex) * 5.0)
         report = membership_report((big,), GammaTarget({(0,): 0.5}, 1, eps=1.0, norm_bound=1.0))
         assert report["norm_violation"]
         assert not report["member"]
@@ -257,9 +281,20 @@ class TestMembership:
         state = sample_omega(H_SC, 16, seed=4)
         norm = float(np.max(np.abs(state.spectrum())))
         target = GammaTarget({(0,): state.normalized_trace()}, 1, eps=1e-9, norm_bound=norm)
-        report = ms._membership((state,), (10.0 * norm,), target)
+        loose = MatrixMicrostate(16, state.entries, _norm_bound=10.0 * norm)
+        report = membership_report((loose,), target)
         assert report["member"]
-        assert report == membership_report((state,), target)
+        assert report["norms"] == [norm]
+        assert report == membership_report((MatrixMicrostate(16, state.entries),), target)
+
+    def test_tight_norm_bound_stands_for_the_norm(self, monkeypatch):
+        state = sample_omega(H_SC, 16, seed=4)
+        target = GammaTarget({(0,): state.normalized_trace()}, 1, eps=1e-9, norm_bound=2.0)
+        calls = _count_eigensolves(monkeypatch)
+        report = membership_report((state,), target)
+        assert report["member"]
+        assert report["norms"] == [state._norm_bound]
+        assert calls == []
 
     def test_target_validation(self):
         with pytest.raises(ParameterError):
@@ -324,9 +359,14 @@ class TestMembership:
 
     def test_matrix_validation(self):
         with pytest.raises(ParameterError):
-            MatrixMicrostate(2, np.array([[0.0, 1.0], [0.0, 0.0]]), "sum")
+            MatrixMicrostate(2, np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ParameterError):
-            MatrixMicrostate(2, np.eye(2), "mystery")
+            MatrixMicrostate(2, np.eye(3))
+
+    def test_unsampled_matrix_has_no_norm_bound(self):
+        plain = MatrixMicrostate(4, np.eye(4))
+        assert plain._norm_bound is None
+        assert (plain + sample_omega(H_SC, 4, seed=1))._norm_bound is None
 
 
 class TestThetaFraction:
@@ -361,6 +401,11 @@ class TestThetaFraction:
     def test_trials_validation(self):
         with pytest.raises(ParameterError):
             theta_fraction(H_SC, H_UN, 32, 2, 0.1, trials=99, seed=0)
+
+    def test_one_membership_test_per_trial(self, monkeypatch):
+        calls = _count_membership(monkeypatch)
+        theta_fraction(H_SC, H_UN, 16, 2, 0.2, trials=100, seed=3)
+        assert calls == [2] * 100
 
     def test_no_eigensolve_per_trial(self, monkeypatch):
         # slot landing and norms are certified from each trial's slot draws
@@ -636,6 +681,14 @@ class TestSumContainment:
         assert 0 < result.kept < result.trials
         assert calls == []
 
+    def test_membership_tests_the_pair_and_each_kept_sum(self, monkeypatch):
+        calls = _count_membership(monkeypatch)
+        result = check_sum_containment(
+            H_SC, H_UN, 16, 2, 0.2, trials=100, seed=5, filter_max_len=2, filter_eps=0.06
+        )
+        assert 0 < result.kept < result.trials
+        assert sorted(calls) == [1] * result.kept + [2] * result.trials
+
     def test_trials_validation(self):
         with pytest.raises(ParameterError):
             check_sum_containment(H_SC, H_SC, 32, 2, 0.1, trials=50, seed=0)
@@ -655,7 +708,13 @@ class TestInvariants:
         b = sample_omega(H_UN, 64, seed=2)
         total = (a + b).normalized_trace()
         assert abs(total - (a.normalized_trace() + b.normalized_trace())) <= 1e-13
-        assert (a + b).provenance == "sum"
+
+    def test_sum_carries_the_total_norm_bound(self):
+        a = sample_omega(H_SC, 64, seed=1)
+        b = sample_omega(H_UN, 64, seed=2)
+        total = a + b
+        assert total._norm_bound == a._norm_bound + b._norm_bound
+        assert float(np.max(np.abs(total.spectrum()))) <= total._norm_bound
 
     def test_mixed_moment_approaches_free_target(self):
         cums = {

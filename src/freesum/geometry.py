@@ -8,15 +8,11 @@ restricts which x + y contribute to the sumset; it is one of four kinds:
 full, inner_product_leq, sum_norm_leq and complement_fraction.  Exact
 volumes use closed forms, and so do the sumsets whose geometry is exact:
 origin-centred balls (a ball or an annulus) and box pairs (a box).
-Everything else is seeded hit-or-miss Monte Carlo plus an occupancy grid
-for sumset volumes, whose cells per axis follow from the pair budget and
-the dimension alone.  The occupancy estimate counts every marked cell at
-full volume, so it can err either way: missed boundary cells bias it low,
-partly covered ones bias it high.  Run with 10^6 pairs on balls whose sums
-are known, it read 5% low for radii 1 and 0.5 in R^4 under a full Theta,
-11% high under <x, y> <= 0.2, and 43% high for radii 1 and 0.8 in R^6.  A
-nonnegative deficit resting on the grid is therefore not conservative
-evidence for the superadditivity inequalities checked here.
+Everything else is seeded hit-or-miss Monte Carlo (``_hit_or_miss``).  A
+sumset's points are each decided exactly (``_sumset_membership``): a witness
+pair proves u in A + B and a Lagrange dual bound proves u outside, so the
+estimate is unbiased.  Off the origin balls, inner_product_leq can make the
+sumset non-convex; no certificate applies there and its volume is refused.
 """
 
 from __future__ import annotations
@@ -53,17 +49,20 @@ __all__ = [
 
 _MAX_EXACT_DIM = 64
 _MAX_MC_DIM = 10
-_MAX_THETA_DIM = 12
 _MAX_SUM_DIM = 6
 _MAX_PROPOSALS = 500_000_000
 # every Monte Carlo budget is split over this many seeded streams
 _STREAMS = 4
-# pairings of each sampled batch when marking the sumset occupancy grid
-_PAIRING_ROUNDS = 8
-# pairs drawn at a time by each stream of the pair samplers
+# pairs drawn at a time by each stream of the pair samplers, and points
+# decided at a time by each stream of the hit-or-miss estimator
 _CHUNK = 500_000
-# most cells of one stream's occupancy grid: 64 MiB of int64 counts
-_MAX_GRID_CELLS = 2**23
+_POINT_CHUNK = 12_500
+# pair samples of the budget per certified sum point: 5,000 points at 200k
+_PAIRS_PER_SUM_POINT = 40
+# barrier-Newton steps before a sum point is left undecided, and the growth
+# of the barrier weight per step
+_MAX_NEWTON_STEPS = 60
+_BARRIER_GROWTH = 2.0
 # relative rounding bound of a closed-form sumset volume, whose kappa_n,
 # square root and powers up to n = _MAX_SUM_DIM round by under 1e-14
 _CLOSED_FORM_ETA = 1e-12
@@ -254,7 +253,7 @@ class VolumeEstimate:
             raise ParameterError("volume and stderr must be nonnegative")
         if self.method == "exact" and self.stderr != 0:
             raise ParameterError("exact volumes carry zero stderr")
-        if self.method not in ("exact", "mc_hit_or_miss", "occupancy_grid", "closed_form"):
+        if self.method not in ("exact", "mc_hit_or_miss", "closed_form"):
             raise ParameterError(f"unknown method {self.method!r}")
 
     def to_json(self) -> dict:
@@ -367,16 +366,11 @@ def _sample_in_set(spec: SetSpec, count: int, rng) -> tuple[np.ndarray, int]:
     return out, proposals
 
 
-def _split_budget(total: int, streams: int) -> list[int]:
-    base, rem = divmod(total, streams)
-    return [base + (1 if i < rem else 0) for i in range(streams)]
-
-
-def _run_streams(cfg: MonteCarloConfig, job) -> list:
-    """Run job(stream_index, samples, rng) per stream, fixed reduction order."""
-    budgets = _split_budget(cfg.pair_samples, _STREAMS)
+def _run_streams(cfg: MonteCarloConfig, total: int, job) -> list:
+    """Run job(stream_index, samples, rng) per stream on total samples, fixed reduction order."""
+    base, rem = divmod(total, _STREAMS)
     args = [
-        (i, budgets[i], np.random.default_rng(stream_seed(cfg.seed, i)))
+        (i, base + (1 if i < rem else 0), np.random.default_rng(stream_seed(cfg.seed, i)))
         for i in range(_STREAMS)
     ]
     if cfg.threads == 1:
@@ -395,79 +389,44 @@ def volume(spec: SetSpec, cfg: MonteCarloConfig | None = None) -> VolumeEstimate
     if spec.dim > _MAX_MC_DIM:
         raise ParameterError(f"Monte Carlo volumes limited to n <= {_MAX_MC_DIM}")
     cfg = cfg or MonteCarloConfig()
-    lo, hi = spec.bounding_box()
+    member = lambda u: np.where(spec.contains(u), 1, -1)  # noqa: E731
+    return _hit_or_miss(*spec.bounding_box(), member, cfg.pair_samples, cfg)[0]
+
+
+def _hit_or_miss(lo, hi, member, points: int, cfg: MonteCarloConfig) -> tuple[VolumeEstimate, int]:
+    """(estimate, undecided points) of a set's volume from points uniform on the box [lo, hi].
+
+    member(u) is 1 for a row of u in the set, -1 outside and 0 undecided.
+    The points are split over the seeded streams and drawn in chunks.  An
+    undecided point counts as outside and adds box volume / points to
+    stderr, so the estimate stays sound.  An empty box has volume 0.
+    """
     box_vol = float(np.prod(hi - lo))
     if box_vol <= 0:
-        return VolumeEstimate(value=0.0, stderr=0.0, samples=cfg.pair_samples,
-                              method="mc_hit_or_miss")
+        return VolumeEstimate(value=0.0, stderr=0.0, samples=points, method="mc_hit_or_miss"), 0
 
     def job(_i, m, rng):
-        pts = rng.uniform(lo, hi, size=(m, spec.dim))
-        return int(np.count_nonzero(spec.contains(pts)))
+        hits = undecided = 0
+        for start in range(0, m, _POINT_CHUNK):
+            state = member(rng.uniform(lo, hi, size=(min(_POINT_CHUNK, m - start), len(lo))))
+            hits += int(np.count_nonzero(state == 1))
+            undecided += int(np.count_nonzero(state == 0))
+        return hits, undecided
 
-    hits = sum(_run_streams(cfg, job))
-    m = cfg.pair_samples
+    results = _run_streams(cfg, points, job)
+    hits = sum(r[0] for r in results)
+    undecided = sum(r[1] for r in results)
     if hits == 0:
-        raise DegenerateSampleError("no hits when sampling the set")
-    p = hits / m
-    return VolumeEstimate(
-        value=box_vol * p,
-        stderr=box_vol * math.sqrt(p * (1.0 - p) / m),
-        samples=m,
-        method="mc_hit_or_miss",
-    )
+        raise DegenerateSampleError("no sampled point landed in the set")
+    p = hits / points
+    stderr = box_vol * (math.sqrt(p * (1.0 - p) / points) + undecided / points)
+    estimate = VolumeEstimate(value=box_vol * p, stderr=stderr, samples=points,
+                              method="mc_hit_or_miss")
+    return estimate, undecided
 
 
 # ---------------------------------------------------------------------------
 # restricted sums
-
-
-def _adaptive_cells(samples: int, n: int) -> int:
-    """Grid cells per axis: about samples / 4 cells, 8 to 512 per axis, at most 2**23 in all."""
-    top = min(512, int(_MAX_GRID_CELLS ** (1.0 / n)))
-    return int(np.clip(round((samples / 4.0) ** (1.0 / n)), 8, top))
-
-
-def _face_rim(grid: np.ndarray) -> np.ndarray:
-    """Unmarked cells of a boolean grid that share a face with a marked cell."""
-    grown = grid.copy()
-    for axis in range(grid.ndim):
-        src, dst = np.moveaxis(grid, axis, 0), np.moveaxis(grown, axis, 0)  # views
-        dst[1:] |= src[:-1]
-        dst[:-1] |= src[1:]
-    return grown & ~grid
-
-
-class _OccupancyGrid:
-    """Hit counts of one stream's sums on cells**n equal cells spanning [lo, hi].
-
-    counts is the C-order ravel of the grid.  mark() reuses scratch index
-    buffers of up to ``batch`` rows, so marking allocates nothing per call
-    beyond the kept flat indices when a keep mask is given.
-    """
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, cells: int, batch: int):
-        n = len(lo)
-        self.lo = lo
-        self.widths = (hi - lo) / cells
-        self.top = cells - 1
-        self.strides = cells ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self.counts = np.zeros(cells**n, dtype=np.int64)
-        self._idx = np.empty((batch, n), dtype=np.int64)
-        self._flat = np.empty(batch, dtype=np.int64)
-
-    def mark(self, s: np.ndarray, keep: np.ndarray | None = None) -> None:
-        """Count each row of s, or each row where keep is true; overwrites s.
-
-        Rows outside [lo, hi] count in the nearest boundary cell.
-        """
-        idx, flat = self._idx[: len(s)], self._flat[: len(s)]
-        s -= self.lo
-        s /= self.widths
-        np.copyto(idx, s, casting="unsafe")  # truncates toward zero, as astype does
-        np.clip(idx, 0, self.top, out=idx)
-        np.matmul(idx, self.strides, out=flat)
-        np.add.at(self.counts, flat if keep is None else flat[keep], 1)
 
 
 def _origin_ball_radius(spec: SetSpec) -> float | None:
@@ -506,8 +465,9 @@ def _closed_form_sum_volume(A: SetSpec, B: SetSpec, theta: ThetaSpec) -> float |
     - Origin-centred balls of radii a >= b: the ball (a + b) B^n under a full
       Theta or complement_fraction (its hash keeps a dense set of pairs, so
       only a null set of sums goes), its part min(t, a + b) B^n under
-      sum_norm_leq(t), and for n >= 2 the annulus of ``_annulus`` under
-      inner_product_leq(c) with c >= -ab.
+      sum_norm_leq(t), and under inner_product_leq(c) the empty set when
+      c < -ab, where no pair is admitted, else for n >= 2 the annulus of
+      ``_annulus``.
     - Box + box under a full Theta or complement_fraction: the box with
       summed half-widths and centres.
     """
@@ -522,9 +482,11 @@ def _closed_form_sum_volume(A: SetSpec, B: SetSpec, theta: ThetaSpec) -> float |
         return unit_ball_volume(n) * (a + b) ** n
     if theta.kind == "sum_norm_leq":
         return unit_ball_volume(n) * min(theta.bound, a + b) ** n
-    if theta.kind == "inner_product_leq" and n >= 2:
+    if theta.kind == "inner_product_leq":
         outer_sq, inner = _annulus(Fraction(a), Fraction(b), Fraction(theta.c))
         if outer_sq < inner * inner:  # exactly when c < -ab: no pair is admitted
+            return 0.0
+        if n == 1:
             return None
         # R^n - r0^n = (R^2n - r0^2n) / (R^n + r0^n), whose numerator is exact,
         # keeps the digits of a thin annulus
@@ -534,105 +496,144 @@ def _closed_form_sum_volume(A: SetSpec, B: SetSpec, theta: ThetaSpec) -> float |
     return None
 
 
-def _pair_chunks(A: SetSpec, B: SetSpec, count: int, rng):
-    """count independent uniform pairs of A x B, as (x, y, proposals) chunks of <= _CHUNK."""
-    done = 0
-    while done < count:
-        chunk = min(count - done, _CHUNK)
-        x, px = _sample_in_set(A, chunk, rng)
-        y, py = _sample_in_set(B, chunk, rng)
-        yield x, y, px + py
-        done += chunk
-
-
 def _pair_hits(A: SetSpec, B: SetSpec, keep, cfg: MonteCarloConfig) -> tuple[int, int]:
     """(pairs with keep(x, y) true, proposals) over cfg.pair_samples independent pairs.
 
-    keep maps batches of rows x of A and y of B to a boolean mask.
+    keep maps batches of rows x of A and y of B to a boolean mask.  Each
+    stream draws its pairs in chunks of at most ``_CHUNK``.
     """
 
     def job(_i, m, rng):
         hits = proposals = 0
-        for x, y, drawn in _pair_chunks(A, B, m, rng):
-            proposals += drawn
+        for start in range(0, m, _CHUNK):
+            x, px = _sample_in_set(A, min(_CHUNK, m - start), rng)
+            y, py = _sample_in_set(B, min(_CHUNK, m - start), rng)
+            proposals += px + py
             hits += int(np.count_nonzero(keep(x, y)))
         return hits, proposals
 
-    results = _run_streams(cfg, job)
+    results = _run_streams(cfg, cfg.pair_samples, job)
     return sum(r[0] for r in results), sum(r[1] for r in results)
 
 
-def _occupancy_sum_volume(A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig):
-    """(theta hits, proposals, sum volume, cells per axis) from the occupancy grid.
+def _pieces(spec: SetSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(w, c) with spec = {y : sum_j w[k, j] (y_j - c[k, j])^2 <= 1 for every row k}.
 
-    The grid spans the sum of the bounding boxes; it counts the cells hit by
-    sampled x + y with (x, y) admitted by theta.  Besides the independent
-    pairs, whose admitted count is the theta hit count, each batch is reused
-    through circular-shift repairings (still valid theta-filtered pairs) to
-    cover the thin boundary shell where the sum density vanishes.  Every
-    marked cell counts at full volume, and the stderr field carries an
-    additive allowance (boundary rim plus an unseen-cell estimate) rather
-    than a Gaussian standard error.
+    An ellipsoid is one row, a box one row per coordinate, an intersection
+    the rows of its parts.
     """
-    n = A.dim
-    lo_a, hi_a = A.bounding_box()
-    lo_b, hi_b = B.bounding_box()
-    lo_s, hi_s = lo_a + lo_b, hi_a + hi_b
-    cells = _adaptive_cells(cfg.pair_samples, n)
-    cell_vol = float(np.prod((hi_s - lo_s) / cells))
-    full = theta.kind == "full"
+    if spec.kind == "intersection":
+        ws, cs = zip(*(_pieces(p) for p in spec.parts))
+        return np.concatenate(ws), np.concatenate(cs)
+    w = 1.0 / np.square(spec.axes)
+    c = np.asarray(spec.center, dtype=float)
+    if spec.kind == "ellipsoid":
+        return w[None, :], c[None, :]
+    return np.diag(w), np.tile(c, (spec.dim, 1))
 
-    def job(_i, m, rng):
-        hits = 0
-        proposals = 0
-        size = min(m, _CHUNK)
-        grid = _OccupancyGrid(lo_s, hi_s, cells, size)
-        s = np.empty((size, n))
-        yr = None if full else np.empty((size, n))
-        for x, y, drawn in _pair_chunks(A, B, m, rng):
-            proposals += drawn
-            chunk = len(x)
-            for r in range(_PAIRING_ROUNDS):
-                # pair x[i] with y[i - k]: round 0 holds the independent pairs,
-                # later rounds circular shifts of the same batch
-                k = r * chunk // _PAIRING_ROUNDS
-                np.add(x[:k], y[chunk - k :], out=s[:k])
-                np.add(x[k:], y[: chunk - k], out=s[k:chunk])
-                keep = None
-                if not full:
-                    yr[:k] = y[chunk - k :]
-                    yr[k:chunk] = y[: chunk - k]
-                    keep = theta.indicator(x, yr[:chunk], cfg.seed)
-                if r == 0:
-                    hits += chunk if full else int(np.count_nonzero(keep))
-                grid.mark(s[:chunk], keep)
-        return hits, grid.counts, proposals
 
-    results = _run_streams(cfg, job)
-    hits = sum(r[0] for r in results)
-    counts = results[0][1]
-    for r in results[1:]:
-        counts += r[1]
-    proposals = sum(r[2] for r in results)
+def _dual_bound(lam: np.ndarray, w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D(lam) less its rounding bound, the minimiser m) per point.
 
-    marked = counts > 0
-    n_marked = int(np.count_nonzero(marked))
-    value = n_marked * cell_vol
-    # rim allowance: unmarked cells sharing a face with a marked cell
-    rim_vol = int(np.count_nonzero(_face_rim(marked.reshape((cells,) * n)))) * cell_vol
-    # Chao-style unseen-cell estimate from singleton/doubleton counts, with
-    # a safety factor since boundary cells have vanishing hit intensity
-    f1 = int(np.count_nonzero(counts == 1))
-    f2 = int(np.count_nonzero(counts == 2))
-    unseen = f1 * f1 / (2.0 * f2) if f2 > 0 else 0.5 * f1 * (f1 - 1)
-    coverage_vol = 2.5 * unseen * cell_vol
-    sum_vol = VolumeEstimate(
-        value=value,
-        stderr=rim_vol + coverage_vol,
-        samples=hits,
-        method="occupancy_grid",
+    D(lam) = min_y sum_k lam_k q_k(y) with q_k(y) = sum_j w[k, j] (y_j - c[p, k, j])^2
+    and each row of lam summing to 1; m_j is the lam w-weighted mean of the
+    centres.  Each term of D is at most (lam w)_j (|m_j| + max_k |c_kj|)^2,
+    and rounding moves D by under 8 (w.size + 8) eps times their sum.
+    """
+    lw = lam[:, :, None] * w
+    wsum = lw.sum(axis=1)
+    m = np.einsum("pkj,pkj->pj", lw, c) / wsum
+    gap = m[:, None, :] - c
+    value = np.einsum("pkj,pkj->p", lw, gap * gap)
+    scale = np.einsum("pj,pj->p", wsum, np.square(np.abs(m) + np.abs(c).max(axis=1)))
+    return value - 8.0 * (w.size + 8) * np.finfo(float).eps * scale, m
+
+
+def _sumset_membership(A: SetSpec, B: SetSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(state, witness) per row of u: state 1 if certified in A + B, -1 outside, 0 undecided.
+
+    u is in A + B exactly when B and u - A meet, that is when
+    min_y max_k q_k(y) <= 1 over the ``_pieces`` rows of B and of u - A.
+    - Inside: a witness y with B.contains(y) and A.contains(u - y).
+    - Outside: max_k q_k >= sum_k lam_k q_k for lam in the simplex, so
+      ``_dual_bound`` above 1 proves that no y exists (weak duality).
+    y and lam come from path following on min s subject to q_k(y) <= s
+    (Boyd and Vandenberghe, Convex Optimization, section 11): one damped
+    Newton step on the self-concordant t s - sum_k log(s - q_k(y)) per growth
+    of t by ``_BARRIER_GROWTH``, with lam_k proportional to 1/(s - q_k).
+    Both certificates are tested before each step, so the solve sets only
+    how many points are decided.  Coordinates are centred on B's bounding box.
+    """
+    n = u.shape[1]
+    ref = 0.5 * np.add(*B.bounding_box())
+    w_b, c_b = _pieces(B)
+    w_a, c_a = _pieces(A)
+    w = np.concatenate([w_b, w_a])
+    c = np.concatenate(
+        [np.broadcast_to(c_b - ref, (len(u), len(w_b), n)), (u - ref)[:, None, :] - c_a], axis=1
     )
-    return hits, proposals, sum_vol, cells
+    dual, y = _dual_bound(np.full((len(u), len(w)), 1.0 / len(w)), w, c)
+    q = np.einsum("kj,pkj->pk", w, np.square(y[:, None, :] - c))
+    s = q.max(axis=1) + 1.0
+    t = np.sum(1.0 / (s[:, None] - q), axis=1)
+    state = np.zeros(len(u), dtype=np.int8)
+    witness = np.full(u.shape, np.nan)
+    rows = np.arange(len(u))
+    for step in range(_MAX_NEWTON_STEPS + 1):
+        outside = dual > 1.0
+        inside = ~outside & (q.max(axis=1) <= 1.0)
+        if inside.any():
+            y_in = y[inside] + ref
+            held = B.contains(y_in) & A.contains(u[rows[inside]] - y_in)
+            witness[rows[inside][held]] = y_in[held]
+            inside[inside] = held
+        state[rows[inside]] = 1
+        state[rows[outside]] = -1
+        left = ~(inside | outside)
+        if step == _MAX_NEWTON_STEPS or not left.any():
+            return state, witness
+        rows, c, y, s, t, q = rows[left], c[left], y[left], s[left], t[left], q[left]
+        # gradients of q_k(y) - s, whose barrier terms give the Newton system
+        inv = 1.0 / (s[:, None] - q)
+        g = np.concatenate([2.0 * w * (y[:, None, :] - c), np.full((len(y), len(w), 1), -1.0)], 2)
+        hess = np.einsum("pk,pki,pkj->pij", inv * inv, g, g)
+        hess[:, range(n), range(n)] += inv @ (2.0 * w)
+        grad = np.einsum("pk,pki->pi", inv, g)
+        grad[:, n] += t
+        move = -np.linalg.solve(hess, grad[..., None])[..., 0]
+        move /= 1.0 + np.sqrt(np.maximum(-np.einsum("pi,pi->p", grad, move), 0.0))[:, None]
+        y_new, s_new = y + move[:, :n], s + move[:, n]
+        q_new = np.einsum("kj,pkj->pk", w, np.square(y_new[:, None, :] - c))
+        # the damped step stays in the domain; a point rounding pushes out stays put
+        moved = np.all(q_new < s_new[:, None], axis=1)
+        y[moved], s[moved], q[moved] = y_new[moved], s_new[moved], q_new[moved]
+        t *= _BARRIER_GROWTH
+        lam = 1.0 / (s[:, None] - q)
+        dual = _dual_bound(lam / lam.sum(axis=1, keepdims=True), w, c)[0]
+
+
+def _certified_sum_volume(
+    A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig
+) -> tuple[VolumeEstimate, int]:
+    """``_hit_or_miss`` of A +_Theta B on bbox(A) + bbox(B), decided by ``_sumset_membership``.
+
+    The sumset is A + B under a full Theta or complement_fraction, whose hash
+    drops only a null set of sums, and (A + B) cap t B^n under sum_norm_leq(t).
+    """
+    (lo_a, hi_a), (lo_b, hi_b) = A.bounding_box(), B.bounding_box()
+    lo, hi = lo_a + lo_b, hi_a + hi_b
+    points = cfg.pair_samples // _PAIRS_PER_SUM_POINT
+    if theta.kind != "sum_norm_leq":
+        return _hit_or_miss(lo, hi, lambda u: _sumset_membership(A, B, u)[0], points, cfg)
+    bound = theta.bound
+
+    def member(u):
+        state = np.full(len(u), -1, dtype=np.int8)
+        near = np.einsum("ij,ij->i", u, u) <= bound * bound
+        state[near] = _sumset_membership(A, B, u[near])[0]
+        return state
+
+    return _hit_or_miss(np.maximum(lo, -bound), np.minimum(hi, bound), member, points, cfg)
 
 
 def restricted_sum_volume(
@@ -643,44 +644,42 @@ def restricted_sum_volume(
     volume_a and volume_b are ``volume(A)`` and ``volume(B)`` under cfg.
     theta_volume is hit-or-miss over independent uniform pairs from A x B,
     drawn by ``_sample_in_set``; rejection_proposals counts the points it
-    proposed for them (2 * pair_samples when A and B are drawn exactly).
+    proposed for them (2 * pair_samples when A and B are drawn exactly).  A
+    full Theta, whose hit-or-miss is identically 1, draws no pairs, and
+    rejection_proposals is 0.
 
     sum_volume is exact where ``_closed_form_sum_volume`` gives the volume v:
     method "closed_form", value v (1 - eta) and stderr 2 eta value, with the
-    rounding bound eta = 1e-12, so v lies in [value, value + stderr].  No
-    grid is built and grid_cells_per_axis is None; a full Theta, whose
-    hit-or-miss is identically 1, then draws no pairs either, and
-    rejection_proposals is 0.  Every other pair goes through
-    ``_occupancy_sum_volume``, whose stderr is an additive allowance read
-    the same way, though the grid can miss the exact volume; its cells per
-    axis, reported as grid_cells_per_axis, are ``_adaptive_cells`` of
-    pair_samples and n.
+    rounding bound eta = 1e-12, so v lies in [value, value + stderr].  Every
+    other pair goes through ``_certified_sum_volume`` (method
+    "mc_hit_or_miss"), except under inner_product_leq, which raises
+    ParameterError: there the sumset need not be convex.
     """
     if A.dim != B.dim:
         raise ParameterError("A and B must share the dimension")
     n = A.dim
-    if n > _MAX_THETA_DIM:
-        raise ParameterError(f"pair sampling limited to n <= {_MAX_THETA_DIM}")
     if n > _MAX_SUM_DIM:
         raise ParameterError(f"sumset estimation limited to n <= {_MAX_SUM_DIM}")
+    exact = _closed_form_sum_volume(A, B, theta)
+    if exact is None and theta.kind == "inner_product_leq":
+        raise ParameterError("inner_product_leq sum volumes need origin-centred balls and "
+                             "n >= 2: elsewhere the sumset need not be convex")
     cfg = cfg or MonteCarloConfig()
     m = cfg.pair_samples
 
     vol_a = volume(A, cfg)
     vol_b = volume(B, cfg)
-    exact = _closed_form_sum_volume(A, B, theta)
+    admitted = partial(theta.indicator, seed=cfg.seed)
+    hits, proposals = (m, 0) if theta.kind == "full" else _pair_hits(A, B, admitted, cfg)
+    if hits == 0:
+        raise DegenerateSampleError("pair constraint admitted no sampled pairs")
     if exact is None:
-        hits, proposals, sum_vol, cells = _occupancy_sum_volume(A, B, theta, cfg)
+        sum_vol = _certified_sum_volume(A, B, theta, cfg)[0]
     else:
         value = exact * (1.0 - _CLOSED_FORM_ETA)
         sum_vol = VolumeEstimate(
             value=value, stderr=2.0 * _CLOSED_FORM_ETA * value, samples=0, method="closed_form"
         )
-        cells = None
-        admitted = partial(theta.indicator, seed=cfg.seed)
-        hits, proposals = (m, 0) if theta.kind == "full" else _pair_hits(A, B, admitted, cfg)
-    if hits == 0:
-        raise DegenerateSampleError("pair constraint admitted no sampled pairs")
 
     p = hits / m
     pair_vol = vol_a.value * vol_b.value
@@ -699,7 +698,6 @@ def restricted_sum_volume(
         "sum_volume": sum_vol,
         "theta_hits": hits,
         "pair_samples": m,
-        "grid_cells_per_axis": cells,
         "rejection_proposals": proposals,
     }
 
@@ -898,13 +896,16 @@ def _gate(fraction_needed: float, A: SetSpec, B: SetSpec, theta: ThetaSpec, rsv:
     }
 
 
-def _power_ci(vol: VolumeEstimate, n: int, z: float) -> float:
-    """Halfwidth of vol.value ** (2/n) via the delta method."""
+def _spread(vol: VolumeEstimate) -> float:
+    """99% halfwidth of a volume: a closed form's rounding bracket as it is, Z99 stderr else."""
+    return vol.stderr if vol.method == "closed_form" else Z99 * vol.stderr
+
+
+def _power_ci(vol: VolumeEstimate, n: int) -> float:
+    """99% halfwidth of vol.value ** (2/n) via the delta method."""
     if vol.value <= 0:
         return 0.0
-    # the grid's allowance and a closed form's rounding bracket are additive
-    spread = vol.stderr if vol.method in ("occupancy_grid", "closed_form") else z * vol.stderr
-    return (2.0 / n) * vol.value ** (2.0 / n - 1.0) * spread
+    return (2.0 / n) * vol.value ** (2.0 / n - 1.0) * _spread(vol)
 
 
 def _power_check(
@@ -929,11 +930,7 @@ def _power_check(
     scale = max(factor, 0.0)
     lhs = rsv["sum_volume"].value ** (2.0 / n)
     rhs = scale * (vol_a.value ** (2.0 / n) + vol_b.value ** (2.0 / n))
-    ci = _power_ci(rsv["sum_volume"], n, Z99)
-    ci += scale * Z99 * (2.0 / n) * (
-        vol_a.value ** (2.0 / n - 1.0) * vol_a.stderr
-        + vol_b.value ** (2.0 / n - 1.0) * vol_b.stderr
-    )
+    ci = _power_ci(rsv["sum_volume"], n) + scale * (_power_ci(vol_a, n) + _power_ci(vol_b, n))
     deficit = lhs - rhs
     verdict = three_way_verdict(deficit, ci) if gate["passed"] else "inconclusive"
     return CheckReport(
@@ -955,7 +952,6 @@ def _power_check(
             "volume_b": vol_b.value,
             "seed": cfg.seed,
             "pair_samples": cfg.pair_samples,
-            "grid_cells_per_axis": rsv["grid_cells_per_axis"],
             "rejection_proposals": rsv["rejection_proposals"],
             **extra,
         },
@@ -1030,7 +1026,7 @@ def fubini_lower_bound(
     delta = 1.0 - fraction
     lhs = rsv["sum_volume"].value
     rhs = (1.0 - delta) * vol_a.value
-    ci = rsv["sum_volume"].stderr + vol_a.value * (0.5 * (hi - lo)) + Z99 * vol_a.stderr
+    ci = _spread(rsv["sum_volume"]) + vol_a.value * (0.5 * (hi - lo)) + _spread(vol_a)
     deficit = lhs - rhs
     return CheckReport(
         lhs=lhs,

@@ -413,38 +413,6 @@ def affine_pushforward(mu: Measure, a: float, b: float) -> Measure:
     return Measure(lo, hi, dens, atoms)
 
 
-def mix(measures, weights, grid: GridConfig | None = None) -> Measure:
-    """Convex mixture, rebinned onto a common window via CDF differences."""
-    grid = grid or DEFAULT_GRID
-    measures = list(measures)
-    weights = [float(w) for w in weights]
-    if len(measures) != len(weights) or not measures:
-        raise ParameterError("need equally many measures and weights")
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
-        raise ParameterError("weights must be nonnegative and sum to 1")
-    los, his = zip(*(m.support() for m in measures))
-    lo, hi, _ = snapped_window(min(los), max(his), grid)
-    edges = np.linspace(lo, hi, grid.n_cells + 1)
-    h = (hi - lo) / grid.n_cells
-    atom_pool: dict[float, float] = {}
-    cont = np.zeros(grid.n_cells)
-    for m, w in zip(measures, weights):
-        if w == 0:
-            continue
-        cont_cdf = m.cdf(edges) - sum(
-            aw * (edges >= loc) for loc, aw in m.atoms
-        ) if m.atoms else m.cdf(edges)
-        cont += w * np.diff(cont_cdf)
-        for loc, aw in m.atoms:
-            atom_pool[loc] = atom_pool.get(loc, 0.0) + w * aw
-    atoms = tuple((loc, aw) for loc, aw in sorted(atom_pool.items()) if aw > 0)
-    total_atoms = sum(aw for _, aw in atoms)
-    got = np.sum(cont)
-    if got > 0:
-        cont *= (1.0 - total_atoms) / got
-    return Measure(lo, hi, cont / h, atoms)
-
-
 def sample(mu: Measure, count: int, seed: int) -> np.ndarray:
     """Inverse-CDF sampling; deterministic for a given seed."""
     if not isinstance(count, int) or count < 1:

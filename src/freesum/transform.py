@@ -1,4 +1,4 @@
-"""Cauchy transform evaluation, Stieltjes inversion, and the R-transform.
+"""Cauchy transform evaluation, the density mass gate, and the R-transform.
 
 The transform of a grid-plus-atoms measure has a closed form.  A constant
 density cell [l, r] of height c contributes c*(Log(z-l) - Log(z-r)) and an
@@ -13,9 +13,8 @@ and
 with only the nonzero jumps kept: one log and one reciprocal per edge where
 a jump occurs instead of two of each per cell.
 
-Densities recovered on a grid, by Stieltjes inversion here or by free
-convolution, pass one mass gate: the raw mass must lie in [0.9, 1.1] before
-renormalization.  The R-transform's Newton iteration stops at residual
+Densities that free convolution recovers on a grid pass one mass gate: the
+raw mass must lie in [0.9, 1.1] before renormalization.  The R-transform's Newton iteration stops at residual
 NEWTON_TOL within NEWTON_MAX_ITER steps.
 """
 
@@ -151,33 +150,6 @@ def _renormalized(
         density / raw_mass,
         meta={"raw_mass": raw_mass, "renormalization": 1.0 / raw_mass, **(meta or {})},
     )
-
-
-def stieltjes_invert(g, window, n_cells: int, eta: float | None = None) -> Measure:
-    """Recover a measure from a transform via the Poisson-kernel boundary limit.
-
-    density(x) ~ -Im g(x + i*eta)/pi on the window grid, clipped at zero and
-    renormalized; the pre-normalization mass and the factor applied are kept
-    in the result's meta entry.  ``g`` is called once, on the array of all
-    grid points, and must return an array of the same shape.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ParameterError("window must satisfy hi > lo")
-    if n_cells < 2:
-        raise ParameterError("n_cells must be >= 2")
-    h = (hi - lo) / n_cells
-    if eta is None:
-        eta = 4.0 * h
-    if not eta > 0:
-        raise ParameterError("eta must be positive")
-    x = lo + h * (np.arange(n_cells) + 0.5)
-    vals = np.asarray(g(x + 1j * eta), dtype=complex)
-    if vals.shape != x.shape:
-        raise ParameterError(
-            f"g must return one value per point, shape {x.shape}, got shape {vals.shape}"
-        )
-    return _renormalized(lo, hi, np.clip(-vals.imag / math.pi, 0.0, None))
 
 
 def r_transform(mu: Measure, w: complex) -> complex:

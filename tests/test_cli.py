@@ -348,7 +348,7 @@ class TestRunExamples:
             "seed": 42,
             "params": {
                 "a": {"kind": "ball", "radius": 1.0, "dim": 3},
-                "b": {"kind": "box", "half_widths": [0.4, 0.4, 0.4]},
+                "b": {"kind": "ball", "radius": 0.4, "dim": 3},
                 "theta": {"kind": "inner_product_leq", "c": 0.1},
                 "mc": {"pair_samples": 50000},
             },
@@ -398,8 +398,44 @@ class TestRunExamples:
         assert est["method"] == "closed_form"
         assert est["value"] <= exact <= est["value"] + est["stderr"]
         assert est["stderr"] <= 2e-12 * est["value"]
-        assert result["grid_cells_per_axis"] is None
         assert result["rejection_proposals"] == 0
+
+    def test_minkowski_ball_box_matches_steiner(self, tmp_path, capsys):
+        config = {
+            "command": "minkowski",
+            "seed": 5,
+            "params": {
+                "a": {"kind": "ball", "radius": 0.5, "dim": 3, "center": [0.2, -0.1, 0.0]},
+                "b": {"kind": "box", "half_widths": [0.3, 0.6, 0.9]},
+                "theta": {"kind": "full"},
+                "mc": {"pair_samples": 400_000},
+            },
+        }
+        assert run_cli(tmp_path, config) == 0
+        est = last_stdout_json(capsys)["result"]["sum_volume"]
+        # Steiner: sum_j e_j(side lengths) kappa_(3-j) r^(3-j) with sides 0.6, 1.2, 1.8
+        sides, r = (0.6, 1.2, 1.8), 0.5
+        e = (1.0, sum(sides), 0.6 * 1.2 + 0.6 * 1.8 + 1.2 * 1.8, 0.6 * 1.2 * 1.8)
+        kappas = (1.0, 2.0, math.pi, 4.0 / 3.0 * math.pi)
+        exact = sum(e[j] * kappas[3 - j] * r ** (3 - j) for j in range(4))
+        assert est["method"] == "mc_hit_or_miss"
+        assert est["samples"] == 10_000
+        assert abs(est["value"] - exact) <= 3.0 * est["stderr"]
+
+    def test_minkowski_inner_product_off_origin_balls_exits_1(self, tmp_path, capsys):
+        config = {
+            "command": "minkowski",
+            "seed": 5,
+            "params": {
+                "a": {"kind": "box", "half_widths": [1.0, 0.5]},
+                "b": {"kind": "box", "half_widths": [0.5, 0.5]},
+                "theta": {"kind": "inner_product_leq", "c": 0.0},
+            },
+        }
+        assert run_cli(tmp_path, config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "inner_product_leq sum volumes need origin-centred balls" in err
 
     def test_microstates_spectrum_with_reference(self, tmp_path, capsys):
         config = {

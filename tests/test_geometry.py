@@ -4,6 +4,7 @@ import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy.stats import kstest
 
 import freesum.geometry as geometry
 from freesum.errors import DegenerateSampleError, ParameterError
+from freesum.stats import Z99
 from freesum.geometry import (
     CheckReport,
     MonteCarloConfig,
@@ -288,22 +290,23 @@ class TestSampling:
         (SetSpec.ellipsoid([1.0, 0.5, 0.8]), SetSpec.ellipsoid([0.3, 0.9, 0.6])),
     ], ids=["balls", "ellipsoids"])
     def test_exactly_sampled_pairs_take_one_proposal_per_point(self, pair):
-        rsv = restricted_sum_volume(*pair, ThetaSpec.full(), FAST)
+        # a full Theta draws no pairs; dropping a hash subset makes them drawn
+        rsv = restricted_sum_volume(*pair, ThetaSpec.complement_fraction(0.1), FAST)
         assert rsv["rejection_proposals"] == 2 * rsv["pair_samples"]
 
 
 class TestRestrictedSum:
     def test_disk_doubling_close_to_4pi(self):
         # A + A = 2A for convex A; full pair constraint on two unit disks, one
-        # off the origin so that the sum goes through the grid
+        # off the origin so that the sum is sampled and certified point by point
         cfg = MonteCarloConfig(pair_samples=10_000_000, seed=11)
         rsv = restricted_sum_volume(
             SetSpec.ball(1, 2, center=(0.1, -0.2)), SetSpec.ball(1, 2), ThetaSpec.full(), cfg
         )
         sv = rsv["sum_volume"]
-        assert sv.method == "occupancy_grid"
-        assert rsv["grid_cells_per_axis"] == 512
-        assert abs(sv.value - 4.0 * math.pi) <= 0.03 * 4.0 * math.pi
+        assert sv.method == "mc_hit_or_miss"
+        assert sv.samples == 250_000
+        assert abs(sv.value - 4.0 * math.pi) <= 3.0 * sv.stderr
 
     def test_half_space_pair_fraction(self):
         cfg = MonteCarloConfig(pair_samples=1_000_000, seed=3)
@@ -317,35 +320,19 @@ class TestRestrictedSum:
 
     def test_orthogonal_sum_is_dilated_ball(self):
         # restricted sum of B^3 and 0.8 B^3 under <x,y> <= 0 fills
-        # sqrt(1.64) B^3: exactly in closed form, and on the occupancy grid
-        # within its covering allowance
+        # sqrt(1.64) B^3, exactly in closed form
         cfg = MonteCarloConfig(pair_samples=1_000_000, seed=3)
         a, b, theta = SetSpec.ball(1, 3), SetSpec.ball(0.8, 3), ThetaSpec.inner_product_leq(0.0)
         target = (1.0 + 0.64) ** 1.5 * unit_ball_volume(3)
         sv = restricted_sum_volume(a, b, theta, cfg)["sum_volume"]
         assert sv.method == "closed_form"
         assert sv.value <= target <= sv.value + sv.stderr
-        grid = geometry._occupancy_sum_volume(a, b, theta, cfg)[2]
-        assert grid.method == "occupancy_grid"
-        assert grid.value <= 1.05 * target
-        assert grid.value + 3.0 * grid.stderr >= target
 
     def test_no_admitted_pairs_raises(self):
         with pytest.raises(DegenerateSampleError):
             restricted_sum_volume(
                 SetSpec.ball(1, 2), SetSpec.ball(1, 2), ThetaSpec.inner_product_leq(-100.0), FAST
             )
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_grid_size_capped_by_its_memory_bound(self, n):
-        # the budget sets the cells per axis; past 2**23 cells in all the
-        # largest grid that fits is used instead of refusing the budget
-        fits = max(c for c in range(8, 513) if c**n <= 2**23)
-        assert geometry._adaptive_cells(10**12, n) == fits
-        for samples in (1000, 10**4, 10**6, 4 * 10**7, 10**8):
-            cells = geometry._adaptive_cells(samples, n)
-            assert cells**n <= 2**23
-            assert cells == min(max(round((samples / 4.0) ** (1.0 / n)), 8), fits)
 
     def test_dimension_limits(self):
         with pytest.raises(ParameterError):
@@ -364,48 +351,13 @@ class TestRestrictedSum:
         assert r1["theta_hits"] == r2["theta_hits"]
         # exact draws on one side, rejection from an intersection on the other
         a = SetSpec.ellipsoid([1.2, 0.7, 0.9], center=(0.1, 0.0, -0.2))
-        for theta in (ThetaSpec.full(), ThetaSpec.inner_product_leq(0.1)):
+        for theta in (ThetaSpec.full(), ThetaSpec.sum_norm_leq(1.5)):
             r1 = restricted_sum_volume(a, BALL_CAP_BOX, theta, base)
             r2 = restricted_sum_volume(a, BALL_CAP_BOX, theta, multi)
             assert r1 == r2
         b1 = bll_symmetrization_check(a, BALL_CAP_BOX, SetSpec.ball(1.5, 3), base)
         b3 = bll_symmetrization_check(a, BALL_CAP_BOX, SetSpec.ball(1.5, 3), multi)
         assert b1.to_json() == b3.to_json()
-
-    @pytest.mark.parametrize("full", [True, False], ids=["full", "restricted"])
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_marking_matches_ravel_multi_index_reference(self, n, full):
-        rng = np.random.default_rng(40 + n)
-        lo_a, hi_a = -rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
-        lo_b, hi_b = -rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n)
-        lo, hi = lo_a + lo_b, hi_a + hi_b
-        s = rng.uniform(lo_a, hi_a, (3000, n)) + rng.uniform(lo_b, hi_b, (3000, n))
-        # sums one rounding step below the grid in one or every coordinate,
-        # exactly on its top faces, and on mixed corners,
-        below = np.nextafter(lo, -np.inf)
-        axis = rng.integers(n, size=20)
-        s[np.arange(20), axis] = below[axis]
-        s[20:40] = below
-        s[40:60] = hi
-        s[60] = np.where(np.arange(n) % 2, below, hi)
-        s[61] = np.where(np.arange(n) % 2, hi, lo)
-        keep = None if full else rng.random(len(s)) < 0.6
-        cells = int(rng.integers(2, 9))
-        widths = (hi - lo) / cells
-        # and one and a half cells outside, which clipping folds back in
-        s[62:70] = lo - 1.5 * widths
-        s[70:78] = hi + 1.5 * widths
-        rows = s if keep is None else s[keep]
-        idx = np.clip(((rows - lo) / widths).astype(np.int64), 0, cells - 1)
-        reference = np.bincount(np.ravel_multi_index(idx.T, (cells,) * n), minlength=cells**n)
-
-        grid = geometry._OccupancyGrid(lo, hi, cells, len(s))
-        work = s.copy()
-        # two calls of unequal length use the scratch buffers partly
-        grid.mark(work[:1100], None if full else keep[:1100])
-        grid.mark(work[1100:], None if full else keep[1100:])
-        assert np.array_equal(grid.counts, reference)
-        assert grid.counts.sum() == len(rows)
 
     def test_seed_reproducibility(self):
         r1 = restricted_sum_volume(SetSpec.ball(1, 2), SetSpec.ball(0.5, 2), ThetaSpec.full(), FAST)
@@ -414,20 +366,21 @@ class TestRestrictedSum:
         assert r1["theta_volume"].value == r2["theta_volume"].value
 
     def test_nested_thetas_monotone(self):
-        # dropping more pairs can only shrink the observed sumset when the
-        # kept subsets are nested, which a shared hash seed guarantees
+        # dropping more pairs cannot grow the sumset; a hash-dropped subset is
+        # a null set of sums, so every density leaves A + B and the same
+        # certified points
         a, b = SetSpec.ball(1, 2), SetSpec.ball(0.7, 2, center=(0.2, 0.1))
         values = []
         for d in (0.0, 0.3, 0.6):
             rsv = restricted_sum_volume(a, b, ThetaSpec.complement_fraction(d), FAST)
-            assert rsv["sum_volume"].method == "occupancy_grid"
+            assert rsv["sum_volume"].method == "mc_hit_or_miss"
             values.append(rsv["sum_volume"].value)
-        assert values[0] >= values[1] >= values[2]
+        assert values[0] == values[1] == values[2]
 
     def test_restricted_subset_of_full(self):
         a, b = SetSpec.box([1.0, 0.5]), SetSpec.ball(0.5, 2)
         full = restricted_sum_volume(a, b, ThetaSpec.full(), FAST)
-        part = restricted_sum_volume(a, b, ThetaSpec.inner_product_leq(0.1), FAST)
+        part = restricted_sum_volume(a, b, ThetaSpec.sum_norm_leq(1.0), FAST)
         assert part["sum_volume"].value <= full["sum_volume"].value
 
     def test_brunn_minkowski_sanity(self):
@@ -435,48 +388,11 @@ class TestRestrictedSum:
         a, b = SetSpec.ball(1, 2), SetSpec.ball(0.6, 2, center=(0.3, -0.1))
         rsv = restricted_sum_volume(a, b, ThetaSpec.full(), cfg)
         sv = rsv["sum_volume"]
-        assert sv.method == "occupancy_grid"
+        assert sv.method == "mc_hit_or_miss"
         lhs = sv.value**0.5
         rhs = volume(a).value**0.5 + volume(b).value**0.5
         tol = 0.5 * sv.value ** (-0.5) * 3.0 * sv.stderr
         assert lhs >= rhs - tol
-
-    def test_face_rim_of_hand_built_grids(self):
-        grid = np.zeros((5, 5, 5), dtype=bool)
-        grid[2, 2, 2] = True
-        rim = geometry._face_rim(grid)
-        assert np.count_nonzero(rim) == 6
-        assert not rim[2, 2, 2] and rim[1, 2, 2] and rim[2, 2, 3]
-        assert not rim[1, 1, 2]  # shares an edge only
-        corner = np.zeros((5, 5, 5), dtype=bool)
-        corner[0, 0, 0] = True
-        rim = geometry._face_rim(corner)
-        assert np.count_nonzero(rim) == 3
-        assert rim[1, 0, 0] and rim[0, 1, 0] and rim[0, 0, 1]
-        # marked cells are never part of the rim
-        block = np.zeros((4, 4), dtype=bool)
-        block[1:3, 1:3] = True
-        assert np.count_nonzero(geometry._face_rim(block)) == 8
-
-    def test_face_rim_matches_neighbour_reference(self):
-        def reference(grid):
-            padded = np.pad(grid, 1)
-            rim = np.zeros_like(grid)
-            for axis in range(grid.ndim):
-                for start in (0, 2):
-                    idx = [slice(1, -1)] * grid.ndim
-                    idx[axis] = slice(start, start + grid.shape[axis])
-                    rim |= padded[tuple(idx)]
-            return rim & ~grid
-
-        rng = np.random.default_rng(0)
-        for n in range(1, 7):
-            for p in (0.05, 0.3, 0.7):
-                grid = rng.random((4,) * n) < p
-                assert np.array_equal(geometry._face_rim(grid), reference(grid))
-        for shape in ((1,), (1, 2, 5), (2, 1, 3, 1)):
-            grid = rng.random(shape) < 0.5
-            assert np.array_equal(geometry._face_rim(grid), reference(grid))
 
 
 def kappa(n):
@@ -533,33 +449,36 @@ class TestClosedFormSums:
         assert sv.value <= exact <= sv.value + sv.stderr
         assert sv.stderr <= 2e-12 * sv.value
         assert sv.samples == 0
-        assert rsv["grid_cells_per_axis"] is None
 
     @pytest.mark.parametrize("a, b, theta", [
         (SetSpec.ball(1.0, 3, center=(0.1, 0.0, 0.0)), SetSpec.ball(0.5, 3), ThetaSpec.full()),
         (SetSpec.ellipsoid([1.0, 0.5]), SetSpec.ball(0.5, 2), ThetaSpec.full()),
         (SetSpec.box([1.0, 0.5]), SetSpec.ball(0.5, 2), ThetaSpec.full()),
-        (SetSpec.box([1.0, 0.5]), SetSpec.box([0.5, 0.5]), ThetaSpec.inner_product_leq(0.0)),
         (SetSpec.box([1.0, 0.5]), SetSpec.box([0.5, 0.5]), ThetaSpec.sum_norm_leq(1.0)),
-        (SetSpec.ball(1.0, 1), SetSpec.ball(0.5, 1), ThetaSpec.inner_product_leq(0.0)),
-        (BALL_CAP_BOX, SetSpec.ball(0.5, 3), ThetaSpec.full()),
-    ], ids=["off-centre-ball", "ellipsoid", "box-ball", "boxes-inner-product",
-            "boxes-sum-norm", "line-inner-product", "intersection"])
-    def test_other_pairs_keep_the_grid(self, a, b, theta):
+        (BALL_CAP_BOX, SetSpec.ball(0.5, 3), ThetaSpec.complement_fraction(0.2)),
+        (SetSpec.ellipsoid([1.0, 0.7, 0.4, 0.9, 0.6, 0.8]), SetSpec.box([0.3] * 6),
+         ThetaSpec.full()),
+    ], ids=["off-centre-ball", "ellipsoid", "box-ball", "boxes-sum-norm", "intersection",
+            "n6-ellipsoid-box"])
+    def test_other_pairs_are_certified(self, a, b, theta):
         rsv = restricted_sum_volume(a, b, theta, FAST)
-        assert rsv["sum_volume"].method == "occupancy_grid"
-        assert rsv["grid_cells_per_axis"] == geometry._adaptive_cells(FAST.pair_samples, a.dim)
-
-    def test_on_the_line_the_orthogonal_sum_is_the_larger_interval(self):
-        # no triangle exists in R^1, so <x, y> <= 0 leaves [-a, a], not the
-        # annulus radius sqrt(a^2 + b^2): the grid, not the closed form, is right
-        rsv = restricted_sum_volume(
-            SetSpec.ball(1.0, 1), SetSpec.ball(0.5, 1), ThetaSpec.inner_product_leq(0.0), FAST
-        )
         sv = rsv["sum_volume"]
-        assert sv.method == "occupancy_grid"
-        assert abs(sv.value - 2.0) <= sv.stderr
-        assert sv.value + sv.stderr < 2.0 * math.sqrt(1.25)
+        assert sv.method == "mc_hit_or_miss"
+        assert sv.samples == FAST.pair_samples // 40
+        estimate, undecided = geometry._certified_sum_volume(a, b, theta, FAST)
+        assert estimate == sv
+        assert undecided == 0
+
+    @pytest.mark.parametrize("a, b", [
+        (SetSpec.ball(1.0, 1), SetSpec.ball(0.5, 1)),
+        (SetSpec.box([1.0, 0.5]), SetSpec.box([0.5, 0.5])),
+        (SetSpec.ball(1.0, 3, center=(0.1, 0.0, 0.0)), SetSpec.ball(0.5, 3)),
+    ], ids=["line-balls", "boxes", "off-centre-balls"])
+    def test_inner_product_off_the_closed_form_is_refused(self, a, b):
+        # the sumset need not be convex there: on the line <x, y> <= 0 leaves
+        # [-a, a], and the certified witness passes <x, y> <= 0 for no point
+        with pytest.raises(ParameterError, match="inner_product_leq"):
+            restricted_sum_volume(a, b, ThetaSpec.inner_product_leq(0.0), FAST)
 
     def test_full_theta_draws_no_pairs(self):
         a, b = SetSpec.ball(1.0, 3), SetSpec.ball(0.7, 3)
@@ -576,14 +495,14 @@ class TestClosedFormSums:
         ThetaSpec.sum_norm_leq(1.1),
         ThetaSpec.complement_fraction(0.2),
     ], ids=["inner-product", "sum-norm", "complement"])
-    def test_restricted_theta_counts_the_grid_paths_hits(self, theta):
+    def test_restricted_theta_counts_its_pair_hits(self, theta):
         # the closed form still draws the pairs for theta_volume, and counts
-        # exactly the hits of the grid's round of independent pairs
+        # exactly the admitted pairs of the pair counter
         a, b = SetSpec.ball(1.0, 3), SetSpec.ball(0.7, 3)
         cfg = MonteCarloConfig(pair_samples=100_000, seed=8, threads=2)
         rsv = restricted_sum_volume(a, b, theta, cfg)
-        hits, proposals, _, _ = geometry._occupancy_sum_volume(a, b, theta, cfg)
-        assert (rsv["theta_hits"], rsv["rejection_proposals"]) == (hits, proposals)
+        keep = partial(theta.indicator, seed=cfg.seed)
+        assert (rsv["theta_hits"], rsv["rejection_proposals"]) == geometry._pair_hits(a, b, keep, cfg)
         assert rsv["sum_volume"].method == "closed_form"
 
     def test_below_minus_ab_no_pair_is_admitted(self):
@@ -655,6 +574,109 @@ class TestClosedFormSums:
             for rho in np.linspace(0.1, 0.9, 9)
         )
         assert worst >= MonteCarloConfig().c
+
+
+def steiner_volume(radius, half_widths):
+    """lambda(box + radius B^n) = sum_j e_j(2 half_widths) kappa_(n-j) radius^(n-j)."""
+    n = len(half_widths)
+    e = [1.0] + [0.0] * n  # elementary symmetric polynomials of the side lengths
+    for side in 2.0 * np.asarray(half_widths):
+        for j in range(n, 0, -1):
+            e[j] += e[j - 1] * side
+    return sum(e[j] * kappa(n - j) * radius ** (n - j) for j in range(n + 1))
+
+
+def holds_point(spec, x, tol=1e-12):
+    """Membership of rows of x, written out from the stored fields with a rounding allowance."""
+    if spec.kind == "intersection":
+        return np.all([holds_point(p, x, tol) for p in spec.parts], axis=0)
+    d = (x - np.array(spec.center)) / np.array(spec.axes)
+    if spec.kind == "box":
+        return np.max(np.abs(d), axis=1) <= 1.0 + tol
+    return np.sum(d * d, axis=1) <= 1.0 + tol
+
+
+@st.composite
+def bodies(draw, n):
+    """An off-centre ellipsoid, box, or ellipsoid-box intersection sharing a centre region."""
+    def axial(kind, centre):
+        axes = [draw(st.floats(0.1, 1.5)) for _ in range(n)]
+        return (SetSpec.ellipsoid if kind == "ellipsoid" else SetSpec.box)(axes, centre)
+
+    centre = [draw(st.floats(-2.0, 2.0)) for _ in range(n)]
+    kind = draw(st.sampled_from(["ellipsoid", "box", "intersection"]))
+    if kind != "intersection":
+        return axial(kind, centre)
+    # both parts hold the shared centre, so the intersection is not empty
+    shifted = [c + draw(st.floats(-0.05, 0.05)) for c in centre]
+    return SetSpec.intersection(axial("ellipsoid", centre), axial("box", shifted))
+
+
+class TestCertifiedMembership:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_certificates_are_sound(self, data):
+        n = data.draw(st.integers(1, 4))
+        a, b = data.draw(bodies(n)), data.draw(bodies(n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lo_a, hi_a = a.bounding_box()
+        lo_b, hi_b = b.bounding_box()
+        u = rng.uniform(lo_a + lo_b, hi_a + hi_b, size=(2000, n))
+        state, witness = geometry._sumset_membership(a, b, u)
+        inside = state == 1
+        assert np.all(np.isnan(witness[~inside]))
+        assert np.all(holds_point(b, witness[inside]))
+        assert np.all(holds_point(a, u[inside] - witness[inside]))
+        # a sum of a sampled pair is in A + B, so no certificate may put it outside
+        x, _ = geometry._sample_in_set(a, 100_000, rng)
+        y, _ = geometry._sample_in_set(b, 100_000, rng)
+        assert not np.any(geometry._sumset_membership(a, b, x + y)[0] == -1)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("case", ["origin-balls", "boxes", "ball-box"])
+    def test_certified_volume_matches_the_closed_forms(self, case, n):
+        if case == "origin-balls":
+            a, b = SetSpec.ball(1.0, n), SetSpec.ball(0.6, n)
+            exact = kappa(n) * 1.6**n
+        elif case == "boxes":
+            wa, wb = np.linspace(0.3, 1.0, n), np.linspace(0.8, 0.2, n)
+            a = SetSpec.box(wa, center=np.linspace(-1.0, 1.0, n))
+            b = SetSpec.box(wb, center=np.linspace(0.5, -0.5, n))
+            exact = float(np.prod(2.0 * (wa + wb)))
+        else:
+            half = np.linspace(0.2, 0.9, n)
+            a = SetSpec.ball(0.5, n, center=np.linspace(0.3, -0.3, n))
+            b = SetSpec.box(half, center=np.full(n, 0.7))
+            exact = steiner_volume(0.5, half)
+        estimates = [
+            geometry._certified_sum_volume(a, b, ThetaSpec.full(), MonteCarloConfig(seed=seed))
+            for seed in (1, 2, 3)
+        ]
+        assert all(undecided == 0 for _, undecided in estimates)
+        mean = np.mean([e.value for e, _ in estimates])
+        sigma = math.sqrt(sum(e.stderr**2 for e, _ in estimates)) / len(estimates)
+        # box pairs fill their sampling box, so sigma is 0 and only rounding is left
+        assert abs(mean - exact) <= 3.0 * sigma + 1e-12 * exact
+
+    def test_translation_moves_nothing(self):
+        a = SetSpec.ellipsoid([0.9, 0.6, 0.8])
+        shift_a, shift_b = (0.3, -1.2, 2.0), (-5.0, 0.25, 1.0)
+        moved_a = SetSpec.ellipsoid(a.axes, center=shift_a)
+        moved_b = SetSpec.intersection(
+            SetSpec.ball(1.0, 3, center=shift_b), SetSpec.box([0.8] * 3, center=shift_b)
+        )
+        here = geometry._certified_sum_volume(a, BALL_CAP_BOX, ThetaSpec.full(), FAST)
+        there = geometry._certified_sum_volume(moved_a, moved_b, ThetaSpec.full(), FAST)
+        assert there[1] == here[1] == 0
+        assert there[0].value == pytest.approx(here[0].value, rel=1e-12)
+
+    def test_sum_norm_cuts_the_sumset(self):
+        # (A + B) cap t B^n: with t below the distance from the origin to the
+        # boundary of A + B the cut is the whole ball t B^n
+        a, b = SetSpec.box([1.0, 0.5]), SetSpec.ball(0.5, 2, center=(0.1, 0.0))
+        est, undecided = geometry._certified_sum_volume(a, b, ThetaSpec.sum_norm_leq(0.9), FAST)
+        assert undecided == 0
+        assert abs(est.value - math.pi * 0.81) <= 3.0 * est.stderr
 
 
 class TestPowerCheckCore:
@@ -844,6 +866,13 @@ class TestFubini:
     def test_requires_larger_first_argument(self):
         with pytest.raises(ParameterError):
             fubini_lower_bound(SetSpec.ball(0.5, 2), SetSpec.ball(1, 2), ThetaSpec.full(), FAST)
+
+    def test_sampled_sum_volume_enters_the_ci_at_99_percent(self):
+        a, b = SetSpec.ellipsoid([1.0, 0.8, 0.9]), SetSpec.ellipsoid([0.5, 0.6, 0.4])
+        rep = fubini_lower_bound(a, b, ThetaSpec.full(), FAST)
+        sv = restricted_sum_volume(a, b, ThetaSpec.full(), FAST)["sum_volume"]
+        assert sv.method == "mc_hit_or_miss"
+        assert rep.ci_halfwidth >= Z99 * sv.stderr
 
 
 class TestSymmetrization:

@@ -17,7 +17,6 @@ from freesum.measure import (
     kolmogorov_distance,
     ks_statistic,
     l1_distance,
-    mix,
     moment,
     point_mass,
     sample,
@@ -156,16 +155,6 @@ def test_affine_pushforward():
     # atoms map exactly
     b = affine_pushforward(bernoulli(0.3, -1.0, 2.0), -1.0, 0.0)
     assert b.atoms == ((-2.0, 0.7), (1.0, 0.3))
-
-
-def test_mix():
-    u = uniform(0.0, 1.0)
-    b = bernoulli(0.3, -1.0, 2.0)
-    mx = mix([u, b], [0.25, 0.75])
-    assert mx.atom_mass == pytest.approx(0.75, abs=1e-12)
-    assert moment(mx, 1) == pytest.approx(0.25 * 0.5 + 0.75 * 1.1, abs=1e-10)
-    with pytest.raises(ParameterError):
-        mix([u, b], [0.5, 0.6])
 
 
 def test_l1_distance_hand_values():

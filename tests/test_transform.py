@@ -1,4 +1,4 @@
-"""Tests for Cauchy transform evaluation, inversion, and the R-transform."""
+"""Tests for Cauchy transform evaluation and the R-transform."""
 
 import math
 
@@ -7,19 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freesum.errors import (
-    ConvergenceError,
-    DomainError,
-    InversionQualityError,
-    ParameterError,
-)
-from freesum.measure import GridConfig, Measure, bernoulli, l1_distance, semicircle
-from freesum.transform import (
-    StaircaseTransform,
-    cauchy_transform,
-    r_transform,
-    stieltjes_invert,
-)
+from freesum.errors import ConvergenceError, DomainError
+from freesum.measure import GridConfig, Measure, bernoulli, semicircle
+from freesum.transform import StaircaseTransform, cauchy_transform, r_transform
 
 
 def test_semicircle_closed_form():
@@ -154,63 +144,6 @@ def test_derivative_matches_finite_difference():
     h = 1e-6
     fd = (cauchy_transform(sc, z + h) - cauchy_transform(sc, z - h)) / (2 * h)
     assert abs(StaircaseTransform(sc).g_and_deriv(z)[1] - fd) < 1e-8
-
-
-def test_inversion_roundtrip_semicircle():
-    sc = semicircle(1.0)
-    st = StaircaseTransform(sc)
-    inv = stieltjes_invert(st.g, (-2.2, 2.2), 2048, eta=1e-3)
-    assert l1_distance(inv, sc) < 5e-3
-    assert 0.95 < inv.meta["raw_mass"] < 1.05
-    assert inv.meta["renormalization"] == pytest.approx(1.0, abs=0.05)
-    # default eta (tied to cell width) also recovers the law
-    inv2 = stieltjes_invert(st.g, (-2.2, 2.2), 2048)
-    assert l1_distance(inv2, sc) < 7e-3
-
-
-def test_inversion_point_mass_kernel():
-    # Poisson kernel at scale eta: most mass lands within 10 eta of the atom
-    inv = stieltjes_invert(lambda z: 1.0 / z, (-1.0, 1.0), 2048, eta=1e-2)
-    x = inv.midpoints()
-    near = (x >= -0.1) & (x <= 0.1)
-    assert float(np.sum(inv.density[near]) * inv.cell_width) >= 0.9
-
-
-def test_inversion_uniform_from_analytic_transform():
-    inv = stieltjes_invert(
-        lambda z: np.log(z / (z - 1.0)), (-0.5, 1.5), 2048, eta=1e-3
-    )
-    x = inv.midpoints()
-    sel = (x >= 0.1) & (x <= 0.9)
-    assert np.max(np.abs(inv.density[sel] - 1.0)) <= 1e-2
-
-
-def test_inversion_rejects_mass_defect():
-    st = StaircaseTransform(semicircle(1.0))
-    with pytest.raises(InversionQualityError) as exc:
-        stieltjes_invert(lambda z: 0.2 * st.g(z), (-2.2, 2.2), 512)
-    assert exc.value.raw_mass == pytest.approx(0.2, abs=0.05)
-
-
-def test_inversion_requires_a_vectorized_transform():
-    # g is called once on the whole grid; np.sum(1/z) is the point-mass
-    # transform at one point but reduces an array to a scalar, and is refused
-    # rather than retried point by point
-    with pytest.raises(ParameterError):
-        stieltjes_invert(lambda z: np.sum(1.0 / z), (-1.0, 1.0), 2048, eta=1e-2)
-    st = StaircaseTransform(semicircle(1.0))
-    with pytest.raises(ParameterError):
-        stieltjes_invert(lambda z: st.g(z)[:-1], (-2.2, 2.2), 512)
-
-
-def test_inversion_of_atomic_transform_smears_but_keeps_mass():
-    st = StaircaseTransform(bernoulli(0.5, -1.0, 1.0))
-    inv = stieltjes_invert(st.g, (-1.5, 1.5), 1024)
-    assert 0.9 < inv.meta["raw_mass"] <= 1.0
-    # peaks sit at the atom locations
-    x = inv.midpoints()
-    peak = x[np.argmax(inv.density * (x > 0))]
-    assert abs(peak - 1.0) < 0.01
 
 
 def test_r_transform_semicircle_linear():

@@ -678,6 +678,101 @@ class TestCertifiedMembership:
         assert undecided == 0
         assert abs(est.value - math.pi * 0.81) <= 3.0 * est.stderr
 
+    @pytest.mark.parametrize("u, state", [
+        (0.3, 1), (-1.19, 1), (1.79, 1), (-1.1999, 1), (1.7999, 1),
+        (-1.2001, -1), (1.8001, -1), (5.0, -1),
+    ], ids=["middle", "near-low", "near-high", "at-low", "at-high",
+            "past-low", "past-high", "far"])
+    def test_interval_sums_are_decided_at_their_ends(self, u, state):
+        # [-0.5, 1.5] + [-0.7, 0.3] = [-1.2, 1.8]
+        a = SetSpec.box([1.0], center=(0.5,))
+        b = SetSpec.ball(0.5, 1, center=(-0.2,))
+        got, witness = geometry._sumset_membership(a, b, np.array([[u]]))
+        assert got.tolist() == [state]
+        if state == 1:
+            assert b.contains(witness) and a.contains(u - witness)
+
+    def test_an_unfinished_solve_leaves_points_undecided(self, monkeypatch):
+        # with no Newton step only the starting point's certificates are tried;
+        # the undecided points count as outside and widen the stderr to cover them
+        a = SetSpec.ellipsoid([0.9, 0.6, 0.8])
+        full, undecided = geometry._certified_sum_volume(a, BALL_CAP_BOX, ThetaSpec.full(), FAST)
+        assert undecided == 0
+        monkeypatch.setattr(geometry, "_MAX_NEWTON_STEPS", 0)
+        cut, undecided = geometry._certified_sum_volume(a, BALL_CAP_BOX, ThetaSpec.full(), FAST)
+        assert undecided > 0
+        assert cut.value < full.value <= cut.value + cut.stderr
+
+
+def quadratic_rows(w, c, y):
+    """q_k(y) = sum_j w[k, j] (y_j - c[k, j])^2 for one point y."""
+    return np.sum(w * np.square(y - c), axis=1)
+
+
+class TestCertificateParts:
+    @pytest.mark.parametrize("spec, rows", [
+        (SetSpec.ellipsoid([0.9, 0.4, 1.3], center=(0.2, -0.5, 1.0)), 1),
+        (SetSpec.box([0.3, 1.1, 0.6], center=(-1.0, 0.0, 0.4)), 3),
+        (SetSpec.intersection(SetSpec.ball(1.0, 3, center=(0.1, 0.1, 0.1)),
+                              SetSpec.box([0.7, 0.5, 0.9])), 4),
+    ], ids=["ellipsoid", "box", "intersection"])
+    def test_pieces_describe_the_set(self, spec, rows):
+        w, c = geometry._pieces(spec)
+        assert w.shape == c.shape == (rows, spec.dim)
+        lo, hi = spec.bounding_box()
+        y = np.random.default_rng(4).uniform(lo - 0.2, hi + 0.2, size=(5000, spec.dim))
+        worst = np.array([quadratic_rows(w, c, p).max() for p in y])
+        clear = np.abs(worst - 1.0) > 1e-9
+        assert np.array_equal(spec.contains(y)[clear], worst[clear] <= 1.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_dual_bound_is_below_the_largest_piece_everywhere(self, n, k, seed):
+        # weak duality: for lam in the simplex, D(lam) <= max_k q_k(y) for every y
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.05, 20.0, size=(k, n))
+        c = rng.uniform(-3.0, 3.0, size=(8, k, n))
+        lam = rng.dirichlet(np.ones(k), size=8)
+        dual, m = geometry._dual_bound(lam, w, c)
+        for p in range(8):
+            ys = np.vstack([m[p], rng.uniform(-4.0, 4.0, size=(200, n))])
+            largest = np.array([quadratic_rows(w, c[p], y).max() for y in ys])
+            assert np.all(dual[p] <= largest)
+            # m minimises the lam-weighted sum, which D trails only by its rounding bound
+            weighted = np.array([lam[p] @ quadratic_rows(w, c[p], y) for y in ys])
+            assert weighted.argmin() == 0
+            assert 0.0 <= weighted[0] - dual[p] <= 1e-9 * (1.0 + weighted[0])
+
+
+class TestHitOrMiss:
+    BOX = (np.zeros(2), np.array([2.0, 1.0]))
+
+    def test_undecided_points_count_as_outside_and_widen_the_stderr(self):
+        def member(u):
+            return np.where(u[:, 0] < 1.0, 1, np.where(u[:, 0] < 1.2, 0, -1))
+
+        points = 40_000
+        est, undecided = geometry._hit_or_miss(*self.BOX, member, points, FAST)
+        assert abs(undecided / points - 0.1) < 0.01
+        p = est.value / 2.0
+        binomial = 2.0 * math.sqrt(p * (1.0 - p) / points)
+        assert est.stderr == pytest.approx(binomial + 2.0 * undecided / points, rel=1e-12)
+        # the decided half is the volume read; the undecided tenth lies above it
+        assert abs(est.value - 1.0) <= 3.0 * binomial
+        assert est.samples == points and est.method == "mc_hit_or_miss"
+
+    def test_empty_box_has_volume_zero(self):
+        def member(u):
+            raise AssertionError("an empty box draws no point")
+
+        lo, hi = np.zeros(2), np.array([1.0, 0.0])
+        est, undecided = geometry._hit_or_miss(lo, hi, member, 1000, FAST)
+        assert (est.value, est.stderr, undecided) == (0.0, 0.0, 0)
+
+    def test_no_hit_raises(self):
+        with pytest.raises(DegenerateSampleError):
+            geometry._hit_or_miss(*self.BOX, lambda u: np.full(len(u), -1), 1000, FAST)
+
 
 class TestPowerCheckCore:
     """The three 2/n-power checks share one estimate of every volume."""
@@ -728,6 +823,17 @@ class TestPowerCheckCore:
         r15 = check_corollary15(a, b, ThetaSpec.full(), 0.0, FAST)
         r12 = check_theorem12(a, b, ThetaSpec.full(), FAST)
         assert r15.ci_halfwidth == r12.ci_halfwidth
+
+    @pytest.mark.parametrize("vol, spread", [
+        (VolumeEstimate(value=2.0, stderr=4e-12, samples=0, method="closed_form"), 4e-12),
+        (VolumeEstimate(value=2.0, stderr=0.01, samples=5000, method="mc_hit_or_miss"),
+         Z99 * 0.01),
+        (VolumeEstimate(value=2.0, stderr=0.0, samples=0, method="exact"), 0.0),
+    ], ids=["closed_form", "mc_hit_or_miss", "exact"])
+    def test_spread_of_each_method(self, vol, spread):
+        # a closed form's stderr is already its rounding bracket; Monte Carlo is read at 99%
+        assert geometry._spread(vol) == spread
+        assert geometry._power_ci(vol, 4) == pytest.approx(0.5 * 2.0**-0.5 * spread, rel=1e-15)
 
     def test_negative_rhs_factor_is_a_vacuous_bound(self):
         # n = 1 and delta = 1/2 give 1 - 3/2 < 0: rhs and its CI share clamp to 0

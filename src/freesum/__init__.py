@@ -1,158 +1,25 @@
-"""Free probability on the line and restricted Minkowski sum experiments."""
+"""Free probability on the line and restricted Minkowski sum experiments.
 
-from .errors import (
-    ConvergenceError,
-    DegenerateSampleError,
-    DomainError,
-    FreesumError,
-    InversionQualityError,
-    ParameterError,
-    PrecisionError,
-    StepFunctionError,
-)
-from .measure import (
-    GridConfig,
-    Measure,
-    affine_pushforward,
-    arcsine,
-    bernoulli,
-    free_poisson,
-    kolmogorov_distance,
-    l1_distance,
-    moment,
-    point_mass,
-    sample,
-    semicircle,
-    standard_family,
-    uniform,
-)
-from .transform import (
-    cauchy_transform,
-    r_transform,
-)
-from .cumulants import (
-    cumulants_from_moments,
-    free_cumulant,
-    mixed_free_moment,
-    moments_from_cumulants,
-    pair_moment_targets,
-)
-from .freeconv import (
-    SubordinationState,
-    free_convolve,
-    subordination_at,
-)
-from .freeentropy import (
-    EntropyReport,
-    chi,
-    epi_deficit,
-    free_fisher,
-    log_energy,
-    stam_deficit,
-)
-from .geometry import (
-    CheckReport,
-    MonteCarloConfig,
-    SetSpec,
-    ThetaSpec,
-    VolumeEstimate,
-    ball_example_exact,
-    bll_symmetrization_check,
-    cap_fraction,
-    check_corollary15,
-    check_lemma13,
-    check_remark16,
-    check_theorem12,
-    first_integral_fraction_at_extremal_r0,
-    fubini_lower_bound,
-    restricted_sum_volume,
-    volume,
-)
-from .microstates import (
-    ContainmentResult,
-    FractionEstimate,
-    GammaTarget,
-    MatrixMicrostate,
-    StepFunctionSpec,
-    check_sum_containment,
-    empirical_chi,
-    estimate_log_volume_omega,
-    haar_unitary,
-    log_flag_constant,
-    membership_report,
-    sample_omega,
-    sum_spectrum_experiment,
-    theta_fraction,
-)
+Each submodule's ``__all__`` is the one list of its public names; the
+package re-exports their union.
+"""
+
+from . import cumulants, errors, freeconv, freeentropy, geometry, measure, microstates, transform
+from .cumulants import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .freeconv import *  # noqa: F403
+from .freeentropy import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .measure import *  # noqa: F403
+from .microstates import *  # noqa: F403
+from .transform import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "ContainmentResult",
-    "ConvergenceError",
-    "DegenerateSampleError",
-    "DomainError",
-    "EntropyReport",
-    "FractionEstimate",
-    "FreesumError",
-    "GammaTarget",
-    "GridConfig",
-    "InversionQualityError",
-    "MatrixMicrostate",
-    "Measure",
-    "MonteCarloConfig",
-    "ParameterError",
-    "PrecisionError",
-    "SetSpec",
-    "StepFunctionError",
-    "StepFunctionSpec",
-    "SubordinationState",
-    "ThetaSpec",
-    "VolumeEstimate",
-    "affine_pushforward",
-    "arcsine",
-    "ball_example_exact",
-    "bernoulli",
-    "bll_symmetrization_check",
-    "cap_fraction",
-    "cauchy_transform",
-    "check_corollary15",
-    "check_lemma13",
-    "check_remark16",
-    "check_sum_containment",
-    "check_theorem12",
-    "chi",
-    "cumulants_from_moments",
-    "empirical_chi",
-    "epi_deficit",
-    "estimate_log_volume_omega",
-    "first_integral_fraction_at_extremal_r0",
-    "free_convolve",
-    "free_cumulant",
-    "free_fisher",
-    "free_poisson",
-    "fubini_lower_bound",
-    "haar_unitary",
-    "kolmogorov_distance",
-    "l1_distance",
-    "log_energy",
-    "log_flag_constant",
-    "membership_report",
-    "mixed_free_moment",
-    "moment",
-    "moments_from_cumulants",
-    "pair_moment_targets",
-    "point_mass",
-    "r_transform",
-    "restricted_sum_volume",
-    "sample",
-    "sample_omega",
-    "semicircle",
-    "stam_deficit",
-    "standard_family",
-    "subordination_at",
-    "sum_spectrum_experiment",
-    "theta_fraction",
-    "volume",
-]
+__all__ = sorted(
+    name
+    for module in (
+        cumulants, errors, freeconv, freeentropy, geometry, measure, microstates, transform
+    )
+    for name in module.__all__
+)

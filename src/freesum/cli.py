@@ -92,11 +92,51 @@ _MEASURE_DEF = {
     "additionalProperties": False,
 }
 
+# fields each set and theta kind reads, as (required, optional)
+_SET_FIELDS = {
+    "ball": (["radius", "dim"], ["center"]),
+    "box": (["half_widths"], ["center"]),
+    "ellipsoid": (["semi_axes"], ["center"]),
+    "intersection": (["parts"], []),
+    "scaled": (["base", "factor"], []),
+}
+_THETA_FIELDS = {
+    "full": ([], []),
+    "inner_product_leq": (["c"], []),
+    "sum_norm_leq": (["bound"], []),
+    "complement_fraction": (["density"], []),
+}
+
+
+def _check_by_kind(validator, fields, instance, schema):
+    # keyword "byKind": an object carries every field its kind reads and no
+    # other; one lookup, where if/then clauses would test every kind
+    kind = instance.get("kind") if isinstance(instance, dict) else None
+    if not isinstance(kind, str) or kind not in fields:
+        return
+    required, optional = fields[kind]
+    for name in required:
+        if name not in instance:
+            yield jsonschema.ValidationError(f"{name!r} is a required property")
+    extra = sorted(set(instance) - {"kind", *required, *optional})
+    if extra:
+        names = ", ".join(map(repr, extra))
+        verb = "was" if len(extra) == 1 else "were"
+        yield jsonschema.ValidationError(
+            f"Additional properties are not allowed ({names} {verb} unexpected)"
+        )
+
+
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, {"byKind": _check_by_kind}
+)
+
+
 _SET_DEF = {
     "type": "object",
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["ball", "box", "ellipsoid", "intersection", "scaled"]},
+        "kind": {"enum": list(_SET_FIELDS)},
         "radius": {"type": "number", "exclusiveMinimum": 0},
         "dim": {"type": "integer", "minimum": 1},
         "center": {"type": "array", "items": {"type": "number"}},
@@ -107,25 +147,20 @@ _SET_DEF = {
         "factor": {"type": "number", "exclusiveMinimum": 0},
     },
     "additionalProperties": False,
+    "byKind": _SET_FIELDS,
 }
 
 _THETA_DEF = {
     "type": "object",
     "required": ["kind"],
     "properties": {
-        "kind": {
-            "enum": [
-                "full",
-                "inner_product_leq",
-                "sum_norm_leq",
-                "complement_fraction",
-            ]
-        },
+        "kind": {"enum": list(_THETA_FIELDS)},
         "c": {"type": "number"},
         "bound": {"type": "number"},
         "density": {"type": "number"},
     },
     "additionalProperties": False,
+    "byKind": _THETA_FIELDS,
 }
 
 _PROFILE_DEF = {
@@ -214,7 +249,6 @@ _PARAM_SCHEMAS = {
         "properties": {
             "n": {"type": "integer", "minimum": 2},
             "rho": {"type": "number", "exclusiveMinimum": 0},
-            "grid_r0": {"type": "integer", "minimum": 2},
         },
         "additionalProperties": False,
     },
@@ -331,17 +365,24 @@ def _load_config(raw: str):
     return json.loads(raw, parse_constant=refuse)
 
 
+def _first_error(schema: dict, instance):
+    """The schema error at the first path in key order, or None."""
+    errors = _Validator(schema).iter_errors(instance)
+    return min(errors, key=lambda e: list(e.absolute_path), default=None)
+
+
+def _params_error(command: str, params: dict):
+    return _first_error({"$defs": _DEFS, **_PARAM_SCHEMAS[command]}, params)
+
+
 def _validate(config: dict, raw: str, path: str) -> None:
-    validator = jsonschema.Draft202012Validator(_TOP_SCHEMA)
-    for err in sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path)):
+    err = _first_error(_TOP_SCHEMA, config)
+    if err is not None:
         line = _line_of_path(raw, list(err.absolute_path) or ["command"])
         raise ConfigError(f"{path}:{line}: {err.message}")
     command = config["command"]
-    schema = {"$defs": _DEFS, **_PARAM_SCHEMAS[command]}
-    validator = jsonschema.Draft202012Validator(schema)
-    for err in sorted(
-        validator.iter_errors(config["params"]), key=lambda e: list(e.absolute_path)
-    ):
+    err = _params_error(command, config["params"])
+    if err is not None:
         line = _line_of_path(raw, ["params", *err.absolute_path])
         raise ConfigError(f"{path}:{line}: params: {err.message}")
     if "sweep" in config and config.get("format") == "json":
@@ -373,32 +414,26 @@ def _parse_grid(spec: dict | None) -> GridConfig | None:
 def _parse_set(spec: dict) -> SetSpec:
     kind = spec["kind"]
     center = spec.get("center")
-    try:
-        if kind == "ball":
-            return SetSpec.ball(spec["radius"], spec["dim"], center)
-        if kind == "box":
-            return SetSpec.box(spec["half_widths"], center)
-        if kind == "ellipsoid":
-            return SetSpec.ellipsoid(spec["semi_axes"], center)
-        if kind == "intersection":
-            return SetSpec.intersection(*(_parse_set(p) for p in spec["parts"]))
-        return SetSpec.scaled(_parse_set(spec["base"]), spec["factor"])
-    except KeyError as missing:
-        raise ParameterError(f"set kind {kind!r} needs field {missing}") from None
+    if kind == "ball":
+        return SetSpec.ball(spec["radius"], spec["dim"], center)
+    if kind == "box":
+        return SetSpec.box(spec["half_widths"], center)
+    if kind == "ellipsoid":
+        return SetSpec.ellipsoid(spec["semi_axes"], center)
+    if kind == "intersection":
+        return SetSpec.intersection(*(_parse_set(p) for p in spec["parts"]))
+    return SetSpec.scaled(_parse_set(spec["base"]), spec["factor"])
 
 
 def _parse_theta(spec: dict) -> ThetaSpec:
     kind = spec["kind"]
-    try:
-        if kind == "full":
-            return ThetaSpec.full()
-        if kind == "inner_product_leq":
-            return ThetaSpec.inner_product_leq(spec["c"])
-        if kind == "sum_norm_leq":
-            return ThetaSpec.sum_norm_leq(spec["bound"])
-        return ThetaSpec.complement_fraction(spec["density"])
-    except KeyError as missing:
-        raise ParameterError(f"theta kind {kind!r} needs field {missing}") from None
+    if kind == "full":
+        return ThetaSpec.full()
+    if kind == "inner_product_leq":
+        return ThetaSpec.inner_product_leq(spec["c"])
+    if kind == "sum_norm_leq":
+        return ThetaSpec.sum_norm_leq(spec["bound"])
+    return ThetaSpec.complement_fraction(spec["density"])
 
 
 def _parse_profile(spec: dict) -> StepFunctionSpec:
@@ -483,10 +518,10 @@ def _run_stam(params, seed, threads):
 
 
 def _run_lemma13(params, seed, threads):
-    out = check_lemma13(params["n"], params["rho"], params.get("grid_r0", 33))
+    out = check_lemma13(params["n"], params["rho"])
     report = out["report"]
     result = {"c1_estimate": out["c1_estimate"], "report": report.to_json()}
-    return result, report.verdict, {"grid_r0": params.get("grid_r0", 33)}
+    return result, report.verdict, {}
 
 
 def _run_minkowski(params, seed, threads):
@@ -769,6 +804,11 @@ def _run_sweep(config: dict, seed: int, threads: int):
             _set_dotted(params, key, value)
         row = {key: value for key, value in zip(keys, combo)}
         try:
+            # a swept value is checked like a config value before it runs
+            err = _params_error(config["command"], params)
+            if err is not None:
+                where = ".".join(["params", *map(str, err.absolute_path)])
+                raise ConfigError(f"{where}: {err.message}")
             result, verdict, _ = run_command(config["command"], params, seed, threads)
             flat = _flatten(result)
             for col in flat:

@@ -13,6 +13,14 @@ import numpy as np
 from .errors import ParameterError
 from .measure import Measure, moment
 
+__all__ = [
+    "cumulants_from_moments",
+    "free_cumulant",
+    "mixed_free_moment",
+    "moments_from_cumulants",
+    "pair_moment_targets",
+]
+
 
 def moments_from_cumulants(kappa) -> list[float]:
     """Moments m_1..m_n from free cumulants k_1..k_n.

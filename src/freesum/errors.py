@@ -1,5 +1,16 @@
 """Exception hierarchy shared by all freesum modules."""
 
+__all__ = [
+    "ConvergenceError",
+    "DegenerateSampleError",
+    "DomainError",
+    "FreesumError",
+    "InversionQualityError",
+    "ParameterError",
+    "PrecisionError",
+    "StepFunctionError",
+]
+
 
 class FreesumError(Exception):
     """Base class for package-specific failures."""

@@ -22,11 +22,10 @@ warm start fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError
 from .measure import (
     DEFAULT_GRID,
     GridConfig,
@@ -36,11 +35,7 @@ from .measure import (
 )
 from .transform import StaircaseTransform, _renormalized
 
-__all__ = [
-    "SubordinationState",
-    "free_convolve",
-    "subordination_at",
-]
+__all__ = ["free_convolve"]
 
 # relative window height of the readout line Im z; small enough that the
 # Poisson tail bias in second/fourth moments stays below the additivity
@@ -59,16 +54,6 @@ MAX_ITER = 500
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-@dataclass(frozen=True)
-class SubordinationState:
-    """Converged subordination values at one point, with iteration accounting."""
-
-    omega1: complex
-    omega2: complex
-    residual: float
-    iterations: int
-
-
 class _PointSolver:
     """Solves the subordination pair at single points, reusing evaluators."""
 
@@ -79,7 +64,7 @@ class _PointSolver:
         self.steps = 0
 
     def _sweep_step(self, z, w1):
-        """One evaluation round: residual H, Newton slope, second point."""
+        """One evaluation round: residual H, its Newton slope, and F_alpha(w1)."""
         self.steps += 1
         ga, gpa = self.ev_a.g_and_deriv(w1)
         fa = 1.0 / ga
@@ -93,20 +78,23 @@ class _PointSolver:
         fpb = -gpb * fb * fb
         h = fb - fa
         hp = (fpb - 1.0) * (fpa - 1.0) - 1.0
-        return h, hp, w2, fa
+        return h, hp, fa
 
     def solve(self, z, w1, budget):
-        """Iterate from w1; returns (state, F_value, converged)."""
+        """Iterate from w1; returns (omega1, residual, F_value, converged).
+
+        Unconverged, it returns the iterate with the smallest residual.
+        """
         floor = z.imag
         scale = max(1.0, abs(z))
-        best = (math.inf, w1, w1, w1)  # residual, w1, w2, F
-        for it in range(1, budget + 1):
-            h, hp, w2, fa = self._sweep_step(z, w1)
+        best = (w1, math.inf, w1)  # omega1, residual, F
+        for _ in range(budget):
+            h, hp, fa = self._sweep_step(z, w1)
             resid = abs(h)
-            if resid < best[0]:
-                best = (resid, w1, w2, fa)
+            if resid < best[1]:
+                best = (w1, resid, fa)
             if resid <= TOL * scale:
-                return SubordinationState(w1, w2, resid, it), fa, True
+                return w1, resid, fa, True
             use_newton = resid < 0.3 * scale and hp != 0
             if use_newton:
                 step = h / hp
@@ -119,8 +107,7 @@ class _PointSolver:
             if cand.imag < floor:
                 cand = complex(cand.real, floor)
             w1 = cand
-        resid, w1, w2, fa = best
-        return SubordinationState(w1, w2, resid, budget), fa, False
+        return (*best, False)
 
     def bootstrap(self, z, height):
         """Continuation from Im = height down to z; returns what solve does."""
@@ -129,25 +116,8 @@ class _PointSolver:
             levels.append(levels[-1] * 0.4)
         w1 = complex(z.real, levels[0])
         for lv in levels:
-            w1 = self.solve(complex(z.real, lv), w1, 80)[0].omega1
+            w1 = self.solve(complex(z.real, lv), w1, 80)[0]
         return self.solve(z, w1, MAX_ITER)
-
-
-def subordination_at(alpha: Measure, beta: Measure, z: complex) -> SubordinationState:
-    """Solve the subordination equations at one upper-half-plane point."""
-    z = complex(z)
-    if not z.imag > 0:
-        raise ParameterError("z must lie in the open upper half-plane")
-    alo, ahi = alpha.support()
-    blo, bhi = beta.support()
-    width = max(1.0, (ahi + bhi) - (alo + blo))
-    state, _, ok = _PointSolver(alpha, beta).bootstrap(z, width)
-    if not ok:
-        raise ConvergenceError(
-            f"subordination did not converge at {z} (residual {state.residual:.3e})",
-            residual=state.residual,
-        )
-    return state
 
 
 def _warm_start(trail, x: float, floor: float) -> complex:
@@ -230,13 +200,13 @@ def free_convolve(alpha: Measure, beta: Measure, grid: GridConfig | None = None)
         z = complex(x, eta)
         ok = False
         if trail:
-            state, fa, ok = ps.solve(z, _warm_start(trail, x, eta), MAX_ITER)
+            w1, resid, fa, ok = ps.solve(z, _warm_start(trail, x, eta), MAX_ITER)
         if not ok:
-            state, fa, ok = ps.bootstrap(z, width)
+            w1, resid, fa, ok = ps.bootstrap(z, width)
         if not ok:
             unconverged += 1
-            worst = max(worst, state.residual)
-        trail = [*trail[-1:], (x, state.omega1)]
+            worst = max(worst, resid)
+        trail = [*trail[-1:], (x, w1)]
         values[i] = max(0.0, -((1.0 / fa).imag) / math.pi)
     density = np.bincount(cell, weight * values, minlength=n)
 

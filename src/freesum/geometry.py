@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
@@ -641,7 +641,8 @@ def restricted_sum_volume(
 ) -> dict:
     """Volumes of A, B, the pair constraint and the restricted sumset.
 
-    volume_a and volume_b are ``volume(A)`` and ``volume(B)`` under cfg.
+    volume_a and volume_b are ``volume(A)`` and ``volume(B)``, each with a seed
+    derived from cfg.seed, so no two sampled estimates share a stream.
     theta_volume is hit-or-miss over independent uniform pairs from A x B,
     drawn by ``_sample_in_set``; rejection_proposals counts the points it
     proposed for them (2 * pair_samples when A and B are drawn exactly).  A
@@ -667,14 +668,19 @@ def restricted_sum_volume(
     cfg = cfg or MonteCarloConfig()
     m = cfg.pair_samples
 
-    vol_a = volume(A, cfg)
-    vol_b = volume(B, cfg)
+    def own(k: int) -> MonteCarloConfig:
+        # the pair draws and the Theta hash use cfg's seed; each sampled
+        # volume (A, B, the sumset) draws from its own seed, past cfg's streams
+        return replace(cfg, seed=stream_seed(cfg.seed, _STREAMS + k))
+
+    vol_a = volume(A) if A.exact_volume() is not None else volume(A, own(0))
+    vol_b = volume(B) if B.exact_volume() is not None else volume(B, own(1))
     admitted = partial(theta.indicator, seed=cfg.seed)
     hits, proposals = (m, 0) if theta.kind == "full" else _pair_hits(A, B, admitted, cfg)
     if hits == 0:
         raise DegenerateSampleError("pair constraint admitted no sampled pairs")
     if exact is None:
-        sum_vol = _certified_sum_volume(A, B, theta, cfg)[0]
+        sum_vol = _certified_sum_volume(A, B, theta, own(2))[0]
     else:
         value = exact * (1.0 - _CLOSED_FORM_ETA)
         sum_vol = VolumeEstimate(
@@ -789,20 +795,19 @@ def first_integral_fraction_at_extremal_r0(n: int, rho: float) -> float:
     return _cap_shares(n, rho, min(r0, 1.0))[1]
 
 
-def check_lemma13(n: int, rho: float, grid_r0: int = 33) -> dict:
-    """Scan cap fractions near r0 = 1 for a positive uncovered share c1.
+def check_lemma13(n: int, rho: float) -> dict:
+    """Uncovered share c1 of the small ball at r0 = 1 - tau/n, and the constant it implies.
 
     With tau = min(rho sqrt(n), 1)/2, points at radius r0 in [1 - tau/n, 1]
     miss at least c1 of the small ball, which bounds the admissible pair
-    fraction away from 1 and yields a positive constant c.
+    fraction away from 1 and yields a positive constant c.  By Anderson's
+    theorem the cap fraction falls as r0 grows, so the least uncovered share
+    on that range is at its inner end: c1 = 1 - cap_fraction(n, rho, 1 - tau/n).
     """
     if n < 2:
         raise ParameterError("needs n >= 2")
-    if grid_r0 < 2:
-        raise ParameterError("grid_r0 must be >= 2")
     tau = 0.5 * min(rho * math.sqrt(n), 1.0)
-    r0s = np.linspace(1.0 - tau / n, 1.0, grid_r0)
-    c1 = min(1.0 - cap_fraction(n, rho, float(r)) for r in r0s)
+    c1 = 1.0 - cap_fraction(n, rho, 1.0 - tau / n)
     shell = (1.0 - tau / n) ** n
     bound = 1.0 - shell * c1
     implied_c = shell * c1 / min(rho * math.sqrt(n), 1.0)
@@ -817,7 +822,6 @@ def check_lemma13(n: int, rho: float, grid_r0: int = 33) -> dict:
             "n": n,
             "rho": rho,
             "tau": tau,
-            "grid_r0": grid_r0,
             "c1_estimate": c1,
             "implied_c": implied_c,
         },

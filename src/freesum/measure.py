@@ -16,6 +16,23 @@ import numpy as np
 
 from .errors import ParameterError
 
+__all__ = [
+    "GridConfig",
+    "Measure",
+    "affine_pushforward",
+    "arcsine",
+    "bernoulli",
+    "free_poisson",
+    "kolmogorov_distance",
+    "l1_distance",
+    "moment",
+    "point_mass",
+    "sample",
+    "semicircle",
+    "standard_family",
+    "uniform",
+]
+
 MASS_TOL = 1e-12
 
 _GAUSS16_NODES, _GAUSS16_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -25,8 +42,9 @@ _GAUSS16_NODES, _GAUSS16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 class GridConfig:
     """Resolution and window inflation used when discretizing a measure.
 
-    ``padding`` is the factor by which the grid window exceeds the support
-    of the measure (centered), so quadrature never clips mass.
+    ``padding`` is about the factor by which the grid window exceeds the
+    support of the measure (centered, with the support endpoints snapped to
+    cell edges by ``snapped_window``), so quadrature never clips mass.
     """
 
     n_cells: int = 2048
@@ -226,14 +244,6 @@ class Measure:
 # -- construction helpers ------------------------------------------------------
 
 
-def _window(support_lo: float, support_hi: float, padding: float) -> tuple[float, float]:
-    center = 0.5 * (support_lo + support_hi)
-    half = 0.5 * (support_hi - support_lo) * padding
-    if half <= 0:
-        half = max(0.5 * padding, abs(center) * 1e-9)
-    return center - half, center + half
-
-
 def snapped_window(support_lo: float, support_hi: float, grid: GridConfig):
     """Window inflated by ~padding with support endpoints on cell edges.
 
@@ -314,7 +324,7 @@ def bernoulli(p: float, a: float, b: float, grid: GridConfig | None = None) -> M
         raise ParameterError(f"p must lie in (0, 1), got {p}")
     if not (math.isfinite(a) and math.isfinite(b)) or a == b:
         raise ParameterError("atom locations must be finite and distinct")
-    lo, hi = _window(min(a, b), max(a, b), grid.padding)
+    lo, hi, _ = snapped_window(min(a, b), max(a, b), grid)
     dens = np.zeros(grid.n_cells)
     return Measure(lo, hi, dens, ((a, p), (b, 1.0 - p)))
 
@@ -324,7 +334,7 @@ def point_mass(location: float, grid: GridConfig | None = None) -> Measure:
     grid = grid or DEFAULT_GRID
     if not math.isfinite(location):
         raise ParameterError("location must be finite")
-    lo, hi = _window(location - 0.5, location + 0.5, grid.padding)
+    lo, hi, _ = snapped_window(location - 0.5, location + 0.5, grid)
     return Measure(lo, hi, np.zeros(grid.n_cells), ((location, 1.0),))
 
 

@@ -22,6 +22,22 @@ from .freeentropy import CHI_SHIFT
 from .measure import Measure
 from .stats import logsumexp, stream_seed, wilson_interval
 
+__all__ = [
+    "ContainmentResult",
+    "FractionEstimate",
+    "GammaTarget",
+    "MatrixMicrostate",
+    "StepFunctionSpec",
+    "check_sum_containment",
+    "empirical_chi",
+    "estimate_log_volume_omega",
+    "log_flag_constant",
+    "membership_report",
+    "sample_omega",
+    "sum_spectrum_experiment",
+    "theta_fraction",
+]
+
 _HERMITIAN_TOL = 1e-12
 _SLOT_LANDING_TOL = 1e-9
 _NORM_SLACK = 1e-9
@@ -269,7 +285,11 @@ class GammaTarget:
 
 
 def _haar_from_rng(k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Haar unitary U and its measured unitarity defect max |fl(U U*) - I|."""
+    """Haar unitary U and its measured unitarity defect max |fl(U U*) - I|.
+
+    QR of a complex Ginibre matrix with the triangular factor's diagonal
+    rotated to positive reals; without that correction QR alone is not Haar.
+    """
     z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -281,17 +301,6 @@ def _haar_from_rng(k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]
             "orthonormalization lost unitarity", diagnostics={"k": k, "gap": gap}
         )
     return u, gap
-
-
-def haar_unitary(k: int, seed: int) -> np.ndarray:
-    """Haar-distributed k x k unitary.
-
-    QR of a complex Ginibre matrix with the triangular factor's diagonal
-    rotated to positive reals; without that correction QR alone is not Haar.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ParameterError(f"k must be a positive integer, got {k}")
-    return _haar_from_rng(k, np.random.default_rng(seed))[0]
 
 
 def _gamma(n: int) -> float:

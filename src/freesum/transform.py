@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, InversionQualityError, ParameterError
 from .measure import Measure, moment
 
+__all__ = ["cauchy_transform", "r_transform"]
 
 NEWTON_MAX_ITER = 200
 NEWTON_TOL = 1e-12

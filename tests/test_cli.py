@@ -114,6 +114,44 @@ class TestValidation:
         assert f"{path}:8:" in err
         assert knob in err
 
+    @pytest.mark.parametrize("a_set, message", [
+        ('{"kind": "ball", "dim": 2}', "'radius' is a required property"),
+        ('{"kind": "ellipsoid", "center": [0, 0]}', "'semi_axes' is a required property"),
+        ('{"kind": "scaled", "factor": 2}', "'base' is a required property"),
+        ('{"kind": "box", "half_widths": [1, 1], "radius": 1}',
+         "Additional properties are not allowed ('radius' was unexpected)"),
+        ('{"kind": "intersection", "parts": [{"kind": "box", "half_widths": [1]}], "dim": 1}',
+         "Additional properties are not allowed ('dim' was unexpected)"),
+    ])
+    def test_set_fields_follow_the_kind(self, tmp_path, capsys, a_set, message):
+        # a set must carry every field its kind reads and no field it ignores
+        path = self.write_disk_pair_config(tmp_path, '    "theta": {"kind": "full"}')
+        path.write_text(path.read_text().replace(
+            '"a": {"kind": "ball", "radius": 1.0, "dim": 2}', f'"a": {a_set}'))
+        assert cli.main(["--config", str(path)]) == 1
+        assert f"{path}:5: params: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta, message", [
+        ('{"kind": "inner_product_leq"}', "'c' is a required property"),
+        ('{"kind": "sum_norm_leq", "density": 0.5}', "'bound' is a required property"),
+        ('{"kind": "complement_fraction"}', "'density' is a required property"),
+        ('{"kind": "full", "c": 0.0}',
+         "Additional properties are not allowed ('c' was unexpected)"),
+        ('{"kind": "sum_norm_leq", "bound": 2.0, "c": 0.0}',
+         "Additional properties are not allowed ('c' was unexpected)"),
+    ])
+    def test_theta_fields_follow_the_kind(self, tmp_path, capsys, theta, message):
+        path = self.write_disk_pair_config(tmp_path, f'    "theta": {theta}')
+        assert cli.main(["--config", str(path)]) == 1
+        assert f"{path}:7: params: {message}" in capsys.readouterr().err
+
+    def test_lemma13_has_no_scan_size(self, tmp_path, capsys):
+        # c1 is read at the inner end of the r0 range, so there is no grid
+        config = {"command": "lemma13", "params": {"n": 8, "rho": 0.1, "grid_r0": 33}}
+        assert run_cli(tmp_path, config) == 1
+        err = capsys.readouterr().err
+        assert "params: Additional properties are not allowed ('grid_r0' was unexpected)" in err
+
     def test_ball_example_on_the_line_exits_1(self, tmp_path, capsys):
         # on the line the orthogonal sum is [-1, 1]: there is no equality case
         config = {"command": "minkowski", "params": {"example": "ball", "rho": 0.7, "n": 1}}
@@ -323,7 +361,8 @@ class TestRunExamples:
         doc = last_stdout_json(capsys)
         assert doc["verdict"] == "holds"
         assert doc["result"]["c1_estimate"] > 0.05
-        assert doc["resolved"]["grid_r0"] == 33
+        assert doc["resolved"] == {}
+        assert "grid_r0" not in doc["result"]["report"]["context"]
 
     def test_theorem12_full_theta_holds(self, tmp_path, capsys):
         config = {
@@ -607,8 +646,9 @@ class TestOutputFormats:
         config = {
             "command": "lemma13",
             "params": {"rho": 0.1, "n": 8},
-            "sweep": {"rho": [0.1, -1.0]},
+            "sweep": {"rho": [0.1, 2.0]},
         }
+        # rho = 2 passes the schema, and the library's message has a comma
         assert run_cli(tmp_path, config) == 0
         raw = capsys.readouterr().out
         assert '"rho must lie in (0, 1]' in raw
@@ -675,6 +715,23 @@ class TestSweep:
         assert "rho" in rows[1]["error"]
         assert rows[1]["c1_estimate"] == ""
         assert float(rows[2]["c1_estimate"]) > 0
+
+    def test_swept_values_are_schema_checked(self, tmp_path, capsys):
+        # a swept kind that lacks its fields is a row error, not a crash
+        config = {
+            "command": "minkowski",
+            "seed": 3,
+            "params": {
+                "a": {"kind": "ball", "radius": 1.0, "dim": 2},
+                "b": {"kind": "ball", "radius": 0.5, "dim": 2},
+                "theta": {"kind": "full"},
+            },
+            "sweep": {"theta.kind": ["full", "inner_product_leq"]},
+        }
+        assert run_cli(tmp_path, config) == 0
+        rows = read_csv_text(capsys.readouterr().out)
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"] == "params.theta: 'c' is a required property"
 
     def test_two_key_sweep_row_order_is_lexicographic(self, tmp_path, capsys):
         config = {

@@ -79,21 +79,19 @@ def _module_names(tree: ast.Module) -> tuple[list[str] | None, set[str]]:
 
 
 def test_package_exports_match_the_submodules():
-    # the two hand-kept lists of __init__.py, its imports and __all__, must
-    # not drift from each other or from the submodules' own __all__
-    package = ROOT / "src" / "freesum"
-    init = ast.parse((package / "__init__.py").read_text())
-    exported, bound = _module_names(init)
-    assert exported == sorted(set(exported))
-    assert set(exported) <= bound
-    for node in init.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            _, defined = _module_names(ast.parse((package / f"{node.module}.py").read_text()))
-            missing = {a.name for a in node.names} - defined
-            assert not missing, f"freesum.{node.module} does not define {sorted(missing)}"
-    for path in sorted(package.glob("*.py")):
+    # each submodule's __all__ is the one list of its public names; the
+    # package re-exports their union, sorted, and no name has two owners
+    import freesum
+
+    owner = {}
+    for path in sorted((ROOT / "src" / "freesum").glob("*.py")):
         if path.name == "__init__.py":
             continue
-        own, _ = _module_names(ast.parse(path.read_text()))
-        missing = set(own or ()) - set(exported)
-        assert not missing, f"{path.name} exports {sorted(missing)} that freesum does not"
+        own, defined = _module_names(ast.parse(path.read_text()))
+        for name in own or ():
+            assert name in defined, f"{path.name} exports {name!r} but does not define it"
+            assert name not in owner, f"{name!r} is exported by {owner[name]} and {path.name}"
+            owner[name] = path.name
+    assert freesum.__all__ == sorted(freesum.__all__)
+    assert freesum.__all__ == sorted(owner)
+    assert all(hasattr(freesum, name) for name in freesum.__all__)

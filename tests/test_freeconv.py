@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from freesum import freeconv
 from freesum.cumulants import free_cumulant
-from freesum.errors import ParameterError
-from freesum.freeconv import free_convolve, subordination_at
+from freesum.freeconv import free_convolve
 from freesum.measure import (
     GridConfig,
     affine_pushforward,
@@ -187,23 +186,18 @@ def test_subordination_identities():
     a = uniform(-1.0, 1.0, grid=GRID)
     b = free_poisson(2.0, grid=GRID)
     z = 0.5 + 0.8j
-    state = subordination_at(a, b, z)
-    ga = StaircaseTransform(a).g(np.array([state.omega1]))[0]
-    gb = StaircaseTransform(b).g(np.array([state.omega2]))[0]
+    (alo, ahi), (blo, bhi) = a.support(), b.support()
+    solver = freeconv._PointSolver(a, b)
+    omega1, residual, f_alpha, converged = solver.bootstrap(z, (ahi + bhi) - (alo + blo))
+    assert converged and residual <= 1e-9
+    omega2 = f_alpha + z - omega1
+    ga = StaircaseTransform(a).g(np.array([omega1]))[0]
+    gb = StaircaseTransform(b).g(np.array([omega2]))[0]
     # both subordinated evaluations give G of the convolution
+    assert abs(ga - 1.0 / f_alpha) < 1e-12
     assert abs(ga - gb) < 1e-9
-    assert abs(state.omega1 + state.omega2 - z - 1.0 / ga) < 1e-9
-    assert state.omega1.imag >= z.imag
-    assert state.omega2.imag >= z.imag
-    assert state.residual <= 1e-9
-
-
-def test_subordination_rejects_lower_half_plane():
-    a = semicircle(1.0, grid=GRID)
-    with pytest.raises(ParameterError):
-        subordination_at(a, a, 0.5 - 0.1j)
-    with pytest.raises(ParameterError):
-        subordination_at(a, a, 0.5)
+    assert omega1.imag >= z.imag
+    assert omega2.imag >= z.imag
 
 
 def test_atomic_output_rejected_by_mass_check():

@@ -308,6 +308,30 @@ class TestRestrictedSum:
         assert sv.samples == 250_000
         assert abs(sv.value - 4.0 * math.pi) <= 3.0 * sv.stderr
 
+    def test_estimates_draw_from_distinct_seeds(self, monkeypatch):
+        # volume(A), volume(B), the pair draws and the sumset points are four
+        # estimates; no generator seed may serve two of them
+        calls = []
+        run_streams = geometry._run_streams
+
+        def recorded(cfg, total, job):
+            seeds = []
+            calls.append(seeds)
+
+            def noted(i, m, rng):
+                seeds.append(rng.bit_generator.seed_seq.entropy)
+                return job(i, m, rng)
+
+            return run_streams(cfg, total, noted)
+
+        monkeypatch.setattr(geometry, "_run_streams", recorded)
+        other = SetSpec.intersection(SetSpec.ball(0.6, 3), SetSpec.box([0.5, 0.4, 0.5]))
+        restricted_sum_volume(BALL_CAP_BOX, other, ThetaSpec.complement_fraction(0.2),
+                              MonteCarloConfig(pair_samples=20_000, seed=5))
+        assert len(calls) == 4
+        assert all(len(seeds) == geometry._STREAMS for seeds in calls)
+        assert len({seed for seeds in calls for seed in seeds}) == 4 * geometry._STREAMS
+
     def test_half_space_pair_fraction(self):
         cfg = MonteCarloConfig(pair_samples=1_000_000, seed=3)
         A, B = SetSpec.ball(1, 3), SetSpec.ball(0.8, 3)
@@ -460,12 +484,17 @@ class TestClosedFormSums:
          ThetaSpec.full()),
     ], ids=["off-centre-ball", "ellipsoid", "box-ball", "boxes-sum-norm", "intersection",
             "n6-ellipsoid-box"])
-    def test_other_pairs_are_certified(self, a, b, theta):
+    def test_other_pairs_are_certified(self, a, b, theta, monkeypatch):
+        calls = []
+        certified = geometry._certified_sum_volume
+        monkeypatch.setattr(geometry, "_certified_sum_volume",
+                            lambda *args: calls.append(args) or certified(*args))
         rsv = restricted_sum_volume(a, b, theta, FAST)
         sv = rsv["sum_volume"]
         assert sv.method == "mc_hit_or_miss"
         assert sv.samples == FAST.pair_samples // 40
-        estimate, undecided = geometry._certified_sum_volume(a, b, theta, FAST)
+        [args] = calls
+        estimate, undecided = certified(*args)
         assert estimate == sv
         assert undecided == 0
 
@@ -802,8 +831,8 @@ class TestPowerCheckCore:
     def test_context_volumes_are_the_restricted_sum_volumes(self):
         a, b = SetSpec.ellipsoid([1.2, 1.0, 1.0]), BALL_CAP_BOX
         rsv = restricted_sum_volume(a, b, ThetaSpec.full(), FAST)
-        assert rsv["volume_a"] == volume(a, FAST)
-        assert rsv["volume_b"] == volume(b, FAST)
+        assert rsv["volume_a"] == volume(a)
+        assert rsv["volume_b"].method == "mc_hit_or_miss"
         rep = check_remark16(a, b, ThetaSpec.full(), 0.5, FAST)
         assert rep.context["volume_a"] == rsv["volume_a"].value
         assert rep.context["volume_b"] == rsv["volume_b"].value
@@ -1099,6 +1128,15 @@ class TestCapFraction:
             excess = cap_fraction(n, 1.0, 1.0) - 0.5
             assert excess == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * n), rel=1e-3)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(2, 4096), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0), st.floats(0.0, 1.0))
+    def test_never_increases_in_r0(self, n, rho, r0, step):
+        # Anderson's theorem: the overlap of two centred balls shrinks as
+        # their centres move apart; check_lemma13 reads c1 at the inner r0
+        # for this reason.  One rounding of the shares is allowed.
+        farther = r0 + step * (1.0 - r0)
+        assert cap_fraction(n, rho, farther) <= cap_fraction(n, rho, r0) + 1e-15
+
     def test_decreasing_in_r0(self):
         vals = [cap_fraction(2, 1.0, r) for r in (0.75, 0.9, 1.0)]
         assert vals[0] > vals[1] > vals[2]
@@ -1141,7 +1179,7 @@ class TestCapFraction:
 
 
 class TestLemmaThirteen:
-    def test_planar_scan_value(self):
+    def test_planar_value(self):
         out = check_lemma13(2, 1.0)
         assert out["c1_estimate"] == pytest.approx(0.16125375103501127, abs=1e-6)
         assert out["report"].verdict == "holds"
@@ -1157,11 +1195,30 @@ class TestLemmaThirteen:
         for r0 in np.linspace(1.0 - tau / 3.0, 1.0, 9):
             assert cap_fraction(3, 1.0, float(r0)) <= 1.0
 
+    # (n, rho): c1_estimate, implied_c, deficit as the 33-point r0 scan
+    # computed them; reading c1 at the scan's first point changes no bit
+    SCAN_VALUES = {
+        (2, 1.0): (0.16125375103501138, 0.0907052349571939, 0.0907052349571939),
+        (3, 0.5): (0.2000986333526884, 0.14475077104242542, 0.1253578449401253),
+        (8, 0.1): (0.28871543185535864, 0.8850282581053887, 0.2503237931392154),
+        (32, 0.01): (0.30612614026245877, 5.260612248765812, 0.2975851675436255),
+        (128, 0.5): (0.44721975175509965, 0.2709870341770172, 0.2709870341770172),
+        (512, 1.0): (0.47360978701602807, 0.2871886878878216, 0.2871886878878216),
+        (2048, 0.1): (0.45512558402897296, 0.2760307698950734, 0.2760307698950734),
+        (2048, 0.01): (0.30842318772177857, 0.5435093164713702, 0.2459642389215816),
+    }
+
+    @pytest.mark.parametrize("n, rho", list(SCAN_VALUES))
+    def test_matches_the_r0_scan(self, n, rho):
+        out = check_lemma13(n, rho)
+        report = out["report"]
+        got = (out["c1_estimate"], report.context["implied_c"], report.deficit)
+        assert got == pytest.approx(self.SCAN_VALUES[n, rho], rel=1e-13, abs=0)
+        assert report.verdict == "holds"
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             check_lemma13(1, 0.5)
-        with pytest.raises(ParameterError):
-            check_lemma13(3, 0.5, grid_r0=1)
 
 
 class TestBallExample:

@@ -393,6 +393,11 @@ def volume(spec: SetSpec, cfg: MonteCarloConfig | None = None) -> VolumeEstimate
     return _hit_or_miss(*spec.bounding_box(), member, cfg.pair_samples, cfg)[0]
 
 
+def _own_seed(cfg: MonteCarloConfig, k: int) -> MonteCarloConfig:
+    """cfg on the k-th seed past cfg's streams: no generator shared with cfg or another k."""
+    return replace(cfg, seed=stream_seed(cfg.seed, _STREAMS + k))
+
+
 def _hit_or_miss(lo, hi, member, points: int, cfg: MonteCarloConfig) -> tuple[VolumeEstimate, int]:
     """(estimate, undecided points) of a set's volume from points uniform on the box [lo, hi].
 
@@ -667,20 +672,16 @@ def restricted_sum_volume(
                              "n >= 2: elsewhere the sumset need not be convex")
     cfg = cfg or MonteCarloConfig()
     m = cfg.pair_samples
-
-    def own(k: int) -> MonteCarloConfig:
-        # the pair draws and the Theta hash use cfg's seed; each sampled
-        # volume (A, B, the sumset) draws from its own seed, past cfg's streams
-        return replace(cfg, seed=stream_seed(cfg.seed, _STREAMS + k))
-
-    vol_a = volume(A) if A.exact_volume() is not None else volume(A, own(0))
-    vol_b = volume(B) if B.exact_volume() is not None else volume(B, own(1))
+    # the pair draws and the Theta hash use cfg's seed; each sampled volume
+    # (A, B, the sumset) draws from its own
+    vol_a = volume(A) if A.exact_volume() is not None else volume(A, _own_seed(cfg, 0))
+    vol_b = volume(B) if B.exact_volume() is not None else volume(B, _own_seed(cfg, 1))
     admitted = partial(theta.indicator, seed=cfg.seed)
     hits, proposals = (m, 0) if theta.kind == "full" else _pair_hits(A, B, admitted, cfg)
     if hits == 0:
         raise DegenerateSampleError("pair constraint admitted no sampled pairs")
     if exact is None:
-        sum_vol = _certified_sum_volume(A, B, theta, own(2))[0]
+        sum_vol = _certified_sum_volume(A, B, theta, _own_seed(cfg, 2))[0]
     else:
         value = exact * (1.0 - _CLOSED_FORM_ETA)
         sum_vol = VolumeEstimate(
@@ -1055,7 +1056,9 @@ def bll_symmetrization_check(
 
     lhs samples lambda({(x, y) in A x B : x + y in C}); rhs repeats the
     measurement with every set replaced by the origin-centered ball of the
-    same volume, using the same seed.
+    same volume.  The lhs pair draws use cfg's seed; the three input volumes
+    and the rhs pair draws each use their own (``_own_seed`` 0 to 3), so the
+    two sides' errors are independent and add in quadrature.
     """
     if A.dim != B.dim or A.dim != C.dim:
         raise ParameterError("all three sets must share the dimension")
@@ -1064,14 +1067,15 @@ def bll_symmetrization_check(
     cfg = cfg or MonteCarloConfig()
     n, m = A.dim, cfg.pair_samples
 
-    def pair_mass(a, b, c, va, vb):
-        p = _pair_hits(a, b, lambda x, y: c.contains(x + y), cfg)[0] / m
+    def pair_mass(a, b, c, va, vb, pair_cfg):
+        p = _pair_hits(a, b, lambda x, y: c.contains(x + y), pair_cfg)[0] / m
         return p * va * vb, va * vb * math.sqrt(max(p * (1 - p), 1e-12) / m)
 
-    vols = [volume(spec, cfg).value for spec in (A, B, C)]
+    vols = [volume(spec, _own_seed(cfg, k)).value for k, spec in enumerate((A, B, C))]
     balls = [SetSpec.ball((v / unit_ball_volume(n)) ** (1.0 / n), n) for v in vols]
-    lhs, err_l = pair_mass(A, B, C, vols[0], vols[1])
-    rhs, err_r = pair_mass(*balls, volume(balls[0]).value, volume(balls[1]).value)
+    lhs, err_l = pair_mass(A, B, C, vols[0], vols[1], cfg)
+    ball_vols = [volume(ball).value for ball in balls[:2]]
+    rhs, err_r = pair_mass(*balls, *ball_vols, _own_seed(cfg, 3))
     ci = Z99 * math.hypot(err_l, err_r)
     deficit = rhs - lhs  # inequality says lhs <= rhs
     return CheckReport(

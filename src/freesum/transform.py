@@ -21,6 +21,7 @@ NEWTON_TOL within NEWTON_MAX_ITER steps.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -34,11 +35,11 @@ NEWTON_TOL = 1e-12
 
 
 class StaircaseTransform:
-    """Evaluator for G and G' of a fixed measure, valid off the real axis.
+    """Evaluator for G and G' of a fixed measure at one point off the real axis.
 
     ``coef`` holds the nonzero density jumps dc_j at the grid edges
     ``edge_loc`` (the edge-jump form in the module docstring); ``atom_loc``
-    and ``atom_w`` hold the atoms.  Each Log(z - e_j) is formed in real
+    holds the atom locations.  Each Log(z - e_j) is formed in real
     arithmetic, and two exact rearrangements keep the rounding error of the
     edge sum from growing with the distance to the support:
 
@@ -49,11 +50,15 @@ class StaircaseTransform:
       jumps sum to minus the density of the cell holding Re z (the
       Sokhotski-Plemelj jump).
 
-    The sums over edges are plain reductions, so values do not depend on the
-    BLAS thread count.  Values in the lower half-plane follow the same
-    closed form, which is the Schwarz reflection of the upper-half-plane
-    branch; both are needed when inverting G (the functional inverse lands
-    in the opposite half-plane).
+    A call fills the four per-edge rows log(r_j^2 / r_m^2), arctan(y / x_j),
+    x_j / r_j^2 and 1 / r_j^2 of a work array allocated once, in place, and
+    reduces them against the jumps in one einsum: a plain reduction, not a
+    BLAS product, so values do not depend on the BLAS thread count.  The
+    shared buffers make one instance unsafe to call from two threads at
+    once.  Atoms are a scalar loop.  Values in the lower half-plane follow
+    the same closed form, which is the exact Schwarz reflection of the
+    upper-half-plane branch; both are needed when inverting G (the
+    functional inverse lands in the opposite half-plane).
     """
 
     def __init__(self, mu: Measure):
@@ -63,65 +68,55 @@ class StaircaseTransform:
         self.edge_loc = edges[nz]
         self.coef = jumps[nz]
         self.atom_loc = np.array([a for a, _ in mu.atoms])
-        self.atom_w = np.array([w for _, w in mu.atoms])
+        self._atoms = [(float(a), float(w)) for a, w in mu.atoms]
         self.support = mu.support() if (nz.size or mu.atoms) else (0.0, 0.0)
         self.mean = moment(mu, 1)
         self._mid = 0.5 * (self.support[0] + self.support[1])
-        # density of the cell holding x, indexed by searchsorted(edges, x, "right")
-        self._grid_edges = edges
-        self._cell_density = np.concatenate(([0.0], mu.density, [0.0]))
+        # density of the cell holding x, indexed by bisect_right(edges, x)
+        self._grid_edges = edges.tolist()
+        self._cell_density = [0.0, *mu.density.tolist(), 0.0]
+        self._terms = np.empty((4, nz.size))
+        self._x = np.empty(nz.size)
 
-    def _edge_sum(self, v):
-        return np.einsum("...j,j->...", v, self.coef)
+    def g(self, z: complex) -> complex:
+        return self.g_and_deriv(z)[0]
 
-    def _edge_terms(self, z, deriv: bool):
-        """The edge sums of G and, if deriv, of G'; G' is None otherwise."""
-        # + 0.0 turns Re z = -0.0 into +0.0, so x_j < 0 agrees with searchsorted
-        re = z.real + 0.0
-        x = re[..., None] - self.edge_loc
-        y = z.imag[..., None]
-        r2 = x * x + y * y
-        r2_mid = (re - self._mid) ** 2 + z.imag**2
-        log_abs = 0.5 * self._edge_sum(np.log(r2 / r2_mid[..., None]))
-        with np.errstate(divide="ignore", over="ignore"):
-            # Arg(z - e_j) - pi sign(y) [x_j < 0], with x_j = 0 giving +-pi/2
-            angle = np.arctan(y / x)
-        cell = self._cell_density[np.searchsorted(self._grid_edges, re, side="right")]
-        g = log_abs + 1j * (self._edge_sum(angle) - math.pi * np.sign(z.imag) * cell)
-        if not deriv:
-            return g, None
-        inv = 1.0 / r2
-        # 1/(z - e) = (x - i y) / |z - e|^2
-        return g, self._edge_sum(x * inv) - 1j * (z.imag * self._edge_sum(inv))
-
-    def _evaluate(self, z, deriv: bool):
-        z = np.asarray(z, dtype=complex)
-        g, gp = 0j, 0j
+    def g_and_deriv(self, z: complex) -> tuple[complex, complex]:
+        z = complex(z)
+        g = gp = 0j
         if self.coef.size:
-            g, gp = self._edge_terms(z, deriv)
-        if self.atom_loc.size:
-            da = z[..., None] - self.atom_loc
-            g = g + np.sum(self.atom_w / da, axis=-1)
-            if deriv:
-                gp = gp - np.sum(self.atom_w / da**2, axis=-1)
-        scalar = z.ndim == 0
-        if not deriv:
-            return complex(g) if scalar else g
-        return (complex(g), complex(gp)) if scalar else (g, gp)
-
-    def g(self, z):
-        return self._evaluate(z, deriv=False)
-
-    def g_and_deriv(self, z):
-        return self._evaluate(z, deriv=True)
+            # + 0.0 turns Re z = -0.0 into +0.0, so x_j < 0 agrees with bisect
+            re, y = z.real + 0.0, z.imag
+            x, t = self._x, self._terms
+            np.subtract(re, self.edge_loc, out=x)
+            np.multiply(x, x, out=t[3])
+            np.add(t[3], y * y, out=t[3])  # r_j^2 = |z - e_j|^2
+            dm = re - self._mid
+            np.divide(t[3], dm * dm + y * y, out=t[0])
+            np.log(t[0], out=t[0])
+            with np.errstate(divide="ignore", over="ignore"):
+                # Arg(z - e_j) - pi sign(y) [x_j < 0], with x_j = 0 giving +-pi/2
+                np.divide(y, x, out=t[1])
+            np.arctan(t[1], out=t[1])
+            np.reciprocal(t[3], out=t[3])
+            np.multiply(x, t[3], out=t[2])  # 1/(z - e) = (x - i y) / |z - e|^2
+            log_abs, angle, re_inv, inv = np.einsum("ij,j->i", t, self.coef).tolist()
+            cell = self._cell_density[bisect_right(self._grid_edges, re)]
+            g = complex(0.5 * log_abs, angle - math.pi * ((y > 0) - (y < 0)) * cell)
+            gp = complex(re_inv, -(y * inv))
+        for a, w in self._atoms:
+            d = z - a
+            g += w / d
+            gp -= w / (d * d)
+        return g, gp
 
 
 def cauchy_transform(mu: Measure, z: complex) -> complex:
     """G(z) = integral of 1/(z-t) dmu(t), exact for the staircase density.
 
     Either half-plane is accepted; only real z is rejected since G has its
-    cut on the support there.  G and G' together, at one point or an array
-    of points, come from ``StaircaseTransform(mu).g_and_deriv(z)``.
+    cut on the support there.  G and G' together come from
+    ``StaircaseTransform(mu).g_and_deriv(z)``.
     """
     z = complex(z)
     if z.imag == 0.0:

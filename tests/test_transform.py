@@ -1,6 +1,7 @@
 """Tests for Cauchy transform evaluation and the R-transform."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,21 +33,31 @@ def test_atomic_cauchy_exact():
     assert cauchy_transform(point_mass(0.0), 1j) == -1j
 
 
+def g_and_deriv_at(ev, zs):
+    """G and G' at each point of zs, as two arrays."""
+    pairs = [ev.g_and_deriv(z) for z in zs]
+    return np.array([g for g, _ in pairs]), np.array([gp for _, gp in pairs])
+
+
+def g_at(ev, zs):
+    return np.array([ev.g(z) for z in zs])
+
+
 def test_schwarz_reflection():
     st = StaircaseTransform(semicircle(1.0))
     rng = np.random.default_rng(5)
     zs = rng.uniform(-3, 3, 100) + 1j * rng.uniform(1e-3, 4.0, 100)
-    assert np.max(np.abs(np.conj(st.g(np.conj(zs))) - st.g(zs))) == 0.0
+    assert np.max(np.abs(np.conj(g_at(st, np.conj(zs))) - g_at(st, zs))) == 0.0
 
 
 def test_herglotz_and_asymptotics():
     st = StaircaseTransform(semicircle(1.0))
     rng = np.random.default_rng(11)
     zs = rng.uniform(-3, 3, 100) + 1j * rng.uniform(1e-3, 5.0, 100)
-    assert np.all(st.g(zs).imag < 0)
+    assert np.all(g_at(st, zs).imag < 0)
     # far from the support, z G(z) - 1 decays like 1/z^2
     ring = rng.uniform(20, 40, 25) * np.exp(1j * rng.uniform(0.1, math.pi - 0.1, 25))
-    assert np.all(np.abs(ring * st.g(ring) - 1.0) <= 1.0 / np.abs(ring))
+    assert np.all(np.abs(ring * g_at(st, ring) - 1.0) <= 1.0 / np.abs(ring))
 
 
 def per_cell_g_and_deriv(mu, z):
@@ -110,17 +121,31 @@ off_axis_points = st.lists(
 def test_edge_jump_form_matches_per_cell_form(mu, points):
     z = np.array(points)
     ev = StaircaseTransform(mu)
-    g, gp = ev.g_and_deriv(z)
+    g, gp = g_and_deriv_at(ev, z)
     g_ref, gp_ref = per_cell_g_and_deriv(mu, z)
     assert np.all(np.abs(g - g_ref) <= 1e-13 * (1.0 + np.abs(g_ref)))
     assert np.all(np.abs(gp - gp_ref) <= 1e-10 * (1.0 + np.abs(gp_ref)))
-    assert np.array_equal(ev.g(z), g)
+    assert np.array_equal(g_at(ev, z), g)
     # Herglotz: each half-plane maps into the opposite one
     assert np.all(g.imag * z.imag < 0)
     # Schwarz reflection holds exactly, not just to rounding
-    g_conj, gp_conj = ev.g_and_deriv(np.conj(z))
+    g_conj, gp_conj = g_and_deriv_at(ev, np.conj(z))
     assert np.array_equal(g_conj, np.conj(g))
     assert np.array_equal(gp_conj, np.conj(gp))
+
+
+def test_one_call_allocates_less_than_one_edge_array():
+    # the per-edge rows live in buffers made once, by the constructor
+    ev = StaircaseTransform(semicircle(1.0))
+    z = 0.3 + 0.7j
+    ev.g_and_deriv(z)
+    tracemalloc.start()
+    try:
+        ev.g_and_deriv(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ev.coef.size * 8
 
 
 def test_coefficients_are_edge_jumps():

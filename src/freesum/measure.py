@@ -1,9 +1,12 @@
 """Compactly supported probability measures on the real line.
 
 A measure is stored as a uniform grid of cell-averaged density values plus a
-finite list of atoms.  Standard families are built from their distribution
-functions so that every cell carries its exact mass, including the cells that
-straddle a support endpoint.
+finite list of atoms.  Every standard family is built from its closed-form
+distribution function (zero for the purely atomic laws) plus its atoms, so
+every cell carries its exact mass and the padding cells outside the support
+carry none.  ``cdf``, ``quantile`` and ``kolmogorov_distance`` all read one
+table: the grid edges with the cumulative cell mass, and the atom locations
+with the cumulative atom weight.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
-
-_GAUSS16_NODES, _GAUSS16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -159,58 +160,45 @@ class Measure:
 
     # -- distribution function and inverse ------------------------------------
 
-    def _segments(self):
-        """Monotone pieces of the CDF: cells (split at interior atoms) and jumps.
+    def _knots(self) -> np.ndarray:
+        """Sorted grid edges and atom locations: F is linear between them."""
+        return np.union1d(self.edges(), [loc for loc, _ in self.atoms])
 
-        Returns (x0, x1, mass, is_atom) arrays with zero-mass pieces removed.
+    def _cdf(self, x, side: str) -> np.ndarray:
+        """F(x) for side "right", the left limit F(x-) for side "left".
+
+        The one table behind every read: grid edges with the cumulative cell
+        mass, atom locations with the cumulative atom weight.
         """
-        edges = self.edges()
-        h = self.cell_width
-        x0 = [edges[:-1]]
-        x1 = [edges[1:]]
-        mass = [self.density * h]
-        kind = [np.zeros(self.n_cells, dtype=bool)]
-        for loc, w in self.atoms:
-            x0.append([loc])
-            x1.append([loc])
-            mass.append([w])
-            kind.append([True])
-        x0 = np.concatenate(x0)
-        x1 = np.concatenate(x1)
-        mass = np.concatenate(mass)
-        kind = np.concatenate(kind)
-        order = np.lexsort((kind, x0))
-        x0, x1, mass, kind = x0[order], x1[order], mass[order], kind[order]
-        keep = mass > 0
-        return x0[keep], x1[keep], mass[keep], kind[keep]
+        cells = np.concatenate([[0.0], np.cumsum(self.density) * self.cell_width])
+        locs = np.array([loc for loc, _ in self.atoms], dtype=float)
+        steps = np.concatenate([[0.0], np.cumsum([w for _, w in self.atoms])])
+        return np.interp(x, self.edges(), cells) + steps[np.searchsorted(locs, x, side)]
 
     def cdf(self, x) -> np.ndarray:
         """Right-continuous distribution function, vectorized."""
-        x = np.asarray(x, dtype=float)
-        edges = self.edges()
-        h = self.cell_width
-        cum = np.concatenate([[0.0], np.cumsum(self.density) * h])
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, self.n_cells - 1)
-        frac = np.clip((x - edges[idx]) / h, 0.0, 1.0)
-        out = np.where(x < edges[0], 0.0, cum[idx] + frac * self.density[idx] * h)
-        out = np.where(x >= edges[-1], cum[-1], out)
-        for loc, w in self.atoms:
-            out = out + w * (x >= loc)
-        return out
+        return self._cdf(np.asarray(x, dtype=float), "right")
 
     def quantile(self, q) -> np.ndarray:
-        """Generalized inverse of the CDF, vectorized over ``q`` in [0, 1]."""
+        """Generalized inverse of the CDF, vectorized over ``q`` in [0, 1].
+
+        Walks the monotone path (knot, F(knot-)), (knot, F(knot)) over every
+        knot.  q = 0 reads the left end of the support, and q at or above the
+        rounded total mass reads its right end.
+        """
         q = np.asarray(q, dtype=float)
         if np.any((q < 0) | (q > 1)):
             raise ParameterError("quantile levels must lie in [0, 1]")
-        x0, x1, mass, is_atom = self._segments()
-        cum = np.cumsum(mass)
-        cum[-1] = max(cum[-1], 1.0)  # guard rounding at q = 1
-        idx = np.clip(np.searchsorted(cum, q, side="left"), 0, mass.size - 1)
-        before = cum[idx] - mass[idx]
-        frac = np.clip((q - before) / mass[idx], 0.0, 1.0)
-        out = np.where(is_atom[idx], x0[idx], x0[idx] + frac * (x1[idx] - x0[idx]))
-        return out
+        knots = self._knots()
+        xs = np.repeat(knots, 2)
+        fs = np.column_stack([self._cdf(knots, "left"), self._cdf(knots, "right")])
+        # np.interp can round an atom just below an edge one ulp past F(edge)
+        fs = np.maximum.accumulate(fs.ravel())
+        first = np.searchsorted(fs, 0.0, "right")
+        last = np.searchsorted(fs, fs[-1], "left")
+        i = np.clip(np.searchsorted(fs, q, "left"), first, last)
+        frac = np.clip((q - fs[i - 1]) / (fs[i] - fs[i - 1]), 0.0, 1.0)
+        return xs[i - 1] + frac * (xs[i] - xs[i - 1])
 
     def mean(self) -> float:
         return moment(self, 1)
@@ -263,14 +251,20 @@ def snapped_window(support_lo: float, support_hi: float, grid: GridConfig):
 
 
 def _from_cdf(cdf, support, grid: GridConfig, atoms=()) -> Measure:
-    """Cell masses from exact CDF differences; mass is conserved by design."""
-    lo, hi, _ = snapped_window(support[0], support[1], grid)
+    """Cell masses from exact CDF differences; mass is conserved by design.
+
+    ``cdf`` is the continuous part's distribution function on ``support``.
+    The edges that ``snapped_window`` puts on the support ends are pinned
+    there, so the padding cells get exactly zero mass and the end cells all
+    of theirs, even where linspace rounds an end edge one ulp inside.
+    """
+    lo, hi, pad = snapped_window(support[0], support[1], grid)
     edges = np.linspace(lo, hi, grid.n_cells + 1)
+    edges[pad], edges[grid.n_cells - pad] = support
     vals = cdf(np.clip(edges, support[0], support[1]))
     dens = np.diff(vals) / ((hi - lo) / grid.n_cells)
     dens = np.clip(dens, 0.0, None)
-    total_atoms = sum(w for _, w in atoms)
-    target = 1.0 - total_atoms
+    target = 1.0 - sum(w for _, w in atoms)
     got = np.sum(dens) * (hi - lo) / grid.n_cells
     if got > 0:
         dens = dens * (target / got)
@@ -324,9 +318,7 @@ def bernoulli(p: float, a: float, b: float, grid: GridConfig | None = None) -> M
         raise ParameterError(f"p must lie in (0, 1), got {p}")
     if not (math.isfinite(a) and math.isfinite(b)) or a == b:
         raise ParameterError("atom locations must be finite and distinct")
-    lo, hi, _ = snapped_window(min(a, b), max(a, b), grid)
-    dens = np.zeros(grid.n_cells)
-    return Measure(lo, hi, dens, ((a, p), (b, 1.0 - p)))
+    return _from_cdf(np.zeros_like, (min(a, b), max(a, b)), grid, ((a, p), (b, 1.0 - p)))
 
 
 def point_mass(location: float, grid: GridConfig | None = None) -> Measure:
@@ -334,17 +326,17 @@ def point_mass(location: float, grid: GridConfig | None = None) -> Measure:
     grid = grid or DEFAULT_GRID
     if not math.isfinite(location):
         raise ParameterError("location must be finite")
-    lo, hi, _ = snapped_window(location - 0.5, location + 0.5, grid)
-    return Measure(lo, hi, np.zeros(grid.n_cells), ((location, 1.0),))
+    support = (location - 0.5, location + 0.5)
+    return _from_cdf(np.zeros_like, support, grid, ((location, 1.0),))
 
 
 def free_poisson(rate: float, grid: GridConfig | None = None) -> Measure:
     """Free Poisson law with the given rate (jump size 1).
 
-    For rate >= 1 the law is absolutely continuous on
+    For rate >= 1 the law is absolutely continuous on [a, b] =
     [(1 - sqrt(rate))^2, (1 + sqrt(rate))^2]; below 1 an atom of weight
-    1 - rate sits at the origin.  Cell masses come from fixed-order Gauss
-    panels, then a single renormalization pins the continuous mass.
+    1 - rate sits at the origin.  The continuous part's CDF is closed-form,
+    written with atan2 so it keeps its digits at both ends of [a, b].
     """
     grid = grid or DEFAULT_GRID
     if not (math.isfinite(rate) and rate > 0):
@@ -352,25 +344,17 @@ def free_poisson(rate: float, grid: GridConfig | None = None) -> Measure:
     sq = math.sqrt(rate)
     a, b = (1.0 - sq) ** 2, (1.0 + sq) ** 2
     atoms = ((0.0, 1.0 - rate),) if rate < 1.0 else ()
-    support_lo = 0.0 if rate < 1.0 else a
-    lo, hi, _ = snapped_window(support_lo, b, grid)
-    edges = np.linspace(lo, hi, grid.n_cells + 1)
-    h = (hi - lo) / grid.n_cells
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    x = mids[:, None] + 0.5 * h * _GAUSS16_NODES[None, :]
 
-    def dens_fn(t):
-        inside = (t > a) & (t < b)
-        t_safe = np.where(inside, t, 0.5 * (a + b))
-        val = np.sqrt(np.clip((b - t_safe) * (t_safe - a), 0.0, None)) / (
-            2.0 * math.pi * t_safe
-        )
-        return np.where(inside, val, 0.0)
+    def cdf(x):
+        u = np.clip(x - a, 0.0, None)  # x runs over [0, b], below a for rate < 1
+        v = b - x
+        return (
+            np.sqrt(u * v)
+            + (a + b) * np.arctan2(np.sqrt(u), np.sqrt(v))
+            - 2.0 * abs(1.0 - rate) * np.arctan2(np.sqrt(b * u), np.sqrt(a * v))
+        ) / (2.0 * math.pi)
 
-    cell_mass = 0.5 * h * np.sum(dens_fn(x) * _GAUSS16_WEIGHTS[None, :], axis=1)
-    target = min(rate, 1.0)
-    cell_mass *= target / np.sum(cell_mass)
-    return Measure(lo, hi, cell_mass / h, atoms)
+    return _from_cdf(cdf, (0.0 if atoms else a, b), grid, atoms)
 
 
 _FAMILIES = {
@@ -453,19 +437,10 @@ def l1_distance(mu: Measure, nu: Measure) -> float:
 
 
 def kolmogorov_distance(mu: Measure, nu: Measure) -> float:
-    """Sup distance between CDFs, evaluated at all breakpoints and left limits."""
-    pts = np.unique(
-        np.concatenate(
-            [
-                mu.edges(),
-                nu.edges(),
-                np.array([loc for loc, _ in mu.atoms + nu.atoms], dtype=float),
-            ]
-        )
-    )
+    """Sup distance between CDFs, read at every knot and its left limit."""
+    pts = np.union1d(mu._knots(), nu._knots())
     right = np.abs(mu.cdf(pts) - nu.cdf(pts))
-    eps = 1e-12 * max(1.0, np.max(np.abs(pts)))
-    left = np.abs(mu.cdf(pts - eps) - nu.cdf(pts - eps))
+    left = np.abs(mu._cdf(pts, "left") - nu._cdf(pts, "left"))
     return float(max(np.max(right), np.max(left)))
 
 

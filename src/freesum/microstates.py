@@ -563,6 +563,11 @@ class FractionEstimate:
     weight_ess: float
 
 
+def _ess(log_w: np.ndarray) -> float:
+    """Kish effective sample size (sum w)^2 / sum w^2, from log weights."""
+    return float(np.exp(2.0 * logsumexp(log_w) - logsumexp(2.0 * log_w)))
+
+
 def theta_fraction(
     h1: StepFunctionSpec,
     h2: StepFunctionSpec,
@@ -589,7 +594,7 @@ def theta_fraction(
     passes = int(np.count_nonzero(member))
     lo, hi = wilson_interval(passes, trials)
     log_total = logsumexp(logw)
-    ess = float(np.exp(2.0 * log_total - logsumexp(2.0 * logw)))
+    ess = _ess(logw)
     if ess < _MIN_ESS:
         weighted = None
     else:
@@ -772,7 +777,7 @@ def estimate_log_volume_omega(
     log_w = _log_vandermonde_sq(lam) - log_q
 
     log_total = logsumexp(log_w)
-    ess = float(np.exp(2.0 * log_total - logsumexp(2.0 * log_w)))
+    ess = _ess(log_w)
     if ess < _MIN_ESS:
         raise PrecisionError(
             "importance weights collapsed",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from freesum.errors import ParameterError
@@ -134,6 +136,96 @@ def test_cdf_quantile_roundtrip():
     assert np.max(np.abs(back - xs)) < 1e-10
     qs = sc.quantile(np.linspace(0.01, 0.99, 23))
     assert np.all(np.diff(qs) > 0)
+
+
+def test_quantile_at_an_atom_inside_a_density_cell():
+    # F jumps from 0.3125 to 0.8125 at 0.25, inside the cell [0, 1]
+    mu = Measure(-1.0, 1.0, [0.25, 0.25], atoms=((0.25, 0.5),))
+    assert mu.quantile(0.5) == 0.25
+    assert mu.quantile(1.0) == 1.0
+    assert mu.quantile(0.0) == -1.0
+    np.testing.assert_allclose(mu.quantile([0.25, 0.3125, 0.8125, 0.9]), [0.0, 0.25, 0.25, 0.6])
+
+
+def _family_laws(s):
+    """(name, law on a grid, exact support) for every standard family at scale s."""
+    fp_lo = 0.0 if s < 1.0 else (1.0 - math.sqrt(s)) ** 2
+    return [
+        ("semicircle", lambda g: semicircle(s, g), (-2.0 * math.sqrt(s), 2.0 * math.sqrt(s))),
+        ("arcsine", lambda g: arcsine(s, g), (-s, s)),
+        ("uniform", lambda g: uniform(-s, 1.0 / s, g), (-s, 1.0 / s)),
+        ("free_poisson 2s", lambda g: free_poisson(2.0 * s, g),
+         ((1.0 - math.sqrt(2.0 * s)) ** 2, (1.0 + math.sqrt(2.0 * s)) ** 2)),
+        ("free_poisson s", lambda g: free_poisson(s, g), (fp_lo, (1.0 + math.sqrt(s)) ** 2)),
+        ("bernoulli", lambda g: bernoulli(0.3, -s, s, g), (-s, s)),
+        ("point_mass", lambda g: point_mass(s, g), (s, s)),
+    ]
+
+
+@pytest.mark.parametrize("n_cells", [256, 2048])
+def test_standard_families_leave_padding_cells_empty(n_cells):
+    grid = GridConfig(n_cells=n_cells)
+    for s in np.geomspace(0.8, 1.25, 41):
+        for name, build, (lo, hi) in _family_laws(float(s)):
+            mu = build(grid)
+            inside = (mu.midpoints() > lo) & (mu.midpoints() < hi)
+            assert np.all(mu.density[~inside] == 0.0), (name, s)
+            assert mu.support() == pytest.approx((lo, hi), rel=0.0, abs=4e-15), (name, s)
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0, 2.0])
+def test_free_poisson_cdf_matches_quadrature(rate):
+    a, b = (1.0 - math.sqrt(rate)) ** 2, (1.0 + math.sqrt(rate)) ** 2
+    fp = free_poisson(rate)
+    atom = max(0.0, 1.0 - rate)
+
+    def continuous_cdf(x):
+        # t = a + s^2 removes the square-root edges and, at rate 1, the pole
+        f = lambda s: s * s * math.sqrt(max(b - a - s * s, 0.0)) / (math.pi * (a + s * s))
+        return quad(f, 0.0, math.sqrt(min(max(x, a), b) - a), epsabs=1e-15)[0]
+
+    edges = fp.edges()
+    for x in edges[np.linspace(0, edges.size - 1, 20).astype(int)]:
+        ref = (atom if x >= 0.0 else 0.0) + continuous_cdf(x)
+        assert abs(fp.cdf(x) - ref) <= 1e-12, (rate, x)
+
+
+@st.composite
+def staircase_with_atoms(draw):
+    """Random grid density plus atoms, some inside positive-density cells."""
+    n = draw(st.integers(2, 12))
+    lo = draw(st.floats(-3.0, 3.0))
+    hi = lo + draw(st.floats(0.1, 4.0))
+    weights = draw(st.lists(st.just(0.0) | st.floats(0.1, 5.0), min_size=n, max_size=n))
+    dens = np.array(weights)
+    n_atoms = draw(st.integers(0 if dens.sum() > 0 else 1, 3))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=n_atoms, max_size=n_atoms))
+    fracs = draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                          min_size=n_atoms, max_size=n_atoms))
+    h = (hi - lo) / n
+    locs = sorted({min(lo + h * (c + f), hi) for c, f in zip(cells, fracs)})
+    atoms = ()
+    if locs:
+        raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(locs),
+                                     max_size=len(locs))))
+        atom_mass = draw(st.floats(0.2, 0.8)) if dens.sum() > 0 else 1.0
+        atoms = tuple(zip(locs, raw / raw.sum() * atom_mass))
+    if dens.sum() > 0:
+        dens = dens * (1.0 - sum(w for _, w in atoms)) / (dens.sum() * h)
+    return Measure(lo, hi, dens, atoms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(staircase_with_atoms())
+def test_quantile_is_the_generalized_inverse(mu):
+    at_atoms = np.clip(mu.cdf([loc for loc, _ in mu.atoms]), 0.0, 1.0)
+    q = np.sort(np.concatenate([np.linspace(0.0, 1.0, 101), at_atoms]))
+    x = mu.quantile(q)
+    assert np.all(np.diff(x) >= 0.0)
+    assert np.all(mu.cdf(x) >= q - 1e-12)
+    # F is piecewise linear, so one ulp to the left reads the left limit
+    assert np.all(mu.cdf(np.nextafter(x, -np.inf)) <= q + 1e-12)
+    assert kolmogorov_distance(mu, mu) == 0.0
 
 
 def test_moment_order_limits():

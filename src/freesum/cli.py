@@ -4,7 +4,7 @@ Every command maps onto one library operation.  Configs are validated
 against per-command schemas before anything runs; outputs echo the fully
 resolved configuration (defaults and gate constants included) so a result
 file alone suffices to rerun the experiment.  Exit codes encode verdicts:
-0 holds/success, 2 violated, 3 inconclusive, 1 any error.
+0 holds/success, 2 violated, 3 inconclusive, 1 any error (usage errors too).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .geometry import (
     check_theorem12,
     restricted_sum_volume,
 )
-from .measure import GridConfig, kolmogorov_distance, standard_family
+from .measure import N_CELLS, kolmogorov_distance, standard_family
 from .microstates import (
     StepFunctionSpec,
     check_sum_containment,
@@ -188,7 +188,6 @@ _GRID_DEF = {
     "type": "object",
     "properties": {
         "n_cells": {"type": "integer", "minimum": 2},
-        "padding": {"type": "number", "minimum": 1},
     },
     "additionalProperties": False,
 }
@@ -401,14 +400,12 @@ def _validate(config: dict, raw: str, path: str) -> None:
 # -- config object parsers -------------------------------------------------------
 
 
-def _parse_measure(spec: dict, grid: GridConfig | None = None):
-    return standard_family(spec["family"], spec.get("params", []), grid)
+def _parse_measure(spec: dict, n_cells: int = N_CELLS):
+    return standard_family(spec["family"], spec.get("params", []), n_cells)
 
 
-def _parse_grid(spec: dict | None) -> GridConfig | None:
-    if spec is None:
-        return None
-    return GridConfig(**spec)
+def _n_cells(params: dict) -> int:
+    return params.get("grid", {}).get("n_cells", N_CELLS)
 
 
 def _parse_set(spec: dict) -> SetSpec:
@@ -445,27 +442,23 @@ def _parse_profile(spec: dict) -> StepFunctionSpec:
     raise ParameterError("profile needs either quantiles_of or nodes+values")
 
 
-def _mc_config(params: dict, seed: int, threads: int) -> MonteCarloConfig:
-    return MonteCarloConfig(**params.get("mc", {}), seed=seed, threads=threads)
+def _mc_config(params: dict, seed: int) -> MonteCarloConfig:
+    return MonteCarloConfig(**params.get("mc", {}), seed=seed)
 
 
 # -- command handlers --------------------------------------------------------------
 
 
-def _grid_echo(grid: GridConfig | None) -> dict:
-    return dataclasses.asdict(grid or GridConfig())
-
-
-def _run_entropy(params, seed, threads):
-    grid = _parse_grid(params.get("grid"))
-    mu = _parse_measure(params["mu"], grid)
+def _run_entropy(params, seed):
+    n_cells = _n_cells(params)
+    mu = _parse_measure(params["mu"], n_cells)
     value = chi(mu)
     result = {
         "chi": value,
         "log_energy": log_energy(mu),
         "degenerate": value == float("-inf"),
     }
-    return result, None, {"grid": _grid_echo(grid)}
+    return result, None, {"grid": {"n_cells": n_cells}}
 
 
 # solver diagnostics copied from free_convolve's meta; null when an input is a
@@ -477,10 +470,10 @@ def _solver_diagnostics(meta):
     return {key: meta.get(key) for key in SOLVER_DIAGNOSTICS}
 
 
-def _run_freeconv(params, seed, threads):
-    grid = _parse_grid(params.get("grid"))
+def _run_freeconv(params, seed):
+    n_cells = _n_cells(params)
     out = free_convolve(
-        _parse_measure(params["alpha"], grid), _parse_measure(params["beta"], grid), grid=grid
+        _parse_measure(params["alpha"], n_cells), _parse_measure(params["beta"], n_cells), n_cells
     )
     result = {
         "measure": out.to_json(),
@@ -488,13 +481,13 @@ def _run_freeconv(params, seed, threads):
         "variance": out.variance(),
         "diagnostics": _solver_diagnostics(out.meta),
     }
-    return result, None, {"grid": _grid_echo(grid)}
+    return result, None, {"grid": {"n_cells": n_cells}}
 
 
-def _run_epi(params, seed, threads):
-    grid = _parse_grid(params.get("grid"))
+def _run_epi(params, seed):
+    n_cells = _n_cells(params)
     report = epi_deficit(
-        _parse_measure(params["alpha"], grid), _parse_measure(params["beta"], grid), grid=grid
+        _parse_measure(params["alpha"], n_cells), _parse_measure(params["beta"], n_cells), n_cells
     )
     scale = max(report.power_sum, report.power_alpha + report.power_beta)
     tol = max(report.quadrature_error_estimate, 0.02 * scale)
@@ -505,33 +498,33 @@ def _run_epi(params, seed, threads):
         "verdict": verdict,
         "diagnostics": _solver_diagnostics(report.sum_meta),
     }
-    return result, verdict, {"grid": _grid_echo(grid)}
+    return result, verdict, {"grid": {"n_cells": n_cells}}
 
 
-def _run_stam(params, seed, threads):
-    grid = _parse_grid(params.get("grid"))
+def _run_stam(params, seed):
+    n_cells = _n_cells(params)
     value = stam_deficit(
-        _parse_measure(params["alpha"], grid), _parse_measure(params["beta"], grid), grid=grid
+        _parse_measure(params["alpha"], n_cells), _parse_measure(params["beta"], n_cells), n_cells
     )
     # conjectured sign only; recorded, never gating
-    return {"stam_deficit": value}, None, {"grid": _grid_echo(grid)}
+    return {"stam_deficit": value}, None, {"grid": {"n_cells": n_cells}}
 
 
-def _run_lemma13(params, seed, threads):
+def _run_lemma13(params, seed):
     out = check_lemma13(params["n"], params["rho"])
     report = out["report"]
     result = {"c1_estimate": out["c1_estimate"], "report": report.to_json()}
     return result, report.verdict, {}
 
 
-def _run_minkowski(params, seed, threads):
+def _run_minkowski(params, seed):
     if params.get("example") == "ball":
         out = ball_example_exact(params["rho"], params["n"])
         scale = 1.0 + params["rho"] ** 2
         verdict = "holds" if abs(out["equality_gap"]) <= 1e-9 * scale else "violated"
         result = {**out, "verdict": verdict}
         return result, verdict, {"mode": "exact"}
-    cfg = _mc_config(params, seed, threads)
+    cfg = _mc_config(params, seed)
     out = restricted_sum_volume(
         _parse_set(params["a"]), _parse_set(params["b"]), _parse_theta(params["theta"]), cfg
     )
@@ -541,8 +534,8 @@ def _run_minkowski(params, seed, threads):
 def _check_handler(check, *fields):
     """Handler calling check(*parsed fields, cfg) and reporting its verdict."""
 
-    def run(params, seed, threads):
-        cfg = _mc_config(params, seed, threads)
+    def run(params, seed):
+        cfg = _mc_config(params, seed)
         report = check(*(parse(params[key]) for key, parse in fields), cfg)
         return {"report": report.to_json()}, report.verdict, {"mc": dataclasses.asdict(cfg)}
 
@@ -552,7 +545,7 @@ def _check_handler(check, *fields):
 _PAIR_FIELDS = (("a", _parse_set), ("b", _parse_set), ("theta", _parse_theta))
 
 
-def _run_microstates_spectrum(params, seed, threads):
+def _run_microstates_spectrum(params, seed):
     emp = sum_spectrum_experiment(
         _parse_measure(params["alpha"]), _parse_measure(params["beta"]), params["k"], seed
     )
@@ -565,7 +558,7 @@ def _run_microstates_spectrum(params, seed, threads):
     return result, None, {"k": params["k"]}
 
 
-def _run_microstates_theta(params, seed, threads):
+def _run_microstates_theta(params, seed):
     est = theta_fraction(
         _parse_profile(params["h1"]),
         _parse_profile(params["h2"]),
@@ -578,7 +571,7 @@ def _run_microstates_theta(params, seed, threads):
     return dataclasses.asdict(est), None, {"trials": params["trials"]}
 
 
-def _run_microstates_volume(params, seed, threads):
+def _run_microstates_volume(params, seed):
     value = estimate_log_volume_omega(
         _parse_profile(params["h"]), params["k"], params["mc_samples"], seed
     )
@@ -589,7 +582,7 @@ def _run_microstates_volume(params, seed, threads):
     return result, None, {"mc_samples": params["mc_samples"]}
 
 
-def _run_microstates_sum(params, seed, threads):
+def _run_microstates_sum(params, seed):
     out = check_sum_containment(
         _parse_profile(params["h1"]),
         _parse_profile(params["h2"]),
@@ -636,7 +629,6 @@ _TOP_SCHEMA = {
         "seed": {"type": "integer"},
         "output": {"type": "string"},
         "format": {"enum": ["json", "csv"]},
-        "threads": {"type": "integer", "minimum": 1},
         "sweep": {
             "type": "object",
             "minProperties": 1,
@@ -757,27 +749,26 @@ def _set_dotted(params: dict, path: str, value) -> None:
     node[keys[-1]] = value
 
 
-def run_command(command: str, params: dict, seed: int, threads: int):
+def run_command(command: str, params: dict, seed: int):
     """Dispatch one experiment; returns (result, verdict, resolved-defaults)."""
-    result, verdict, resolved = _HANDLERS[command](params, seed, threads)
+    result, verdict, resolved = _HANDLERS[command](params, seed)
     return _jsonable(result), verdict, _jsonable(resolved)
 
 
-def _document(config: dict, seed: int, threads: int, result, verdict, resolved) -> dict:
+def _document(config: dict, seed: int, result, verdict, resolved) -> dict:
     return {
         "command": config["command"],
         "params": _jsonable(config["params"]),
         "resolved": resolved,
         "result": result,
         "seed": seed,
-        "threads": threads,
         "verdict": verdict,
     }
 
 
-def _run_single(config: dict, seed: int, threads: int, fmt: str):
-    result, verdict, resolved = run_command(config["command"], config["params"], seed, threads)
-    doc = _document(config, seed, threads, result, verdict, resolved)
+def _run_single(config: dict, seed: int, fmt: str):
+    result, verdict, resolved = run_command(config["command"], config["params"], seed)
+    doc = _document(config, seed, result, verdict, resolved)
     if fmt == "csv":
         flat = _flatten(doc)
         columns = list(flat)
@@ -787,7 +778,7 @@ def _run_single(config: dict, seed: int, threads: int, fmt: str):
     return text, _EXIT_BY_VERDICT[verdict]
 
 
-def _run_sweep(config: dict, seed: int, threads: int):
+def _run_sweep(config: dict, seed: int):
     sweep = config["sweep"]
     keys = sorted(sweep)
     total = math.prod(len(sweep[k]) for k in keys)
@@ -809,7 +800,7 @@ def _run_sweep(config: dict, seed: int, threads: int):
             if err is not None:
                 where = ".".join(["params", *map(str, err.absolute_path)])
                 raise ConfigError(f"{where}: {err.message}")
-            result, verdict, _ = run_command(config["command"], params, seed, threads)
+            result, verdict, _ = run_command(config["command"], params, seed)
             flat = _flatten(result)
             for col in flat:
                 if col not in seen:
@@ -830,12 +821,11 @@ def run(config: dict, raw: str = "", path: str = "<config>") -> tuple[str, int, 
     """Validate and execute a config; returns (text, exit_code, output_path)."""
     _validate(config, raw, path)
     seed = config.get("seed", 0)
-    threads = config.get("threads", 1)
     fmt = config.get("format", "json")
     if "sweep" in config:
-        text, code = _run_sweep(config, seed, threads)
+        text, code = _run_sweep(config, seed)
     else:
-        text, code = _run_single(config, seed, threads, fmt)
+        text, code = _run_single(config, seed, fmt)
     return text, code, config.get("output")
 
 
@@ -848,8 +838,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--output", help="override the config output path")
     parser.add_argument("--format", choices=("json", "csv"), help="override output format")
-    parser.add_argument("--threads", type=int, help="worker threads; never changes results")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error, the code a violated verdict owns
+        return 0 if stop.code == 0 else 1
 
     started = time.monotonic()
     try:
@@ -869,7 +862,6 @@ def main(argv=None) -> int:
         ("seed", args.seed),
         ("output", args.output),
         ("format", args.format),
-        ("threads", args.threads),
     ):
         if value is not None:
             config[key] = value
@@ -885,13 +877,17 @@ def main(argv=None) -> int:
         return 1
     if output:
         out_path = Path(output)
-        out_path.write_text(text)
         sidecar = {
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "elapsed_seconds": time.monotonic() - started,
             "config_path": str(args.config),
         }
-        Path(str(out_path) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+        try:
+            out_path.write_text(text)
+            Path(str(out_path) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

@@ -26,13 +26,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .measure import (
-    DEFAULT_GRID,
-    GridConfig,
-    Measure,
-    affine_pushforward,
-    snapped_window,
-)
+from .measure import N_CELLS, Measure, affine_pushforward, snapped_window
 from .transform import StaircaseTransform, _renormalized
 
 __all__ = ["free_convolve"]
@@ -167,7 +161,7 @@ def _readout_plan(lo: float, h: float, interior: np.ndarray):
     return x, weight, cell
 
 
-def free_convolve(alpha: Measure, beta: Measure, grid: GridConfig | None = None) -> Measure:
+def free_convolve(alpha: Measure, beta: Measure, n_cells: int = N_CELLS) -> Measure:
     """Distribution of X + Y for freely independent X ~ alpha, Y ~ beta.
 
     A point-mass input reduces to a translation and is handled exactly; more
@@ -175,7 +169,6 @@ def free_convolve(alpha: Measure, beta: Measure, grid: GridConfig | None = None)
     weight above 1) are outside this solver's scope and surface as an
     inversion-quality failure rather than a wrong answer.
     """
-    grid = grid or DEFAULT_GRID
     if alpha.is_point_mass():
         return affine_pushforward(beta, 1.0, alpha.atoms[0][0])
     if beta.is_point_mass():
@@ -184,11 +177,10 @@ def free_convolve(alpha: Measure, beta: Measure, grid: GridConfig | None = None)
     alo, ahi = alpha.support()
     blo, bhi = beta.support()
     s_lo, s_hi = alo + blo, ahi + bhi
-    lo, hi, pad = snapped_window(s_lo, s_hi, grid)
-    n = grid.n_cells
-    h = (hi - lo) / n
+    lo, hi, pad = snapped_window(s_lo, s_hi, n_cells)
+    h = (hi - lo) / n_cells
     eta = ETA_FACTOR * (hi - lo)
-    xs, weight, cell = _readout_plan(lo, h, np.arange(pad, n - pad))
+    xs, weight, cell = _readout_plan(lo, h, np.arange(pad, n_cells - pad))
 
     ps = _PointSolver(alpha, beta)
     width = max(1.0, s_hi - s_lo)
@@ -208,7 +200,7 @@ def free_convolve(alpha: Measure, beta: Measure, grid: GridConfig | None = None)
             worst = max(worst, resid)
         trail = [*trail[-1:], (x, w1)]
         values[i] = max(0.0, -((1.0 / fa).imag) / math.pi)
-    density = np.bincount(cell, weight * values, minlength=n)
+    density = np.bincount(cell, weight * values, minlength=n_cells)
 
     n_points = xs.size
     if unconverged > 0.01 * n_points:

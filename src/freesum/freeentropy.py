@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .freeconv import free_convolve
-from .measure import GridConfig, Measure
+from .measure import N_CELLS, Measure
 
 CHI_SHIFT = 0.75 + 0.5 * math.log(2.0 * math.pi)
 
@@ -56,7 +56,7 @@ def _lag_kernel(n: int) -> np.ndarray:
 
 def _staircase_energy(density: np.ndarray, h: float) -> float:
     n = density.size
-    # autocorrelation at lags 0..n-1; zero padding to 2n keeps it acyclic
+    # autocorrelation at lags 0..n-1; zero-filling to 2n keeps it acyclic
     spectrum = np.fft.rfft(density, 2 * n)
     lags = np.fft.irfft(spectrum * spectrum.conj(), 2 * n)[:n]
     lags[0] = float(np.dot(density, density))  # exact diagonal term
@@ -149,13 +149,9 @@ def _power(c: float) -> float:
     return 0.0 if c == float("-inf") else math.exp(2.0 * c)
 
 
-def epi_deficit(
-    alpha: Measure,
-    beta: Measure,
-    grid: GridConfig | None = None,
-) -> EntropyReport:
+def epi_deficit(alpha: Measure, beta: Measure, n_cells: int = N_CELLS) -> EntropyReport:
     """Entropy power report for alpha, beta and their free convolution."""
-    mu_sum = free_convolve(alpha, beta, grid=grid)
+    mu_sum = free_convolve(alpha, beta, n_cells)
     chi_a, err_a = _chi_with_refinement(alpha)
     chi_b, err_b = _chi_with_refinement(beta)
     chi_s, err_s = _chi_with_refinement(mu_sum)
@@ -192,13 +188,11 @@ def free_fisher(mu: Measure) -> float:
     return (4.0 * math.pi**2 / 3.0) * float(np.sum(mu.density**3)) * mu.cell_width
 
 
-def stam_deficit(
-    alpha: Measure, beta: Measure, grid: GridConfig | None = None
-) -> float:
+def stam_deficit(alpha: Measure, beta: Measure, n_cells: int = N_CELLS) -> float:
     """1/Phi(convolution) - 1/Phi(alpha) - 1/Phi(beta); conjectured <= 0."""
     phi_a = free_fisher(alpha)
     phi_b = free_fisher(beta)
     if phi_a <= 0 or phi_b <= 0:
         raise DomainError("inputs must carry positive Fisher information")
-    mu_sum = free_convolve(alpha, beta, grid=grid)
+    mu_sum = free_convolve(alpha, beta, n_cells)
     return 1.0 / free_fisher(mu_sum) - 1.0 / phi_a - 1.0 / phi_b

@@ -18,7 +18,6 @@ sumset non-convex; no certificate applies there and its volume is refused.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -293,23 +292,16 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Sampling budget and constants.
-
-    Results depend on the seed but never on threads, which only schedule
-    the jobs of the fixed number of seeded streams.
-    """
+    """Sampling budget, seed and gate constants."""
 
     pair_samples: int = 200_000
     seed: int = 0
-    threads: int = 1
     c: float = 0.01
     C: float = 3.0
 
     def __post_init__(self):
         if self.pair_samples < 1000:
             raise ParameterError("pair_samples must be >= 1000")
-        if self.threads < 1:
-            raise ParameterError("threads must be >= 1")
         if not 0 < self.c < 1:
             raise ParameterError("gate constant c must lie in (0, 1)")
         if not 0 < self.C < math.inf:
@@ -367,16 +359,12 @@ def _sample_in_set(spec: SetSpec, count: int, rng) -> tuple[np.ndarray, int]:
 
 
 def _run_streams(cfg: MonteCarloConfig, total: int, job) -> list:
-    """Run job(stream_index, samples, rng) per stream on total samples, fixed reduction order."""
+    """job(samples, rng) on each seeded stream, in stream order; the streams split total."""
     base, rem = divmod(total, _STREAMS)
-    args = [
-        (i, base + (1 if i < rem else 0), np.random.default_rng(stream_seed(cfg.seed, i)))
+    return [
+        job(base + (1 if i < rem else 0), np.random.default_rng(stream_seed(cfg.seed, i)))
         for i in range(_STREAMS)
     ]
-    if cfg.threads == 1:
-        return [job(*a) for a in args]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(lambda a: job(*a), args))
 
 
 def volume(spec: SetSpec, cfg: MonteCarloConfig | None = None) -> VolumeEstimate:
@@ -410,7 +398,7 @@ def _hit_or_miss(lo, hi, member, points: int, cfg: MonteCarloConfig) -> tuple[Vo
     if box_vol <= 0:
         return VolumeEstimate(value=0.0, stderr=0.0, samples=points, method="mc_hit_or_miss"), 0
 
-    def job(_i, m, rng):
+    def job(m, rng):
         hits = undecided = 0
         for start in range(0, m, _POINT_CHUNK):
             state = member(rng.uniform(lo, hi, size=(min(_POINT_CHUNK, m - start), len(lo))))
@@ -508,7 +496,7 @@ def _pair_hits(A: SetSpec, B: SetSpec, keep, cfg: MonteCarloConfig) -> tuple[int
     stream draws its pairs in chunks of at most ``_CHUNK``.
     """
 
-    def job(_i, m, rng):
+    def job(m, rng):
         hits = proposals = 0
         for start in range(0, m, _CHUNK):
             x, px = _sample_in_set(A, min(_CHUNK, m - start), rng)

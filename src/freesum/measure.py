@@ -3,7 +3,7 @@
 A measure is stored as a uniform grid of cell-averaged density values plus a
 finite list of atoms.  Every standard family is built from its closed-form
 distribution function (zero for the purely atomic laws) plus its atoms, so
-every cell carries its exact mass and the padding cells outside the support
+every cell carries its exact mass and the margin cells outside the support
 carry none.  ``cdf``, ``quantile`` and ``kolmogorov_distance`` all read one
 table: the grid edges with the cumulative cell mass, and the atom locations
 with the cumulative atom weight.
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "GridConfig",
     "Measure",
     "affine_pushforward",
     "arcsine",
@@ -38,27 +37,8 @@ __all__ = [
 
 MASS_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Resolution and window inflation used when discretizing a measure.
-
-    ``padding`` is about the factor by which the grid window exceeds the
-    support of the measure (centered, with the support endpoints snapped to
-    cell edges by ``snapped_window``), so quadrature never clips mass.
-    """
-
-    n_cells: int = 2048
-    padding: float = 1.25
-
-    def __post_init__(self):
-        if not isinstance(self.n_cells, int) or self.n_cells < 2:
-            raise ParameterError(f"n_cells must be an integer >= 2, got {self.n_cells}")
-        if not math.isfinite(self.padding) or self.padding < 1.0:
-            raise ParameterError(f"padding must be >= 1, got {self.padding}")
-
-
-DEFAULT_GRID = GridConfig()
+# default resolution of every discretized law and free convolution
+N_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -232,48 +212,50 @@ class Measure:
 # -- construction helpers ------------------------------------------------------
 
 
-def snapped_window(support_lo: float, support_hi: float, grid: GridConfig):
-    """Window inflated by ~padding with support endpoints on cell edges.
+def snapped_window(support_lo: float, support_hi: float, n_cells: int):
+    """Window of n_cells cells with the support endpoints on cell edges.
 
-    Snapping keeps densities with jumps or edge singularities exactly
-    cell-aligned, so no cell straddles a support endpoint.
-    Returns (lo, hi, pad_cells); the support spans cells
+    The window is about 1.25 times the support, centred on it, so
+    quadrature never clips mass.  Snapping keeps densities with jumps or
+    edge singularities exactly cell-aligned, so no cell straddles a support
+    endpoint.  Returns (lo, hi, pad_cells); the support spans cells
     [pad_cells, n_cells - pad_cells).
     """
+    if not isinstance(n_cells, int) or n_cells < 2:
+        raise ParameterError(f"n_cells must be an integer >= 2, got {n_cells}")
     width = support_hi - support_lo
     if width <= 0:
         raise ParameterError("support width must be positive")
-    n_interior = max(2, round(grid.n_cells / grid.padding))
-    pad = (grid.n_cells - n_interior) // 2
-    n_interior = grid.n_cells - 2 * pad
+    n_interior = max(2, round(n_cells / 1.25))
+    pad = (n_cells - n_interior) // 2
+    n_interior = n_cells - 2 * pad
     h = width / n_interior
     return support_lo - pad * h, support_hi + pad * h, pad
 
 
-def _from_cdf(cdf, support, grid: GridConfig, atoms=()) -> Measure:
+def _from_cdf(cdf, support, n_cells: int, atoms=()) -> Measure:
     """Cell masses from exact CDF differences; mass is conserved by design.
 
     ``cdf`` is the continuous part's distribution function on ``support``.
     The edges that ``snapped_window`` puts on the support ends are pinned
-    there, so the padding cells get exactly zero mass and the end cells all
+    there, so the margin cells get exactly zero mass and the end cells all
     of theirs, even where linspace rounds an end edge one ulp inside.
     """
-    lo, hi, pad = snapped_window(support[0], support[1], grid)
-    edges = np.linspace(lo, hi, grid.n_cells + 1)
-    edges[pad], edges[grid.n_cells - pad] = support
+    lo, hi, pad = snapped_window(support[0], support[1], n_cells)
+    edges = np.linspace(lo, hi, n_cells + 1)
+    edges[pad], edges[n_cells - pad] = support
     vals = cdf(np.clip(edges, support[0], support[1]))
-    dens = np.diff(vals) / ((hi - lo) / grid.n_cells)
+    dens = np.diff(vals) / ((hi - lo) / n_cells)
     dens = np.clip(dens, 0.0, None)
     target = 1.0 - sum(w for _, w in atoms)
-    got = np.sum(dens) * (hi - lo) / grid.n_cells
+    got = np.sum(dens) * (hi - lo) / n_cells
     if got > 0:
         dens = dens * (target / got)
     return Measure(lo, hi, dens, tuple(atoms))
 
 
-def semicircle(variance: float, grid: GridConfig | None = None) -> Measure:
+def semicircle(variance: float, n_cells: int = N_CELLS) -> Measure:
     """Semicircular law with the given variance, supported on [-2s, 2s]."""
-    grid = grid or DEFAULT_GRID
     if not (math.isfinite(variance) and variance > 0):
         raise ParameterError(f"variance must be positive, got {variance}")
     s = math.sqrt(variance)
@@ -283,12 +265,11 @@ def semicircle(variance: float, grid: GridConfig | None = None) -> Measure:
         u = np.clip(x / r, -1.0, 1.0)
         return 0.5 + (u * np.sqrt(1.0 - u * u) + np.arcsin(u)) / math.pi
 
-    return _from_cdf(cdf, (-r, r), grid)
+    return _from_cdf(cdf, (-r, r), n_cells)
 
 
-def arcsine(radius: float, grid: GridConfig | None = None) -> Measure:
+def arcsine(radius: float, n_cells: int = N_CELLS) -> Measure:
     """Arcsine law with density 1 / (pi * sqrt(r^2 - x^2)) on (-r, r)."""
-    grid = grid or DEFAULT_GRID
     if not (math.isfinite(radius) and radius > 0):
         raise ParameterError(f"radius must be positive, got {radius}")
 
@@ -296,41 +277,38 @@ def arcsine(radius: float, grid: GridConfig | None = None) -> Measure:
         u = np.clip(x / radius, -1.0, 1.0)
         return 0.5 + np.arcsin(u) / math.pi
 
-    return _from_cdf(cdf, (-radius, radius), grid)
+    return _from_cdf(cdf, (-radius, radius), n_cells)
 
 
-def uniform(lo: float, hi: float, grid: GridConfig | None = None) -> Measure:
+def uniform(lo: float, hi: float, n_cells: int = N_CELLS) -> Measure:
     """Uniform law on [lo, hi]."""
-    grid = grid or DEFAULT_GRID
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
 
     def cdf(x):
         return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
 
-    return _from_cdf(cdf, (lo, hi), grid)
+    return _from_cdf(cdf, (lo, hi), n_cells)
 
 
-def bernoulli(p: float, a: float, b: float, grid: GridConfig | None = None) -> Measure:
+def bernoulli(p: float, a: float, b: float, n_cells: int = N_CELLS) -> Measure:
     """Two-point law: mass p at a, mass 1 - p at b."""
-    grid = grid or DEFAULT_GRID
     if not (0.0 < p < 1.0):
         raise ParameterError(f"p must lie in (0, 1), got {p}")
     if not (math.isfinite(a) and math.isfinite(b)) or a == b:
         raise ParameterError("atom locations must be finite and distinct")
-    return _from_cdf(np.zeros_like, (min(a, b), max(a, b)), grid, ((a, p), (b, 1.0 - p)))
+    return _from_cdf(np.zeros_like, (min(a, b), max(a, b)), n_cells, ((a, p), (b, 1.0 - p)))
 
 
-def point_mass(location: float, grid: GridConfig | None = None) -> Measure:
+def point_mass(location: float, n_cells: int = N_CELLS) -> Measure:
     """Unit mass at a single point."""
-    grid = grid or DEFAULT_GRID
     if not math.isfinite(location):
         raise ParameterError("location must be finite")
     support = (location - 0.5, location + 0.5)
-    return _from_cdf(np.zeros_like, support, grid, ((location, 1.0),))
+    return _from_cdf(np.zeros_like, support, n_cells, ((location, 1.0),))
 
 
-def free_poisson(rate: float, grid: GridConfig | None = None) -> Measure:
+def free_poisson(rate: float, n_cells: int = N_CELLS) -> Measure:
     """Free Poisson law with the given rate (jump size 1).
 
     For rate >= 1 the law is absolutely continuous on [a, b] =
@@ -338,7 +316,6 @@ def free_poisson(rate: float, grid: GridConfig | None = None) -> Measure:
     1 - rate sits at the origin.  The continuous part's CDF is closed-form,
     written with atan2 so it keeps its digits at both ends of [a, b].
     """
-    grid = grid or DEFAULT_GRID
     if not (math.isfinite(rate) and rate > 0):
         raise ParameterError(f"rate must be positive, got {rate}")
     sq = math.sqrt(rate)
@@ -354,7 +331,7 @@ def free_poisson(rate: float, grid: GridConfig | None = None) -> Measure:
             - 2.0 * abs(1.0 - rate) * np.arctan2(np.sqrt(b * u), np.sqrt(a * v))
         ) / (2.0 * math.pi)
 
-    return _from_cdf(cdf, (0.0 if atoms else a, b), grid, atoms)
+    return _from_cdf(cdf, (0.0 if atoms else a, b), n_cells, atoms)
 
 
 _FAMILIES = {
@@ -367,7 +344,7 @@ _FAMILIES = {
 }
 
 
-def standard_family(name: str, params, grid: GridConfig | None = None) -> Measure:
+def standard_family(name: str, params, n_cells: int = N_CELLS) -> Measure:
     """Build one of the named standard laws from a parameter list."""
     try:
         fn, arity = _FAMILIES[name]
@@ -378,7 +355,7 @@ def standard_family(name: str, params, grid: GridConfig | None = None) -> Measur
     params = list(params)
     if len(params) != arity:
         raise ParameterError(f"family {name!r} takes {arity} parameter(s)")
-    return fn(*params, grid=grid)
+    return fn(*params, n_cells=n_cells)
 
 
 # -- operations -----------------------------------------------------------------

@@ -551,7 +551,9 @@ class FractionEstimate:
     squared Vandermonde of its slot draws, targeting the flat matrix law.
     It is None when the weights' effective sample size ``weight_ess`` is
     below ``_MIN_ESS`` (100), the gate ``estimate_log_volume_omega`` applies;
-    ``weight_ess`` is reported either way.
+    ``weight_ess`` is reported either way.  The Kish ESS is below ``trials``
+    unless every weight is equal, so at 100 trials ``weighted_fraction`` is
+    always None.
     """
 
     passes: int
@@ -581,8 +583,8 @@ def theta_fraction(
 
     Each trial draws one matrix per profile with its own Haar basis and tests
     the pair against the freeness targets of the two push-forward laws.
-    Trial t draws from stream_seed(seed, t), so parallel and serial
-    evaluation agree exactly and distinct seeds never share a trial stream.
+    Trial t draws from stream_seed(seed, t), so it draws the same whatever
+    ``trials`` is, and distinct seeds never share a trial stream.
     """
     pairs = _pair_trials(h1, h2, k, max_len, eps, trials, seed)
     lam1 = np.empty((k, trials))

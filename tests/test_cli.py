@@ -264,6 +264,62 @@ class TestValidation:
         config = {"command": "lemma13", "params": {"rho": 0.1, "n": 8}, "bogus": 1}
         assert run_cli(tmp_path, config) == 1
 
+    def test_threads_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{\n  "command": "lemma13",\n  "threads": 2,\n  "params": {"rho": 0.1, "n": 8}\n}\n'
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2:")
+        assert "'threads' was unexpected" in err
+
+    def test_grid_takes_only_n_cells(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(
+            "{\n"
+            '  "command": "freeconv",\n'
+            '  "params": {\n'
+            '    "alpha": {"family": "semicircle", "params": [1.0]},\n'
+            '    "beta": {"family": "uniform", "params": [-1.0, 1.0]},\n'
+            '    "grid": {"n_cells": 256, "padding": 1.5}\n'
+            "  }\n"
+            "}\n"
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:6: params:")
+        assert "'padding' was unexpected" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--threads", "4"],
+        ["--seed", "abc"],
+        ["--format", "xml"],
+        None,
+    ], ids=["threads-flag", "bad-seed", "bad-format", "no-config"])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, extra):
+        # 2 is the exit code of a violated verdict, so argparse's own 2 is replaced
+        path = write_config(tmp_path, {"command": "lemma13", "params": {"rho": 0.1, "n": 8}})
+        argv = [] if extra is None else ["--config", str(path), *extra]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_unwritable_output_path_exits_1(self, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "result.json"
+        config = {"command": "lemma13", "params": {"rho": 0.1, "n": 8}, "output": str(target)}
+        assert run_cli(tmp_path, config) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "missing-dir" in captured.err
+        assert not target.parent.exists()
+
     def test_semantic_error_from_library_exits_1(self, tmp_path, capsys):
         # schema admits any positive rho; the library rejects rho > 1
         config = {"command": "lemma13", "params": {"rho": 1.5, "n": 8}}
@@ -280,7 +336,7 @@ class TestRunExamples:
         report = doc["result"]["report"]
         assert abs(report["deficit"]) <= doc["result"]["tolerance"]
         assert abs(report["deficit"]) < 1e-2 * report["power_sum"]
-        assert doc["resolved"]["grid"] == {"n_cells": 2048, "padding": 1.25}
+        assert doc["resolved"]["grid"] == {"n_cells": 2048}
 
     def test_minkowski_ball_example_gap_zero(self, tmp_path, capsys):
         config = {"command": "minkowski", "params": {"example": "ball", "rho": 0.7, "n": 4}}
@@ -557,7 +613,7 @@ class TestExitCodes:
         assert cli._EXIT_BY_VERDICT["inconclusive"] == 3
 
     def test_violated_verdict_exits_2(self, tmp_path, monkeypatch, capsys):
-        def fake(params, seed, threads):
+        def fake(params, seed):
             return {"value": 1.0}, "violated", {}
 
         monkeypatch.setitem(cli._HANDLERS, "lemma13", fake)
@@ -783,15 +839,6 @@ class TestOverrides:
         other = last_stdout_json(capsys)
         assert other["seed"] == 123
         assert other["result"] != base["result"]
-
-    def test_threads_flag_never_changes_results(self, tmp_path, capsys):
-        run_cli(tmp_path, self.base_config(), "--threads", "1", name="a.json")
-        one = last_stdout_json(capsys)
-        run_cli(tmp_path, self.base_config(), "--threads", "4", name="b.json")
-        four = last_stdout_json(capsys)
-        assert four["threads"] == 4
-        assert one["result"] == four["result"]
-        assert one["verdict"] == four["verdict"]
 
     def test_format_flag_switches_to_csv(self, tmp_path, capsys):
         config = {"command": "lemma13", "params": {"rho": 0.1, "n": 8}}

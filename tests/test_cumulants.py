@@ -12,7 +12,6 @@ from freesum.cumulants import (
 )
 from freesum.errors import ParameterError
 from freesum.measure import (
-    GridConfig,
     bernoulli,
     free_poisson,
     point_mass,
@@ -45,7 +44,7 @@ def test_free_cumulant_semicircle():
     sc = semicircle(1.0)
     assert free_cumulant(sc, 2) == pytest.approx(1.0, abs=1e-6)
     assert free_cumulant(sc, 4) == pytest.approx(0.0, abs=1e-6)
-    fine = semicircle(1.0, grid=GridConfig(4096))
+    fine = semicircle(1.0, n_cells=4096)
     assert free_cumulant(fine, 4) == pytest.approx(0.0, abs=1e-6)
     assert free_cumulant(fine, 1) == pytest.approx(0.0, abs=1e-8)
     assert free_cumulant(fine, 3) == pytest.approx(0.0, abs=1e-7)

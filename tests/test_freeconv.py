@@ -16,7 +16,6 @@ from freesum import freeconv
 from freesum.cumulants import free_cumulant
 from freesum.freeconv import free_convolve
 from freesum.measure import (
-    GridConfig,
     affine_pushforward,
     arcsine,
     bernoulli,
@@ -30,7 +29,7 @@ from freesum.measure import (
 )
 from freesum.transform import StaircaseTransform, r_transform
 
-GRID = GridConfig(1024)
+CELLS = 1024
 
 
 def variance(mu):
@@ -41,16 +40,16 @@ def test_semicircle_stability():
     # semicircle(s) + semicircle(t) = semicircle(s + t)
     for s, t in [(0.5, 0.5), (0.5, 1.0), (0.5, 2.0), (1.0, 1.0), (1.0, 2.0), (2.0, 2.0)]:
         out = free_convolve(
-            semicircle(s, grid=GRID), semicircle(t, grid=GRID), grid=GRID
+            semicircle(s, n_cells=CELLS), semicircle(t, n_cells=CELLS), n_cells=CELLS
         )
-        target = semicircle(s + t, grid=GRID)
+        target = semicircle(s + t, n_cells=CELLS)
         assert l1_distance(out, target) < 1e-2
         assert variance(out) == pytest.approx(s + t, abs=1e-3)
 
 
 def test_two_point_law_gives_arcsine():
     b = bernoulli(0.5, -1.0, 1.0)
-    out = free_convolve(b, b, grid=GridConfig(2048))
+    out = free_convolve(b, b, n_cells=2048)
     target = arcsine(2.0)
     # snapped windows make the grids line up exactly
     assert out.grid_lo == target.grid_lo and out.grid_hi == target.grid_hi
@@ -60,8 +59,8 @@ def test_two_point_law_gives_arcsine():
 
 
 def test_point_mass_translates():
-    sc = semicircle(1.0, grid=GRID)
-    out = free_convolve(point_mass(0.5), sc, grid=GRID)
+    sc = semicircle(1.0, n_cells=CELLS)
+    out = free_convolve(point_mass(0.5), sc, n_cells=CELLS)
     assert l1_distance(out, affine_pushforward(sc, 1.0, 0.5)) < 1e-3
     assert moment(out, 1) == pytest.approx(0.5, abs=1e-9)
     both = free_convolve(point_mass(0.3), point_mass(-1.0))
@@ -69,17 +68,17 @@ def test_point_mass_translates():
 
 
 def test_mean_and_variance_additivity():
-    a = uniform(-1.0, 1.0, grid=GRID)
-    b = free_poisson(2.0, grid=GRID)
-    out = free_convolve(a, b, grid=GRID)
+    a = uniform(-1.0, 1.0, n_cells=CELLS)
+    b = free_poisson(2.0, n_cells=CELLS)
+    out = free_convolve(a, b, n_cells=CELLS)
     assert moment(out, 1) == pytest.approx(moment(a, 1) + moment(b, 1), abs=1e-3)
     assert variance(out) == pytest.approx(variance(a) + variance(b), abs=1e-3)
 
 
 def test_support_containment():
-    a = uniform(-1.0, 1.0, grid=GRID)
-    b = free_poisson(2.0, grid=GRID)
-    out = free_convolve(a, b, grid=GRID)
+    a = uniform(-1.0, 1.0, n_cells=CELLS)
+    b = free_poisson(2.0, n_cells=CELLS)
+    out = free_convolve(a, b, n_cells=CELLS)
     lo, hi = out.support()
     sum_lo = a.support()[0] + b.support()[0]
     sum_hi = a.support()[1] + b.support()[1]
@@ -88,19 +87,19 @@ def test_support_containment():
 
 
 def test_commutativity():
-    a = uniform(-1.0, 1.0, grid=GRID)
-    b = free_poisson(2.0, grid=GRID)
-    assert l1_distance(free_convolve(a, b, grid=GRID), free_convolve(b, a, grid=GRID)) < 1e-3
+    a = uniform(-1.0, 1.0, n_cells=CELLS)
+    b = free_poisson(2.0, n_cells=CELLS)
+    assert l1_distance(free_convolve(a, b, CELLS), free_convolve(b, a, CELLS)) < 1e-3
 
 
 def test_cumulant_additivity_battery():
     pairs = [
-        (semicircle(1.0, grid=GRID), free_poisson(2.0, grid=GRID)),
-        (uniform(-1.0, 1.0, grid=GRID), uniform(0.0, 1.0, grid=GRID)),
-        (bernoulli(0.5, -1.0, 1.0), semicircle(0.5, grid=GRID)),
+        (semicircle(1.0, n_cells=CELLS), free_poisson(2.0, n_cells=CELLS)),
+        (uniform(-1.0, 1.0, n_cells=CELLS), uniform(0.0, 1.0, n_cells=CELLS)),
+        (bernoulli(0.5, -1.0, 1.0), semicircle(0.5, n_cells=CELLS)),
     ]
     for a, b in pairs:
-        out = free_convolve(a, b, grid=GRID)
+        out = free_convolve(a, b, n_cells=CELLS)
         for order in (1, 2, 3, 4):
             lhs = free_cumulant(out, order)
             rhs = free_cumulant(a, order) + free_cumulant(b, order)
@@ -110,11 +109,11 @@ def test_cumulant_additivity_battery():
 # affine push-forwards a X + b of three density laws at 512 cells; two-point
 # laws of unequal half-spans are left out, since their gapped sum misses
 # cumulant additivity (the readout refines only the window's two ends)
-PROPERTY_GRID = GridConfig(512)
+PROPERTY_CELLS = 512
 BASE_LAWS = (
-    semicircle(1.0, grid=PROPERTY_GRID),
-    uniform(-1.0, 1.0, grid=PROPERTY_GRID),
-    arcsine(1.0, grid=PROPERTY_GRID),
+    semicircle(1.0, n_cells=PROPERTY_CELLS),
+    uniform(-1.0, 1.0, n_cells=PROPERTY_CELLS),
+    arcsine(1.0, n_cells=PROPERTY_CELLS),
 )
 affine_laws = st.builds(
     affine_pushforward,
@@ -127,7 +126,7 @@ affine_laws = st.builds(
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(affine_laws, affine_laws)
 def test_affine_pairs_keep_mass_and_add_cumulants(a, b):
-    out = free_convolve(a, b, grid=PROPERTY_GRID)
+    out = free_convolve(a, b, n_cells=PROPERTY_CELLS)
     assert 0.9 <= out.meta["raw_mass"] <= 1.1
     assert out.meta["unconverged_points"] == 0
     # kappa_j carries the j-th power of the scale, here the sum's deviation
@@ -138,15 +137,15 @@ def test_affine_pairs_keep_mass_and_add_cumulants(a, b):
 
 
 def test_r_transform_additivity():
-    a = uniform(-1.0, 1.0, grid=GRID)
-    b = free_poisson(2.0, grid=GRID)
-    out = free_convolve(a, b, grid=GRID)
+    a = uniform(-1.0, 1.0, n_cells=CELLS)
+    b = free_poisson(2.0, n_cells=CELLS)
+    out = free_convolve(a, b, n_cells=CELLS)
     w = 0.05j
     assert abs(r_transform(out, w) - r_transform(a, w) - r_transform(b, w)) < 2e-3
 
 
 def test_convolution_meta():
-    out = free_convolve(semicircle(1.0, grid=GRID), semicircle(1.0, grid=GRID), grid=GRID)
+    out = free_convolve(semicircle(1.0, CELLS), semicircle(1.0, CELLS), CELLS)
     assert set(out.meta) >= {
         "raw_mass",
         "renormalization",
@@ -171,8 +170,7 @@ def test_solver_steps_count_evaluation_rounds(monkeypatch):
         return g_and_deriv(self, z)
 
     monkeypatch.setattr(StaircaseTransform, "g_and_deriv", counted)
-    small = GridConfig(256)
-    out = free_convolve(semicircle(1.0, grid=small), uniform(-1.0, 1.0, grid=small), grid=small)
+    out = free_convolve(semicircle(1.0, 256), uniform(-1.0, 1.0, 256), 256)
     assert out.meta["solver_steps"] > out.meta["readout_points"]
     assert 2 * out.meta["solver_steps"] == len(calls)
 
@@ -180,9 +178,8 @@ def test_solver_steps_count_evaluation_rounds(monkeypatch):
 CONVOLVE_256 = """
 import json
 from freesum.freeconv import free_convolve
-from freesum.measure import GridConfig, semicircle, uniform
-grid = GridConfig(256)
-out = free_convolve(semicircle(1.0, grid=grid), uniform(-1.0, 1.0, grid=grid), grid=grid)
+from freesum.measure import semicircle, uniform
+out = free_convolve(semicircle(1.0, 256), uniform(-1.0, 1.0, 256), 256)
 print(out.density.tobytes().hex())
 print(json.dumps(out.meta, sort_keys=True))
 """
@@ -219,17 +216,15 @@ def test_readout_points_count_the_points_solved(monkeypatch):
         return solve(self, z, w1, budget)
 
     monkeypatch.setattr(freeconv._PointSolver, "solve", recorded)
-    small = GridConfig(256)
-    out = free_convolve(semicircle(1.0, grid=small), uniform(-1.0, 1.0, grid=small), grid=small)
+    out = free_convolve(semicircle(1.0, 256), uniform(-1.0, 1.0, 256), 256)
     at_readout = {z.real for z in solved if z.imag == out.meta["eta"]}
     assert len(at_readout) == out.meta["readout_points"]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(2, 4096), st.floats(1.0, 4.0))
-def test_readout_plan_shape(n_cells, padding):
-    grid = GridConfig(n_cells, padding)
-    lo, hi, pad = snapped_window(-1.3, 0.7, grid)
+@given(st.integers(2, 4096))
+def test_readout_plan_shape(n_cells):
+    lo, hi, pad = snapped_window(-1.3, 0.7, n_cells)
     h = (hi - lo) / n_cells
     interior = np.arange(pad, n_cells - pad)
     x, weight, cell = freeconv._readout_plan(lo, h, interior)
@@ -244,8 +239,8 @@ def test_readout_plan_shape(n_cells, padding):
 
 
 def test_subordination_identities():
-    a = uniform(-1.0, 1.0, grid=GRID)
-    b = free_poisson(2.0, grid=GRID)
+    a = uniform(-1.0, 1.0, n_cells=CELLS)
+    b = free_poisson(2.0, n_cells=CELLS)
     z = 0.5 + 0.8j
     (alo, ahi), (blo, bhi) = a.support(), b.support()
     solver = freeconv._PointSolver(a, b)
@@ -267,7 +262,7 @@ def test_atomic_output_rejected_by_mass_check():
     # refuse rather than renormalize the gap away
     from freesum.errors import InversionQualityError
 
-    a = bernoulli(0.25, -1.9, 0.3, grid=GRID)
-    b = bernoulli(0.33, -1.0, 0.6, grid=GRID)
+    a = bernoulli(0.25, -1.9, 0.3, n_cells=CELLS)
+    b = bernoulli(0.33, -1.0, 0.6, n_cells=CELLS)
     with pytest.raises(InversionQualityError, match="mass"):
-        free_convolve(a, b, grid=GRID)
+        free_convolve(a, b, n_cells=CELLS)

@@ -17,7 +17,6 @@ from freesum.freeentropy import (
     stam_deficit,
 )
 from freesum.measure import (
-    GridConfig,
     Measure,
     affine_pushforward,
     arcsine,
@@ -29,7 +28,7 @@ from freesum.measure import (
     uniform,
 )
 
-GRID = GridConfig(1024)
+CELLS = 1024
 NEG_INF = float("-inf")
 
 
@@ -43,13 +42,13 @@ def test_uniform_energy_closed_form():
 
 def test_semicircle_energy():
     assert log_energy(semicircle(1.0)) == pytest.approx(-0.25, abs=1e-3)
-    fine = semicircle(1.0, grid=GridConfig(16384))
+    fine = semicircle(1.0, n_cells=16384)
     assert log_energy(fine) == pytest.approx(-0.25, abs=1e-6)
 
 
 def test_energy_refines_quadratically():
-    err_coarse = abs(log_energy(semicircle(1.0, grid=GridConfig(2048))) + 0.25)
-    err_fine = abs(log_energy(semicircle(1.0, grid=GridConfig(4096))) + 0.25)
+    err_coarse = abs(log_energy(semicircle(1.0, n_cells=2048)) + 0.25)
+    err_fine = abs(log_energy(semicircle(1.0, n_cells=4096)) + 0.25)
     assert err_fine <= 0.5 * err_coarse
 
 
@@ -71,7 +70,7 @@ def test_energy_lag_sums_match_pairwise_reference(n):
 def test_arcsine_on_radius_two_has_zero_energy():
     # equilibrium measure of [-2, 2]: capacity gives zero logarithmic energy
     assert abs(log_energy(arcsine(2.0))) < 5e-4
-    assert abs(log_energy(arcsine(2.0, grid=GridConfig(16384)))) < 5e-5
+    assert abs(log_energy(arcsine(2.0, n_cells=16384))) < 5e-5
 
 
 def test_atomic_energy_is_negative_infinity():
@@ -99,7 +98,7 @@ def test_chi_scaling_and_translation():
 
 
 def test_semicircle_maximizes_chi_at_fixed_variance():
-    target = chi(semicircle(1.0, grid=GridConfig(16384)))
+    target = chi(semicircle(1.0, n_cells=16384))
     a = math.sqrt(3.0)
     flat = uniform(-a, a)
     assert variance_of(flat) == pytest.approx(1.0, abs=1e-6)
@@ -140,7 +139,7 @@ def test_entropy_report_validation():
 
 def test_epi_semicircle_equality_case():
     rep = epi_deficit(
-        semicircle(1.0, grid=GRID), semicircle(1.0, grid=GRID), grid=GRID
+        semicircle(1.0, n_cells=CELLS), semicircle(1.0, n_cells=CELLS), n_cells=CELLS
     )
     two_pi_e = 2.0 * math.pi * math.e
     assert rep.power_alpha == pytest.approx(two_pi_e, rel=1e-3)
@@ -156,7 +155,7 @@ def test_epi_semicircle_equality_case():
 
 
 def test_epi_translation_by_point_mass():
-    rep = epi_deficit(semicircle(1.0, grid=GRID), point_mass(0.5), grid=GRID)
+    rep = epi_deficit(semicircle(1.0, n_cells=CELLS), point_mass(0.5), n_cells=CELLS)
     assert rep.power_beta == 0.0
     assert rep.infinite_entropy_inputs == ("beta",)
     assert abs(rep.deficit) < 1e-3
@@ -165,7 +164,7 @@ def test_epi_translation_by_point_mass():
 
 def test_epi_two_point_inputs_yield_arcsine_power():
     b = bernoulli(0.5, -1.0, 1.0)
-    rep = epi_deficit(b, b, grid=GridConfig(2048))
+    rep = epi_deficit(b, b, n_cells=2048)
     assert rep.power_alpha == 0.0 and rep.power_beta == 0.0
     assert rep.infinite_entropy_inputs == ("alpha", "beta")
     assert rep.deficit == rep.power_sum
@@ -175,12 +174,12 @@ def test_epi_two_point_inputs_yield_arcsine_power():
 
 def test_epi_deficit_nonnegative_battery():
     pairs = [
-        (uniform(-1.0, 1.0, grid=GRID), semicircle(0.5, grid=GRID)),
-        (free_poisson(2.0, grid=GRID), semicircle(1.0, grid=GRID)),
-        (uniform(0.0, 1.0, grid=GRID), uniform(0.0, 1.0, grid=GRID)),
+        (uniform(-1.0, 1.0, n_cells=CELLS), semicircle(0.5, n_cells=CELLS)),
+        (free_poisson(2.0, n_cells=CELLS), semicircle(1.0, n_cells=CELLS)),
+        (uniform(0.0, 1.0, n_cells=CELLS), uniform(0.0, 1.0, n_cells=CELLS)),
     ]
     for a, b in pairs:
-        rep = epi_deficit(a, b, grid=GRID)
+        rep = epi_deficit(a, b, n_cells=CELLS)
         scale = max(rep.power_sum, rep.power_alpha, rep.power_beta)
         assert rep.deficit >= -2e-2 * scale
 
@@ -213,13 +212,13 @@ def test_fisher_variance_bound():
 
 def test_stam_deficit_semicircle_pairs():
     assert abs(
-        stam_deficit(semicircle(1.0, grid=GRID), semicircle(1.0, grid=GRID), grid=GRID)
+        stam_deficit(semicircle(1.0, n_cells=CELLS), semicircle(1.0, n_cells=CELLS), n_cells=CELLS)
     ) < 5e-3
     assert abs(
-        stam_deficit(semicircle(1.0, grid=GRID), semicircle(3.0, grid=GRID), grid=GRID)
+        stam_deficit(semicircle(1.0, n_cells=CELLS), semicircle(3.0, n_cells=CELLS), n_cells=CELLS)
     ) < 5e-3
 
 
 def test_stam_deficit_rejects_atoms():
     with pytest.raises(DomainError):
-        stam_deficit(bernoulli(0.5, -1.0, 1.0), semicircle(1.0, grid=GRID), grid=GRID)
+        stam_deficit(bernoulli(0.5, -1.0, 1.0), semicircle(1.0, n_cells=CELLS), n_cells=CELLS)

@@ -134,7 +134,7 @@ class TestSpecs:
         assert [f.name for f in dataclasses.fields(ThetaSpec)] == ["kind", "c", "bound", "density"]
         # the grid size is derived from the budget, not stored
         names = [f.name for f in dataclasses.fields(MonteCarloConfig)]
-        assert names == ["pair_samples", "seed", "threads", "c", "C"]
+        assert names == ["pair_samples", "seed", "c", "C"]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
@@ -320,9 +320,9 @@ class TestRestrictedSum:
             seeds = []
             calls.append(seeds)
 
-            def noted(i, m, rng):
+            def noted(m, rng):
                 seeds.append(rng.bit_generator.seed_seq.entropy)
-                return job(i, m, rng)
+                return job(m, rng)
 
             return run_streams(cfg, total, noted)
 
@@ -371,25 +371,6 @@ class TestRestrictedSum:
             restricted_sum_volume(SetSpec.ball(1, 7), SetSpec.ball(1, 7), ThetaSpec.full(), FAST)
         with pytest.raises(ParameterError):
             restricted_sum_volume(SetSpec.ball(1, 2), SetSpec.ball(1, 3), ThetaSpec.full(), FAST)
-
-    def test_thread_count_never_changes_results(self):
-        base = MonteCarloConfig(pair_samples=100_000, seed=9, threads=1)
-        multi = MonteCarloConfig(pair_samples=100_000, seed=9, threads=3)
-        a, b = SetSpec.ball(1, 2), SetSpec.box([0.6, 0.6])
-        r1 = restricted_sum_volume(a, b, ThetaSpec.complement_fraction(0.3), base)
-        r2 = restricted_sum_volume(a, b, ThetaSpec.complement_fraction(0.3), multi)
-        assert r1["theta_volume"].value == r2["theta_volume"].value
-        assert r1["sum_volume"].value == r2["sum_volume"].value
-        assert r1["theta_hits"] == r2["theta_hits"]
-        # exact draws on one side, rejection from an intersection on the other
-        a = SetSpec.ellipsoid([1.2, 0.7, 0.9], center=(0.1, 0.0, -0.2))
-        for theta in (ThetaSpec.full(), ThetaSpec.sum_norm_leq(1.5)):
-            r1 = restricted_sum_volume(a, BALL_CAP_BOX, theta, base)
-            r2 = restricted_sum_volume(a, BALL_CAP_BOX, theta, multi)
-            assert r1 == r2
-        b1 = bll_symmetrization_check(a, BALL_CAP_BOX, SetSpec.ball(1.5, 3), base)
-        b3 = bll_symmetrization_check(a, BALL_CAP_BOX, SetSpec.ball(1.5, 3), multi)
-        assert b1.to_json() == b3.to_json()
 
     def test_seed_reproducibility(self):
         r1 = restricted_sum_volume(SetSpec.ball(1, 2), SetSpec.ball(0.5, 2), ThetaSpec.full(), FAST)
@@ -536,7 +517,7 @@ class TestClosedFormSums:
         # the closed form still draws the pairs for theta_volume, and counts
         # exactly the admitted pairs of the pair counter
         a, b = SetSpec.ball(1.0, 3), SetSpec.ball(0.7, 3)
-        cfg = MonteCarloConfig(pair_samples=100_000, seed=8, threads=2)
+        cfg = MonteCarloConfig(pair_samples=100_000, seed=8)
         rsv = restricted_sum_volume(a, b, theta, cfg)
         keep = partial(theta.indicator, seed=cfg.seed)
         assert (rsv["theta_hits"], rsv["rejection_proposals"]) == geometry._pair_hits(a, b, keep, cfg)

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from freesum.errors import ParameterError
 from freesum.measure import (
-    GridConfig,
     Measure,
     affine_pushforward,
     arcsine,
@@ -23,6 +22,7 @@ from freesum.measure import (
     point_mass,
     sample,
     semicircle,
+    snapped_window,
     standard_family,
     uniform,
 )
@@ -31,16 +31,16 @@ from freesum.measure import (
 KS_BOUND = 1.63
 
 
-def test_grid_config_validation():
-    with pytest.raises(ParameterError):
-        GridConfig(n_cells=1)
-    with pytest.raises(ParameterError):
-        GridConfig(n_cells=128, padding=0.5)
+@pytest.mark.parametrize("n_cells", [1, 0, -4, 64.0, "64", None])
+def test_snapped_window_refuses_a_bad_cell_count(n_cells):
+    with pytest.raises(ParameterError, match="n_cells must be an integer >= 2"):
+        snapped_window(-1.0, 1.0, n_cells)
+    with pytest.raises(ParameterError, match="n_cells must be an integer >= 2"):
+        uniform(0.0, 1.0, n_cells=n_cells)
 
 
 def test_total_mass_enforced():
-    cfg = GridConfig(n_cells=16)
-    good = uniform(0.0, 1.0, grid=cfg)
+    good = uniform(0.0, 1.0, n_cells=16)
     assert good.density_mass + good.atom_mass == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ParameterError):
         Measure(
@@ -164,10 +164,9 @@ def _family_laws(s):
 
 @pytest.mark.parametrize("n_cells", [256, 2048])
 def test_standard_families_leave_padding_cells_empty(n_cells):
-    grid = GridConfig(n_cells=n_cells)
     for s in np.geomspace(0.8, 1.25, 41):
         for name, build, (lo, hi) in _family_laws(float(s)):
-            mu = build(grid)
+            mu = build(n_cells)
             inside = (mu.midpoints() > lo) & (mu.midpoints() < hi)
             assert np.all(mu.density[~inside] == 0.0), (name, s)
             assert mu.support() == pytest.approx((lo, hi), rel=0.0, abs=4e-15), (name, s)
@@ -311,9 +310,8 @@ def test_standard_family_dispatch():
 
 
 def test_point_mass_is_a_standard_family():
-    grid = GridConfig(n_cells=64)
     assert standard_family("point_mass", [0.3]).to_json() == point_mass(0.3).to_json()
-    assert standard_family("point_mass", [0.3], grid).to_json() == point_mass(0.3, grid).to_json()
+    assert standard_family("point_mass", [0.3], 64).to_json() == point_mass(0.3, 64).to_json()
     for params in ([], [0.3, 0.5]):
         with pytest.raises(ParameterError, match="takes 1 parameter"):
             standard_family("point_mass", params)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freesum.errors import ConvergenceError, DomainError
-from freesum.measure import GridConfig, Measure, bernoulli, semicircle
+from freesum.measure import Measure, bernoulli, semicircle
 from freesum.transform import StaircaseTransform, cauchy_transform, r_transform
 
 
@@ -19,7 +19,7 @@ def test_semicircle_closed_form():
     expected = (1.0 - math.sqrt(2.0)) * 1j
     sc = semicircle(1.0)
     assert abs(cauchy_transform(sc, 2j) - expected) < 1e-6
-    sc_fine = semicircle(1.0, grid=GridConfig(8192))
+    sc_fine = semicircle(1.0, n_cells=8192)
     assert abs(cauchy_transform(sc_fine, 2j) - expected) < 1e-7
 
 
@@ -175,7 +175,7 @@ def test_r_transform_semicircle_linear():
     # R(w) = variance * w
     sc = semicircle(1.0)
     assert abs(r_transform(sc, 0.1j) - 0.1j) < 1e-6
-    sc2 = semicircle(0.5, grid=GridConfig(4096))
+    sc2 = semicircle(0.5, n_cells=4096)
     assert abs(r_transform(sc2, 0.2 + 0.1j) - 0.5 * (0.2 + 0.1j)) < 1e-6
 
 

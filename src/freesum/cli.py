@@ -374,15 +374,28 @@ def _params_error(command: str, params: dict):
     return _first_error({"$defs": _DEFS, **_PARAM_SCHEMAS[command]}, params)
 
 
+def _error_path(err) -> list:
+    """Keys leading to a schema error; an unexpected key ends its own path.
+
+    An ``additionalProperties`` error sits at the object holding the key, so
+    the first key the schema does not list is appended.
+    """
+    path = list(err.absolute_path)
+    if err.validator == "additionalProperties":
+        allowed = err.schema.get("properties", {})
+        path.append(next(key for key in err.instance if key not in allowed))
+    return path
+
+
 def _validate(config: dict, raw: str, path: str) -> None:
     err = _first_error(_TOP_SCHEMA, config)
     if err is not None:
-        line = _line_of_path(raw, list(err.absolute_path) or ["command"])
+        line = _line_of_path(raw, _error_path(err) or ["command"])
         raise ConfigError(f"{path}:{line}: {err.message}")
     command = config["command"]
     err = _params_error(command, config["params"])
     if err is not None:
-        line = _line_of_path(raw, ["params", *err.absolute_path])
+        line = _line_of_path(raw, ["params", *_error_path(err)])
         raise ConfigError(f"{path}:{line}: params: {err.message}")
     if "sweep" in config and config.get("format") == "json":
         raise ConfigError(

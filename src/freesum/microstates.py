@@ -33,7 +33,6 @@ __all__ = [
     "estimate_log_volume_omega",
     "log_flag_constant",
     "membership_report",
-    "sample_omega",
     "sum_spectrum_experiment",
     "theta_fraction",
 ]
@@ -169,10 +168,11 @@ class MatrixMicrostate:
     """Self-adjoint k x k matrix.
 
     The spectrum is computed on the first ``spectrum()`` call and cached, and
-    every later reader shares that read-only array.  A matrix drawn by the
-    slot sampler carries an upper bound on its operator norm, known without
-    an eigensolve, and a sum of two such matrices carries the total of their
-    bounds (the triangle inequality); every other matrix carries None.
+    every later reader shares that read-only array.  A matrix drawn from
+    eigenvalue slots, diagonal or under a Haar basis, carries an upper bound
+    on its operator norm, known without an eigensolve, and a sum of two such
+    matrices carries the total of their bounds (the triangle inequality);
+    every other matrix carries None.
     """
 
     k: int
@@ -309,14 +309,14 @@ def _gamma(n: int) -> float:
     return nu / (1.0 - nu)
 
 
-def _sample_omega(
-    h: StepFunctionSpec, k: int, rng: np.random.Generator
-) -> tuple[MatrixMicrostate, np.ndarray]:
-    """Slot draw lam and the matrix S built from it, with its spectrum certified.
+def _sample_omega(h: StepFunctionSpec, k: int, rng: np.random.Generator) -> MatrixMicrostate:
+    """Matrix S built from a uniform slot draw lam, with its spectrum certified.
 
-    S is U diag(lam) U* in floating point, then averaged with its adjoint.
-    Its spectrum is shown to lie within ``_SLOT_LANDING_TOL`` of lam, hence
-    of the slots, without an eigensolve.  Write u = 2^-53, g_n = ``_gamma(n)``,
+    Eigenvalue s+1 is uniform in [h(s/k), h((2s+1)/(2k))]; the slots are
+    disjoint, so the draw is already sorted.  S is U diag(lam) U* in floating
+    point for a Haar U, then averaged with its adjoint.  Its spectrum is
+    shown to lie within ``_SLOT_LANDING_TOL`` of lam, hence of the slots,
+    without an eigensolve.  Write u = 2^-53, g_n = ``_gamma(n)``,
     L = max |lam|, and delta for the defect max |fl(U U*) - I| measured by
     ``_haar_from_rng``.
 
@@ -354,7 +354,7 @@ def _sample_omega(
     eta = k * (delta + _gamma(k + 2) * rho)
     drift = top * (eta + k * rho * (_gamma(k + 3) + 2.0 * 2.0**-53))
     if drift <= _SLOT_LANDING_TOL:
-        return MatrixMicrostate(k, m, _norm_bound=top + drift), lam
+        return MatrixMicrostate(k, m, _norm_bound=top + drift)
     state = MatrixMicrostate(k, m)
     spectrum = state.spectrum()
     if np.any(spectrum < lo - _SLOT_LANDING_TOL) or np.any(spectrum > hi + _SLOT_LANDING_TOL):
@@ -363,20 +363,6 @@ def _sample_omega(
             "reconstructed spectrum left its slots",
             diagnostics={"k": k, "worst_escape": worst},
         )
-    return state, lam
-
-
-def sample_omega(h: StepFunctionSpec, k: int, seed: int) -> MatrixMicrostate:
-    """Uniform slot spectrum conjugated by an independent Haar basis.
-
-    Eigenvalue s+1 is uniform in [h(s/k), h((2s+1)/(2k))]; the slots are
-    disjoint, so the draw is already sorted.  The reconstructed matrix's
-    spectrum is certified to lie within 1e-9 of the draw, or else solved and
-    checked against the slots to 1e-9; ``spectrum()`` solves it on demand.
-    """
-    if not isinstance(k, int) or k < 2:
-        raise ParameterError(f"k must be an integer >= 2, got {k}")
-    state, _ = _sample_omega(h, k, np.random.default_rng(seed))
     return state
 
 
@@ -476,13 +462,21 @@ def membership_report(states, target: GammaTarget) -> dict:
 
 
 def _pair_trials(h1, h2, k: int, max_len: int, eps: float, trials: int, seed: int):
-    """Iterator of ((a1, lam1), (a2, lam2), member) for trials t = 0..trials-1.
+    """Iterator of (a1, a2, member) for trials t = 0..trials-1.
 
     Checks ``trials`` and builds the freeness target of the two push-forward
     laws (words up to ``max_len``, tolerance ``eps``, norm bound the larger
-    sup |h|) before any trial runs.  Trial t samples one matrix per profile,
-    each with its slot draw, from the stream stream_seed(seed, t), and tests
-    the pair against that target.
+    sup |h|) before any trial runs.  Trial t draws from the stream
+    stream_seed(seed, t) and tests the pair against that target.
+
+    A trial draws the pair (Lam1, V Lam2 V*): a1 is the diagonal of a slot
+    draw of h1, whose norm is exactly its largest |entry|, and a2 is a slot
+    draw of h2 under one Haar basis V (``_sample_omega``).  Two independent
+    rotations (U1 Lam1 U1*, U2 Lam2 U2*) give the same law of everything
+    read here: the word traces, the norms and the spectrum of a1 + a2 are
+    unchanged by conjugating both matrices by U1*, which leaves
+    (Lam1, U1* U2 Lam2 U2* U1), and U1* U2 is Haar and independent of the
+    slot draws.
     """
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")
@@ -493,12 +487,14 @@ def _pair_trials(h1, h2, k: int, max_len: int, eps: float, trials: int, seed: in
         eps,
         max(h1.sup_abs, h2.sup_abs),
     )
+    lo, hi = h1.slots(k)
 
     def trial(t):
         rng = np.random.default_rng(stream_seed(seed, t))
-        first = _sample_omega(h1, k, rng)
+        lam = rng.uniform(lo, hi)
+        first = MatrixMicrostate(k, np.diag(lam), _norm_bound=float(np.max(np.abs(lam))))
         second = _sample_omega(h2, k, rng)
-        report = membership_report((first[0], second[0]), target)
+        report = membership_report((first, second), target)
         return first, second, bool(report["member"])
 
     return map(trial, range(trials))
@@ -544,16 +540,11 @@ def _log_vandermonde_sq(lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FractionEstimate:
-    """Pass fraction of a pairwise trial with both sampling-law readings.
+    """Pass fraction of a pairwise trial with its Wilson interval.
 
-    ``fraction`` counts trials as drawn (slot-uniform law) and carries the
-    Wilson interval; ``weighted_fraction`` reweights each trial by the
-    squared Vandermonde of its slot draws, targeting the flat matrix law.
-    It is None when the weights' effective sample size ``weight_ess`` is
-    below ``_MIN_ESS`` (100), the gate ``estimate_log_volume_omega`` applies;
-    ``weight_ess`` is reported either way.  The Kish ESS is below ``trials``
-    unless every weight is equal, so at 100 trials ``weighted_fraction`` is
-    always None.
+    The fraction is under the law the trials draw: each eigenvalue uniform
+    in its slot, and the pair (Lam1, V Lam2 V*) for a Haar V, which reads
+    the same as two independent Haar bases (see ``_pair_trials``).
     """
 
     passes: int
@@ -561,8 +552,6 @@ class FractionEstimate:
     fraction: float
     ci_low: float
     ci_high: float
-    weighted_fraction: float | None
-    weight_ess: float
 
 
 def _ess(log_w: np.ndarray) -> float:
@@ -581,34 +570,21 @@ def theta_fraction(
 ) -> FractionEstimate:
     """Fraction of independent slot-sample pairs that look free.
 
-    Each trial draws one matrix per profile with its own Haar basis and tests
-    the pair against the freeness targets of the two push-forward laws.
-    Trial t draws from stream_seed(seed, t), so it draws the same whatever
-    ``trials`` is, and distinct seeds never share a trial stream.
+    Each trial draws a diagonal slot draw of h1 and a slot draw of h2 under
+    one Haar basis, the law of two independently rotated slot draws (see
+    ``_pair_trials``), and tests the pair against the freeness targets of
+    the two push-forward laws.  Trial t draws from stream_seed(seed, t), so
+    it draws the same whatever ``trials`` is, and distinct seeds never share
+    a trial stream.
     """
-    pairs = _pair_trials(h1, h2, k, max_len, eps, trials, seed)
-    lam1 = np.empty((k, trials))
-    lam2 = np.empty((k, trials))
-    member = np.zeros(trials, dtype=bool)
-    for t, (first, second, ok) in enumerate(pairs):
-        lam1[:, t], lam2[:, t], member[t] = first[1], second[1], ok
-    logw = _log_vandermonde_sq(lam1) + _log_vandermonde_sq(lam2)
-    passes = int(np.count_nonzero(member))
+    passes = sum(member for _, _, member in _pair_trials(h1, h2, k, max_len, eps, trials, seed))
     lo, hi = wilson_interval(passes, trials)
-    log_total = logsumexp(logw)
-    ess = _ess(logw)
-    if ess < _MIN_ESS:
-        weighted = None
-    else:
-        weighted = float(np.exp(logsumexp(logw[member]) - log_total)) if passes else 0.0
     return FractionEstimate(
         passes=passes,
         trials=trials,
         fraction=passes / trials,
         ci_low=lo,
         ci_high=hi,
-        weighted_fraction=weighted,
-        weight_ess=ess,
     )
 
 
@@ -633,8 +609,10 @@ def _empirical_measure(eigenvalues: np.ndarray, meta: dict) -> Measure:
 def sum_spectrum_experiment(alpha: Measure, beta: Measure, k: int, seed: int) -> Measure:
     """Empirical spectral measure of a sum of independently rotated matrices.
 
-    Each summand is a diagonal of midpoint quantiles conjugated by its own
-    Haar unitary; the eigenvalues of the sum come back as atoms of mass 1/k.
+    Each summand is a diagonal of midpoint quantiles, Q_a and Q_b.  The sum
+    is Q_a + V Q_b V* for one Haar unitary V: conjugating U_a Q_a U_a* +
+    U_b Q_b U_b* by U_a* keeps its spectrum and leaves that form, with
+    V = U_a* U_b Haar.  The eigenvalues come back as atoms of mass 1/k.
     """
     if not isinstance(k, int) or k < 32:
         raise ParameterError(f"k must be an integer >= 32, got {k}")
@@ -642,11 +620,8 @@ def sum_spectrum_experiment(alpha: Measure, beta: Measure, k: int, seed: int) ->
     ps = (np.arange(k) + 0.5) / k
     qa = np.asarray(alpha.quantile(ps), dtype=float)
     qb = np.asarray(beta.quantile(ps), dtype=float)
-    u, _ = _haar_from_rng(k, rng)
     v, _ = _haar_from_rng(k, rng)
-    a = (u * qa) @ u.conj().T
-    b = (v * qb) @ v.conj().T
-    s = a + b
+    s = (v * qb) @ v.conj().T + np.diag(qa)
     s = 0.5 * (s + s.conj().T)
     eig = np.linalg.eigvalsh(s)
     if not np.all(np.isfinite(eig)):
@@ -830,16 +805,19 @@ def check_sum_containment(
 ) -> ContainmentResult:
     """How often a freeness-filtered pair sums into the convolution targets.
 
-    Pairs are drawn as in ``theta_fraction``; those passing the freeness
-    filter have their sum tested against the moments of the free convolution
-    of the two push-forward laws (computed exactly through cumulant
-    additivity), with norm bound 2R.  A trial solves no eigenvalue problem:
-    each summand carries the norm bound of its certified slot draw, and the
-    sum carries their total; ``membership_report`` solves a spectrum only for
-    a matrix whose bound is missing or exceeds its target's.  The filter
-    defaults come from the crude word-splitting bound (length 2*max_len,
-    tolerance eps/(4 (2R)^max_len)), which at practical k keeps almost
-    nothing; pass explicit filter parameters for a usable estimate.
+    Pairs are drawn as in ``theta_fraction``: a diagonal slot draw of h1 and
+    a slot draw of h2 under one Haar basis, whose sum has the spectrum law of
+    the sum of two independently rotated slot draws (see ``_pair_trials``).
+    Those passing the freeness filter have their sum tested against the
+    moments of the free convolution of the two push-forward laws (computed
+    exactly through cumulant additivity), with norm bound 2R.  A trial
+    solves no eigenvalue problem: each summand carries a norm bound from its
+    slot draw, exact for the diagonal one and certified for the other, and
+    the sum carries their total; ``membership_report`` solves a spectrum
+    only for a matrix whose bound is missing or exceeds its target's.  The
+    filter defaults come from the crude word-splitting bound (length
+    2*max_len, tolerance eps/(4 (2R)^max_len)), which at practical k keeps
+    almost nothing; pass explicit filter parameters for a usable estimate.
     """
     bound = max(h1.sup_abs, h2.sup_abs)
     if filter_max_len is None:
@@ -857,7 +835,7 @@ def check_sum_containment(
     sum_target = GammaTarget.single(moments_from_cumulants(kappa), eps, 2.0 * bound)
     passes = 0
     kept = 0
-    for (a1, _), (a2, _), paired in pairs:
+    for a1, a2, paired in pairs:
         if paired:
             kept += 1
             passes += int(membership_report((a1 + a2,), sum_target)["member"])

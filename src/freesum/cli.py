@@ -519,7 +519,7 @@ def _run_stam(params, seed):
     value = stam_deficit(
         _parse_measure(params["alpha"], n_cells), _parse_measure(params["beta"], n_cells), n_cells
     )
-    # conjectured sign only; recorded, never gating
+    # >= 0 by the free Stam inequality (a theorem); recorded, with no verdict
     return {"stam_deficit": value}, None, {"grid": {"n_cells": n_cells}}
 
 

@@ -12,8 +12,10 @@ density is read off from G(z) = G_alpha(omega1(z)) just above the real axis.
 The readout points form one plan in increasing x: the midpoint of each
 ordinary cell, and in-cell quadrature nodes in the cells next to the support
 endpoints, so the spacing is not uniform near the edges.  The plan is swept
-once, serially.  Each point warm-starts from the linear extrapolation of
-omega1 through the two points solved before it, clamped to Im >= Im z.  The
+once, serially.  Each point warm-starts from the cubic Hermite extrapolation
+through the two points solved before it, clamped to Im >= Im z: each solved
+point keeps its Newton-corrected omega1 and the slope d(omega1)/dx =
+-F_beta'(omega2) / H'(omega1), both free from the round that accepted it.  The
 first point is bootstrapped by continuation from high up in the half-plane
 where the fixed point is strongly contractive, and so is any point whose
 warm start fails.
@@ -58,7 +60,7 @@ class _PointSolver:
         self.steps = 0
 
     def _sweep_step(self, z, w1):
-        """One evaluation round: residual H, its Newton slope, and F_alpha(w1)."""
+        """One evaluation round: H, H', F_alpha(w1) and d(omega1)/dx = -F_beta'(w2) / H'."""
         self.steps += 1
         ga, gpa = self.ev_a.g_and_deriv(w1)
         fa = 1.0 / ga
@@ -72,26 +74,27 @@ class _PointSolver:
         fpb = -gpb * fb * fb
         h = fb - fa
         hp = (fpb - 1.0) * (fpa - 1.0) - 1.0
-        return h, hp, fa
+        return h, hp, fa, (-fpb / hp if hp != 0 else 0j)
 
     def solve(self, z, w1, budget):
-        """Iterate from w1; returns (omega1, residual, F_value, converged).
+        """Iterate from w1; returns (omega1, residual, F_value, knot, converged).
 
-        Unconverged, it returns the iterate with the smallest residual.
+        knot is (omega1 - H/H', d(omega1)/dx) from the same round: the sweep
+        warm-starts later points from it.  Unconverged, it returns the
+        iterate with the smallest residual.
         """
         floor = z.imag
         scale = max(1.0, abs(z))
-        best = (w1, math.inf, w1)  # omega1, residual, F
+        best = (w1, math.inf, w1, (w1, 0j))  # omega1, residual, F, knot
         for _ in range(budget):
-            h, hp, fa = self._sweep_step(z, w1)
+            h, hp, fa, slope = self._sweep_step(z, w1)
             resid = abs(h)
+            step = h / hp if hp != 0 else 0j
             if resid < best[1]:
-                best = (w1, resid, fa)
+                best = (w1, resid, fa, (w1 - step, slope))
             if resid <= TOL * scale:
-                return w1, resid, fa, True
-            use_newton = resid < 0.3 * scale and hp != 0
-            if use_newton:
-                step = h / hp
+                return (*best, True)
+            if resid < 0.3 * scale and hp != 0:
                 cap = 1.0 + 0.5 * (abs(w1) + abs(z))
                 if abs(step) > cap:
                     step *= cap / abs(step)
@@ -115,16 +118,22 @@ class _PointSolver:
 
 
 def _warm_start(trail, x: float, floor: float) -> complex:
-    """omega1 extrapolated linearly to x from the last two (x, omega1) in trail.
+    """omega1 at x from the last two (x, omega1, d(omega1)/dx) in trail.
 
-    With one solved point the guess is its omega1; the guess never drops
+    The guess extrapolates the cubic Hermite interpolant of the two points;
+    with one solved point it is omega1 plus slope times step.  It never drops
     below Im = floor, the readout height.
     """
-    x1, w1 = trail[-1]
+    x1, w1, s1 = trail[-1]
     if len(trail) < 2:
-        return w1
-    x0, w0 = trail[-2]
-    guess = w1 + (w1 - w0) * ((x - x1) / (x1 - x0))
+        guess = w1 + s1 * (x - x1)
+    else:
+        x0, w0, s0 = trail[-2]
+        d, t = x1 - x0, (x - x0) / (x1 - x0)
+        # the cubic in powers of t, which is 0 at x0 and 1 at x1
+        c2 = 3 * (w1 - w0) - (2 * s0 + s1) * d
+        c3 = 2 * (w0 - w1) + (s0 + s1) * d
+        guess = w0 + t * (s0 * d + t * (c2 + t * c3))
     return complex(guess.real, max(guess.imag, floor))
 
 
@@ -187,18 +196,18 @@ def free_convolve(alpha: Measure, beta: Measure, n_cells: int = N_CELLS) -> Meas
     values = np.empty(xs.size)
     unconverged = 0
     worst = 0.0
-    trail: list[tuple[float, complex]] = []
+    trail: list[tuple[float, complex, complex]] = []
     for i, x in enumerate(xs.tolist()):
         z = complex(x, eta)
         ok = False
         if trail:
-            w1, resid, fa, ok = ps.solve(z, _warm_start(trail, x, eta), MAX_ITER)
+            _, resid, fa, knot, ok = ps.solve(z, _warm_start(trail, x, eta), MAX_ITER)
         if not ok:
-            w1, resid, fa, ok = ps.bootstrap(z, width)
+            _, resid, fa, knot, ok = ps.bootstrap(z, width)
         if not ok:
             unconverged += 1
             worst = max(worst, resid)
-        trail = [*trail[-1:], (x, w1)]
+        trail = [*trail[-1:], (x, *knot)]
         values[i] = max(0.0, -((1.0 / fa).imag) / math.pi)
     density = np.bincount(cell, weight * values, minlength=n_cells)
 

@@ -189,7 +189,8 @@ def free_fisher(mu: Measure) -> float:
 
 
 def stam_deficit(alpha: Measure, beta: Measure, n_cells: int = N_CELLS) -> float:
-    """1/Phi(convolution) - 1/Phi(alpha) - 1/Phi(beta); conjectured <= 0."""
+    """1/Phi(convolution) - 1/Phi(alpha) - 1/Phi(beta); >= 0 by the free Stam
+    inequality (Voiculescu, Invent. Math. 132, 1998), 0 for two semicircles."""
     phi_a = free_fisher(alpha)
     phi_b = free_fisher(beta)
     if phi_a <= 0 or phi_b <= 0:

@@ -324,7 +324,7 @@ def test_criterion_10_fisher_sharpening_records(capsys):
         )
         if value > 5e-3:
             failures.append(f"semicircle pair ({v1},{v2}): {value:.2e}")
-    # conjectured-only territory: record, never assert
+    # >= 0 by the free Stam inequality (Voiculescu 1998); recorded, not asserted
     recorded = {
         "uniform+uniform": stam_deficit(
             standard_family("uniform", [-1.0, 1.0]), standard_family("uniform", [-1.0, 1.0])

@@ -95,3 +95,10 @@ def test_package_exports_match_the_submodules():
     assert freesum.__all__ == sorted(freesum.__all__)
     assert freesum.__all__ == sorted(owner)
     assert all(hasattr(freesum, name) for name in freesum.__all__)
+
+
+def test_public_surface_holds_at_the_standing_gate():
+    # the package's public names may shrink but not grow past 63
+    import freesum
+
+    assert len(freesum.__all__) <= 63

@@ -248,6 +248,38 @@ def test_affine_pushforward():
     assert b.atoms == ((-2.0, 0.7), (1.0, 0.3))
 
 
+AFFINE_BASES = (
+    semicircle(1.0, 256),
+    arcsine(0.7, 256),
+    free_poisson(2.0, 256),
+    bernoulli(0.3, -1.0, 2.0, 256),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(range(len(AFFINE_BASES))),
+    st.floats(0.1, 10.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-5.0, 5.0),
+)
+def test_affine_pushforward_properties(base, scale, sign, b):
+    mu = AFFINE_BASES[base]
+    a = sign * scale
+    nu = affine_pushforward(mu, a, b)
+    assert nu.density_mass + nu.atom_mass == pytest.approx(1.0, abs=1e-12)
+    assert nu.mean() == pytest.approx(a * mu.mean() + b, abs=1e-12 * (1.0 + abs(b)))
+    assert nu.variance() == pytest.approx(a * a * mu.variance(), rel=1e-9)
+    # the inverse map returns the law; CDFs are compared away from the atoms,
+    # where an ulp of drift in an atom's location would read as its weight
+    back = affine_pushforward(nu, 1.0 / a, -b / a)
+    lo, hi = mu.support()
+    x = np.linspace(lo - 1.0, hi + 1.0, 1001)
+    for loc, _ in mu.atoms:
+        x = x[np.abs(x - loc) > 1e-9]
+    np.testing.assert_allclose(back.cdf(x), mu.cdf(x), rtol=0, atol=1e-9)
+
+
 def test_l1_distance_hand_values():
     u1 = uniform(0.0, 1.0)
     u2 = uniform(0.5, 1.5)

@@ -313,7 +313,9 @@ _PARAM_SCHEMAS = {
     },
     "microstates-sum": {
         "type": "object",
-        "required": ["h1", "h2", "k", "max_len", "eps", "trials"],
+        "required": [
+            "h1", "h2", "k", "max_len", "eps", "trials", "filter_max_len", "filter_eps"
+        ],
         "properties": {
             "h1": {"$ref": "#/$defs/profile"},
             "h2": {"$ref": "#/$defs/profile"},
@@ -604,8 +606,8 @@ def _run_microstates_sum(params, seed):
         params["eps"],
         params["trials"],
         seed,
-        filter_max_len=params.get("filter_max_len"),
-        filter_eps=params.get("filter_eps"),
+        params["filter_max_len"],
+        params["filter_eps"],
     )
     verdict = "inconclusive" if out.inconclusive else None
     resolved = {"filter_max_len": out.filter_max_len, "filter_eps": out.filter_eps}

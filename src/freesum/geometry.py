@@ -18,7 +18,7 @@ sumset non-convex; no certificate applies there and its volume is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -38,10 +38,8 @@ __all__ = [
     "cap_fraction",
     "check_corollary15",
     "check_lemma13",
-    "check_remark16",
     "check_theorem12",
     "first_integral_fraction_at_extremal_r0",
-    "fubini_lower_bound",
     "restricted_sum_volume",
     "volume",
 ]
@@ -50,11 +48,12 @@ _MAX_EXACT_DIM = 64
 _MAX_MC_DIM = 10
 _MAX_SUM_DIM = 6
 _MAX_PROPOSALS = 500_000_000
-# every Monte Carlo budget is split over this many seeded streams
-_STREAMS = 4
-# pairs drawn at a time by each stream of the pair samplers, and points
-# decided at a time by each stream of the hit-or-miss estimator
-_CHUNK = 500_000
+# the stream_seed purposes of cfg.seed: each sampled estimate draws from its
+# own generator (``_rng``)
+_PAIRS, _VOLUME_A, _VOLUME_B, _VOLUME_C, _SUM_POINTS, _BALL_PAIRS = range(6)
+# pairs drawn at a time by the pair sampler, and points decided at a time by
+# the hit-or-miss estimator
+_CHUNK = 50_000
 _POINT_CHUNK = 12_500
 # pair samples of the budget per certified sum point: 5,000 points at 200k
 _PAIRS_PER_SUM_POINT = 40
@@ -358,17 +357,22 @@ def _sample_in_set(spec: SetSpec, count: int, rng) -> tuple[np.ndarray, int]:
     return out, proposals
 
 
-def _run_streams(cfg: MonteCarloConfig, total: int, job) -> list:
-    """job(samples, rng) on each seeded stream, in stream order; the streams split total."""
-    base, rem = divmod(total, _STREAMS)
-    return [
-        job(base + (1 if i < rem else 0), np.random.default_rng(stream_seed(cfg.seed, i)))
-        for i in range(_STREAMS)
-    ]
+def _rng(cfg: MonteCarloConfig, purpose: int) -> np.random.Generator:
+    """The one generator of the estimate with this purpose under cfg's seed."""
+    return np.random.default_rng(stream_seed(cfg.seed, purpose))
 
 
 def volume(spec: SetSpec, cfg: MonteCarloConfig | None = None) -> VolumeEstimate:
-    """Exact volume where a formula exists, hit-or-miss MC otherwise."""
+    """Exact volume where a formula exists, hit-or-miss MC otherwise.
+
+    A Monte Carlo volume draws on the volume-of-A purpose, so it is the
+    volume_a of ``restricted_sum_volume`` under the same cfg.
+    """
+    return _volume(spec, cfg, _VOLUME_A)
+
+
+def _volume(spec: SetSpec, cfg: MonteCarloConfig | None, purpose: int) -> VolumeEstimate:
+    """``volume``, drawing a Monte Carlo estimate from the generator of purpose."""
     exact = spec.exact_volume()
     if exact is not None:
         if spec.dim > _MAX_EXACT_DIM:
@@ -378,37 +382,26 @@ def volume(spec: SetSpec, cfg: MonteCarloConfig | None = None) -> VolumeEstimate
         raise ParameterError(f"Monte Carlo volumes limited to n <= {_MAX_MC_DIM}")
     cfg = cfg or MonteCarloConfig()
     member = lambda u: np.where(spec.contains(u), 1, -1)  # noqa: E731
-    return _hit_or_miss(*spec.bounding_box(), member, cfg.pair_samples, cfg)[0]
+    rng = _rng(cfg, purpose)
+    return _hit_or_miss(*spec.bounding_box(), member, cfg.pair_samples, rng)[0]
 
 
-def _own_seed(cfg: MonteCarloConfig, k: int) -> MonteCarloConfig:
-    """cfg on the k-th seed past cfg's streams: no generator shared with cfg or another k."""
-    return replace(cfg, seed=stream_seed(cfg.seed, _STREAMS + k))
-
-
-def _hit_or_miss(lo, hi, member, points: int, cfg: MonteCarloConfig) -> tuple[VolumeEstimate, int]:
+def _hit_or_miss(lo, hi, member, points: int, rng) -> tuple[VolumeEstimate, int]:
     """(estimate, undecided points) of a set's volume from points uniform on the box [lo, hi].
 
     member(u) is 1 for a row of u in the set, -1 outside and 0 undecided.
-    The points are split over the seeded streams and drawn in chunks.  An
-    undecided point counts as outside and adds box volume / points to
-    stderr, so the estimate stays sound.  An empty box has volume 0.
+    The points are drawn from rng in chunks.  An undecided point counts as
+    outside and adds box volume / points to stderr, so the estimate stays
+    sound.  An empty box has volume 0.
     """
     box_vol = float(np.prod(hi - lo))
     if box_vol <= 0:
         return VolumeEstimate(value=0.0, stderr=0.0, samples=points, method="mc_hit_or_miss"), 0
-
-    def job(m, rng):
-        hits = undecided = 0
-        for start in range(0, m, _POINT_CHUNK):
-            state = member(rng.uniform(lo, hi, size=(min(_POINT_CHUNK, m - start), len(lo))))
-            hits += int(np.count_nonzero(state == 1))
-            undecided += int(np.count_nonzero(state == 0))
-        return hits, undecided
-
-    results = _run_streams(cfg, points, job)
-    hits = sum(r[0] for r in results)
-    undecided = sum(r[1] for r in results)
+    hits = undecided = 0
+    for start in range(0, points, _POINT_CHUNK):
+        state = member(rng.uniform(lo, hi, size=(min(_POINT_CHUNK, points - start), len(lo))))
+        hits += int(np.count_nonzero(state == 1))
+        undecided += int(np.count_nonzero(state == 0))
     if hits == 0:
         raise DegenerateSampleError("no sampled point landed in the set")
     p = hits / points
@@ -489,24 +482,19 @@ def _closed_form_sum_volume(A: SetSpec, B: SetSpec, theta: ThetaSpec) -> float |
     return None
 
 
-def _pair_hits(A: SetSpec, B: SetSpec, keep, cfg: MonteCarloConfig) -> tuple[int, int]:
-    """(pairs with keep(x, y) true, proposals) over cfg.pair_samples independent pairs.
+def _pair_hits(A: SetSpec, B: SetSpec, keep, pairs: int, rng) -> tuple[int, int]:
+    """(pairs with keep(x, y) true, proposals) over independent pairs drawn from rng.
 
-    keep maps batches of rows x of A and y of B to a boolean mask.  Each
-    stream draws its pairs in chunks of at most ``_CHUNK``.
+    keep maps batches of rows x of A and y of B to a boolean mask.  The
+    pairs are drawn in chunks of at most ``_CHUNK``.
     """
-
-    def job(m, rng):
-        hits = proposals = 0
-        for start in range(0, m, _CHUNK):
-            x, px = _sample_in_set(A, min(_CHUNK, m - start), rng)
-            y, py = _sample_in_set(B, min(_CHUNK, m - start), rng)
-            proposals += px + py
-            hits += int(np.count_nonzero(keep(x, y)))
-        return hits, proposals
-
-    results = _run_streams(cfg, cfg.pair_samples, job)
-    return sum(r[0] for r in results), sum(r[1] for r in results)
+    hits = proposals = 0
+    for start in range(0, pairs, _CHUNK):
+        x, px = _sample_in_set(A, min(_CHUNK, pairs - start), rng)
+        y, py = _sample_in_set(B, min(_CHUNK, pairs - start), rng)
+        proposals += px + py
+        hits += int(np.count_nonzero(keep(x, y)))
+    return hits, proposals
 
 
 def _pieces(spec: SetSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -610,14 +598,16 @@ def _certified_sum_volume(
 ) -> tuple[VolumeEstimate, int]:
     """``_hit_or_miss`` of A +_Theta B on bbox(A) + bbox(B), decided by ``_sumset_membership``.
 
-    The sumset is A + B under a full Theta or complement_fraction, whose hash
-    drops only a null set of sums, and (A + B) cap t B^n under sum_norm_leq(t).
+    The points come from cfg's sum-points generator.  The sumset is A + B
+    under a full Theta or complement_fraction, whose hash drops only a null
+    set of sums, and (A + B) cap t B^n under sum_norm_leq(t).
     """
     (lo_a, hi_a), (lo_b, hi_b) = A.bounding_box(), B.bounding_box()
     lo, hi = lo_a + lo_b, hi_a + hi_b
     points = cfg.pair_samples // _PAIRS_PER_SUM_POINT
+    rng = _rng(cfg, _SUM_POINTS)
     if theta.kind != "sum_norm_leq":
-        return _hit_or_miss(lo, hi, lambda u: _sumset_membership(A, B, u)[0], points, cfg)
+        return _hit_or_miss(lo, hi, lambda u: _sumset_membership(A, B, u)[0], points, rng)
     bound = theta.bound
 
     def member(u):
@@ -626,7 +616,7 @@ def _certified_sum_volume(
         state[near] = _sumset_membership(A, B, u[near])[0]
         return state
 
-    return _hit_or_miss(np.maximum(lo, -bound), np.minimum(hi, bound), member, points, cfg)
+    return _hit_or_miss(np.maximum(lo, -bound), np.minimum(hi, bound), member, points, rng)
 
 
 def restricted_sum_volume(
@@ -634,8 +624,9 @@ def restricted_sum_volume(
 ) -> dict:
     """Volumes of A, B, the pair constraint and the restricted sumset.
 
-    volume_a and volume_b are ``volume(A)`` and ``volume(B)``, each with a seed
-    derived from cfg.seed, so no two sampled estimates share a stream.
+    Each sampled estimate draws from its own generator ``_rng``: volume_a
+    (``volume(A, cfg)``), volume_b, the pair draws and the sumset points, so
+    no two share a stream; the Theta hash keys on cfg.seed itself.
     theta_volume is hit-or-miss over independent uniform pairs from A x B,
     drawn by ``_sample_in_set``; rejection_proposals counts the points it
     proposed for them (2 * pair_samples when A and B are drawn exactly).  A
@@ -660,16 +651,17 @@ def restricted_sum_volume(
                              "n >= 2: elsewhere the sumset need not be convex")
     cfg = cfg or MonteCarloConfig()
     m = cfg.pair_samples
-    # the pair draws and the Theta hash use cfg's seed; each sampled volume
-    # (A, B, the sumset) draws from its own
-    vol_a = volume(A) if A.exact_volume() is not None else volume(A, _own_seed(cfg, 0))
-    vol_b = volume(B) if B.exact_volume() is not None else volume(B, _own_seed(cfg, 1))
+    vol_a = _volume(A, cfg, _VOLUME_A)
+    vol_b = _volume(B, cfg, _VOLUME_B)
     admitted = partial(theta.indicator, seed=cfg.seed)
-    hits, proposals = (m, 0) if theta.kind == "full" else _pair_hits(A, B, admitted, cfg)
+    if theta.kind == "full":
+        hits, proposals = m, 0
+    else:
+        hits, proposals = _pair_hits(A, B, admitted, m, _rng(cfg, _PAIRS))
     if hits == 0:
         raise DegenerateSampleError("pair constraint admitted no sampled pairs")
     if exact is None:
-        sum_vol = _certified_sum_volume(A, B, theta, _own_seed(cfg, 2))[0]
+        sum_vol = _certified_sum_volume(A, B, theta, cfg)[0]
     else:
         value = exact * (1.0 - _CLOSED_FORM_ETA)
         sum_vol = VolumeEstimate(
@@ -911,6 +903,11 @@ def _power_check(
     restricted-sum estimate computed; their Monte Carlo stderr enters the CI
     scaled like the rhs.  A failed or tied gate yields an inconclusive
     verdict; the measured volumes are still reported.
+
+    The context also reports the slice bound lambda(A +_Theta B) >= fraction
+    max(lambda(A), lambda(B)), from the same estimates: by Fubini some slice
+    {x : (x, y) in Theta} of A holds fraction lambda(A), and y plus it lies in
+    the sumset; likewise for B.  It needs no gate.
     """
     cfg = cfg or MonteCarloConfig()
     n = A.dim
@@ -926,6 +923,11 @@ def _power_check(
     ci = _power_ci(rsv["sum_volume"], n) + scale * (_power_ci(vol_a, n) + _power_ci(vol_b, n))
     deficit = lhs - rhs
     verdict = three_way_verdict(deficit, ci) if gate["passed"] else "inconclusive"
+    big = max(vol_a, vol_b, key=lambda vol: vol.value)
+    frac_lo, frac_hi = gate["ci"]
+    slice_rhs = gate["fraction"] * big.value
+    slice_ci = _spread(rsv["sum_volume"]) + big.value * 0.5 * (frac_hi - frac_lo) + _spread(big)
+    slice_deficit = rsv["sum_volume"].value - slice_rhs
     return CheckReport(
         lhs=lhs,
         rhs=rhs,
@@ -946,6 +948,12 @@ def _power_check(
             "seed": cfg.seed,
             "pair_samples": cfg.pair_samples,
             "rejection_proposals": rsv["rejection_proposals"],
+            "slice_bound": {
+                "rhs": slice_rhs,
+                "deficit": slice_deficit,
+                "ci_halfwidth": slice_ci,
+                "verdict": three_way_verdict(slice_deficit, slice_ci),
+            },
             **extra,
         },
     )
@@ -986,57 +994,6 @@ def check_corollary15(
     return _power_check(A, B, theta, cfg, rule, delta=delta)
 
 
-def check_remark16(
-    A: SetSpec,
-    B: SetSpec,
-    theta: ThetaSpec,
-    gamma: float,
-    cfg: MonteCarloConfig | None = None,
-) -> CheckReport:
-    """Weak-gate variant: Theta keeps only a gamma fraction of pairs.
-
-    Experimental: rhs is scaled by 1 - C rho sqrt(log(1 + 1/gamma)/n).
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError("gamma must lie in (0, 1)")
-
-    def rule(n, rho, cfg):
-        return gamma, 1.0 - cfg.C * rho * math.sqrt(math.log1p(1.0 / gamma) / n)
-
-    return _power_check(A, B, theta, cfg, rule, gamma=gamma)
-
-
-def fubini_lower_bound(
-    A: SetSpec, B: SetSpec, theta: ThetaSpec, cfg: MonteCarloConfig | None = None
-) -> CheckReport:
-    """Slice bound: the restricted sum covers (1 - delta) of the larger body."""
-    cfg = cfg or MonteCarloConfig()
-    rsv = restricted_sum_volume(A, B, theta, cfg)
-    vol_a = rsv["volume_a"]
-    if vol_a.value < rsv["volume_b"].value:
-        raise ParameterError("requires lambda(A) >= lambda(B)")
-    fraction, (lo, hi), _source = _pair_fraction(A, B, theta, rsv)
-    delta = 1.0 - fraction
-    lhs = rsv["sum_volume"].value
-    rhs = (1.0 - delta) * vol_a.value
-    ci = _spread(rsv["sum_volume"]) + vol_a.value * (0.5 * (hi - lo)) + _spread(vol_a)
-    deficit = lhs - rhs
-    return CheckReport(
-        lhs=lhs,
-        rhs=rhs,
-        deficit=deficit,
-        ci_halfwidth=ci,
-        verdict=three_way_verdict(deficit, ci),
-        context={
-            "n": A.dim,
-            "delta": delta,
-            "theta_fraction": fraction,
-            "volume_a": vol_a.value,
-            "seed": cfg.seed,
-        },
-    )
-
-
 def bll_symmetrization_check(
     A: SetSpec, B: SetSpec, C: SetSpec, cfg: MonteCarloConfig | None = None
 ) -> CheckReport:
@@ -1044,9 +1001,9 @@ def bll_symmetrization_check(
 
     lhs samples lambda({(x, y) in A x B : x + y in C}); rhs repeats the
     measurement with every set replaced by the origin-centered ball of the
-    same volume.  The lhs pair draws use cfg's seed; the three input volumes
-    and the rhs pair draws each use their own (``_own_seed`` 0 to 3), so the
-    two sides' errors are independent and add in quadrature.
+    same volume.  The three input volumes and each side's pair draws draw
+    from their own generators (``_rng``), so the two sides' errors are
+    independent and add in quadrature.
     """
     if A.dim != B.dim or A.dim != C.dim:
         raise ParameterError("all three sets must share the dimension")
@@ -1055,15 +1012,17 @@ def bll_symmetrization_check(
     cfg = cfg or MonteCarloConfig()
     n, m = A.dim, cfg.pair_samples
 
-    def pair_mass(a, b, c, va, vb, pair_cfg):
-        p = _pair_hits(a, b, lambda x, y: c.contains(x + y), pair_cfg)[0] / m
+    def pair_mass(a, b, c, va, vb, purpose):
+        hits = _pair_hits(a, b, lambda x, y: c.contains(x + y), m, _rng(cfg, purpose))[0]
+        p = hits / m
         return p * va * vb, va * vb * math.sqrt(max(p * (1 - p), 1e-12) / m)
 
-    vols = [volume(spec, _own_seed(cfg, k)).value for k, spec in enumerate((A, B, C))]
+    vols = [_volume(spec, cfg, purpose).value
+            for spec, purpose in zip((A, B, C), (_VOLUME_A, _VOLUME_B, _VOLUME_C))]
     balls = [SetSpec.ball((v / unit_ball_volume(n)) ** (1.0 / n), n) for v in vols]
-    lhs, err_l = pair_mass(A, B, C, vols[0], vols[1], cfg)
+    lhs, err_l = pair_mass(A, B, C, vols[0], vols[1], _PAIRS)
     ball_vols = [volume(ball).value for ball in balls[:2]]
-    rhs, err_r = pair_mass(*balls, *ball_vols, _own_seed(cfg, 3))
+    rhs, err_r = pair_mass(*balls, *ball_vols, _BALL_PAIRS)
     ci = Z99 * math.hypot(err_l, err_r)
     deficit = rhs - lhs  # inequality says lhs <= rhs
     return CheckReport(

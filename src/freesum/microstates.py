@@ -800,8 +800,8 @@ def check_sum_containment(
     eps: float,
     trials: int,
     seed: int,
-    filter_max_len: int | None = None,
-    filter_eps: float | None = None,
+    filter_max_len: int,
+    filter_eps: float,
 ) -> ContainmentResult:
     """How often a freeness-filtered pair sums into the convolution targets.
 
@@ -815,15 +815,10 @@ def check_sum_containment(
     slot draw, exact for the diagonal one and certified for the other, and
     the sum carries their total; ``membership_report`` solves a spectrum
     only for a matrix whose bound is missing or exceeds its target's.  The
-    filter defaults come from the crude word-splitting bound (length
-    2*max_len, tolerance eps/(4 (2R)^max_len)), which at practical k keeps
-    almost nothing; pass explicit filter parameters for a usable estimate.
+    freeness filter keeps a pair whose word traces up to length
+    filter_max_len lie within filter_eps of their free values.
     """
     bound = max(h1.sup_abs, h2.sup_abs)
-    if filter_max_len is None:
-        filter_max_len = 2 * max_len
-    if filter_eps is None:
-        filter_eps = eps / (4.0 * (2.0 * bound) ** max_len)
     pairs = _pair_trials(h1, h2, k, filter_max_len, filter_eps, trials, seed)
     kappa = [
         a + b

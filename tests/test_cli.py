@@ -183,6 +183,15 @@ class TestValidation:
         assert cli._TOP_SCHEMA["properties"]["command"]["enum"] == list(cli.COMMANDS)
         assert cli.STOCHASTIC_COMMANDS <= set(cli.COMMANDS)
 
+    @pytest.mark.parametrize("missing", ["filter_max_len", "filter_eps"])
+    def test_microstates_sum_needs_its_filter(self, tmp_path, capsys, missing):
+        params = {"h1": SC_PROFILE, "h2": SC_PROFILE, "k": 16, "max_len": 2, "eps": 0.2,
+                  "trials": 100, "filter_max_len": 2, "filter_eps": 0.06}
+        del params[missing]
+        config = {"command": "microstates-sum", "seed": 1, "params": params}
+        assert run_cli(tmp_path, config) == 1
+        assert f"params: '{missing}' is a required property" in capsys.readouterr().err
+
     def test_missing_required_param(self, tmp_path, capsys):
         code = run_cli(tmp_path, {"command": "theorem12", "seed": 1, "params": {}})
         assert code == 1
@@ -585,6 +594,10 @@ class TestRunExamples:
                 "max_len": 3,
                 "eps": 0.1,
                 "trials": 100,
+                # the crude word-splitting filter: length 2 max_len, tolerance
+                # eps / (4 (2R)^max_len) with R = 2
+                "filter_max_len": 6,
+                "filter_eps": 0.1 / (4 * 2.0**6),
             },
         }
         assert run_cli(tmp_path, config) == 3

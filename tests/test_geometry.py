@@ -27,10 +27,8 @@ from freesum.geometry import (
     cap_fraction,
     check_corollary15,
     check_lemma13,
-    check_remark16,
     check_theorem12,
     first_integral_fraction_at_extremal_r0,
-    fubini_lower_bound,
     restricted_sum_volume,
     unit_ball_volume,
     volume,
@@ -219,6 +217,22 @@ class TestVolume:
         values = {volume(BALL_CAP_BOX, MonteCarloConfig(seed=s)).value for s in (4, 5, 6, 7)}
         assert len(values) == 4
 
+    def test_sampled_volume_is_the_restricted_sums_volume_a(self):
+        # volume and restricted_sum_volume's A draw on one purpose, and B on
+        # another: the same body as A and as B gives two independent estimates
+        cfg = MonteCarloConfig(pair_samples=20_000, seed=5)
+        rsv = restricted_sum_volume(BALL_CAP_BOX, BALL_CAP_BOX, ThetaSpec.full(), cfg)
+        assert rsv["volume_a"] == volume(BALL_CAP_BOX, cfg)
+        assert rsv["volume_b"].value != rsv["volume_a"].value
+
+    def test_point_chunks_set_memory_only(self, monkeypatch):
+        # the chunks are consecutive draws of one generator, so their size
+        # moves no bit of a hit-or-miss estimate
+        cfg = MonteCarloConfig(pair_samples=30_000, seed=5)
+        whole = volume(BALL_CAP_BOX, cfg)
+        monkeypatch.setattr(geometry, "_POINT_CHUNK", 777)
+        assert volume(BALL_CAP_BOX, cfg) == whole
+
     def test_intersection_off_center_matches_grid_oracle(self):
         inter = SetSpec.intersection(
             SetSpec.ball(1.0, 2), SetSpec.box([0.8, 0.8], center=(0.5, 0.0))
@@ -311,34 +325,24 @@ class TestRestrictedSum:
     def test_estimates_draw_from_distinct_seeds(self, monkeypatch):
         # restricted_sum_volume makes four estimates: volume(A), volume(B),
         # the pair draws and the sumset points; bll makes five: volume(A),
-        # volume(B), volume(C) and the two sides' pair draws.  Within one
-        # call no generator seed may serve two of them
-        calls = []
-        run_streams = geometry._run_streams
+        # volume(B), volume(C) and the two sides' pair draws.  Each draws
+        # from one generator, and within one call no seed serves two of them
+        seeds = []
+        default_rng = np.random.default_rng
 
-        def recorded(cfg, total, job):
-            seeds = []
-            calls.append(seeds)
+        def recorded(seed):
+            seeds.append(seed)
+            return default_rng(seed)
 
-            def noted(m, rng):
-                seeds.append(rng.bit_generator.seed_seq.entropy)
-                return job(m, rng)
-
-            return run_streams(cfg, total, noted)
-
-        monkeypatch.setattr(geometry, "_run_streams", recorded)
+        monkeypatch.setattr(np.random, "default_rng", recorded)
         other = SetSpec.intersection(SetSpec.ball(0.6, 3), SetSpec.box([0.5, 0.4, 0.5]))
         cfg = MonteCarloConfig(pair_samples=20_000, seed=5)
         restricted_sum_volume(BALL_CAP_BOX, other, ThetaSpec.complement_fraction(0.2), cfg)
-        assert len(calls) == 4
-        assert all(len(seeds) == geometry._STREAMS for seeds in calls)
-        assert len({seed for seeds in calls for seed in seeds}) == 4 * geometry._STREAMS
-        calls.clear()
+        assert len(seeds) == len(set(seeds)) == 4
+        seeds.clear()
         c = SetSpec.intersection(SetSpec.ball(1.5, 3), SetSpec.box([1.2, 1.0, 1.1]))
         bll_symmetrization_check(BALL_CAP_BOX, other, c, cfg)
-        assert len(calls) == 5
-        assert all(len(seeds) == geometry._STREAMS for seeds in calls)
-        assert len({seed for seeds in calls for seed in seeds}) == 5 * geometry._STREAMS
+        assert len(seeds) == len(set(seeds)) == 5
 
     def test_half_space_pair_fraction(self):
         cfg = MonteCarloConfig(pair_samples=1_000_000, seed=3)
@@ -483,9 +487,31 @@ class TestClosedFormSums:
         assert sv.method == "mc_hit_or_miss"
         assert sv.samples == FAST.pair_samples // 40
         [args] = calls
+        states = []
+        membership = geometry._sumset_membership
+
+        def recorded(*args):
+            state, witness = membership(*args)
+            states.append(state)
+            return state, witness
+
+        monkeypatch.setattr(geometry, "_sumset_membership", recorded)
         estimate, undecided = certified(*args)
         assert estimate == sv
-        assert undecided == 0
+        if a.dim < 6:
+            assert undecided == 0
+            return
+        # at n = 6 the barrier can stall on a point just outside A + B
+        # (TestStalledPoints): such a point counts as outside and widens the
+        # stderr by box volume / points
+        state = np.concatenate(states)
+        assert undecided == np.count_nonzero(state == 0) <= 1e-3 * sv.samples
+        (lo_a, hi_a), (lo_b, hi_b) = a.bounding_box(), b.bounding_box()
+        box_vol = float(np.prod((hi_a + hi_b) - (lo_a + lo_b)))
+        p = np.count_nonzero(state == 1) / sv.samples
+        assert sv.value == box_vol * p
+        binomial = math.sqrt(p * (1.0 - p) / sv.samples)
+        assert sv.stderr == pytest.approx(box_vol * (binomial + undecided / sv.samples), rel=1e-12)
 
     @pytest.mark.parametrize("a, b", [
         (SetSpec.ball(1.0, 1), SetSpec.ball(0.5, 1)),
@@ -520,7 +546,9 @@ class TestClosedFormSums:
         cfg = MonteCarloConfig(pair_samples=100_000, seed=8)
         rsv = restricted_sum_volume(a, b, theta, cfg)
         keep = partial(theta.indicator, seed=cfg.seed)
-        assert (rsv["theta_hits"], rsv["rejection_proposals"]) == geometry._pair_hits(a, b, keep, cfg)
+        pairs = geometry._rng(cfg, geometry._PAIRS)
+        counted = geometry._pair_hits(a, b, keep, cfg.pair_samples, pairs)
+        assert (rsv["theta_hits"], rsv["rejection_proposals"]) == counted
         assert rsv["sum_volume"].method == "closed_form"
 
     def test_below_minus_ab_no_pair_is_admitted(self):
@@ -722,6 +750,39 @@ class TestCertifiedMembership:
         assert cut.value < full.value <= cut.value + cut.stderr
 
 
+class TestStalledPoints:
+    """Sum points of an n = 6 ellipsoid and box that the barrier leaves undecided.
+
+    Each lies outside A + B: a direction d with <u, d> above the support
+    values h_A(d) + h_B(d) separates it by 1e-3 to 8e-3.  With the weights
+    lam ~ 1 / (s - q_k) of the barrier iterate, ``_dual_bound`` peaks near
+    0.994 about step 9 and then decays, so it never exceeds 1 within
+    ``_MAX_NEWTON_STEPS``.  They are sum points drawn at pair_samples =
+    200,000: the first three under an earlier seeding of the draws, the last
+    two at seeds 55 and 76, the only undecided points of seeds 0-199.
+    """
+
+    A = SetSpec.ellipsoid([1.0, 0.7, 0.4, 0.9, 0.6, 0.8])
+    B = SetSpec.box([0.3] * 6)
+    POINTS = np.array([
+        [0.28185104622217527, -0.3548287223807616, -0.6062133690760678,
+         0.8888853248958435, 0.3021989805023553, -0.29443287455464484],
+        [-0.28865469993097403, -0.3021859472791286, -0.6286618240166333,
+         0.8345050338161555, -0.1210525483866911, 0.3058603096893038],
+        [-1.2000040310469895, 0.3000748350867073, 0.2913893900775325,
+         -0.5242617636267379, 0.2926155915247941, 0.5886063106225212],
+        [-0.28886180100352266, 0.6592199439766424, 0.2767162873001394,
+         0.2929452853970671, 0.2924421673457387, 0.9945142055232692],
+        [-0.299695714531236, 0.2837943405190859, 0.41711850732976186,
+         0.2628795442249796, 0.27605344165268764, -1.0745583428964953],
+    ])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the barrier's dual bound decays before it certifies them")
+    def test_recorded_points_read_outside(self):
+        assert geometry._sumset_membership(self.A, self.B, self.POINTS)[0].tolist() == [-1] * 5
+
+
 def quadratic_rows(w, c, y):
     """q_k(y) = sum_j w[k, j] (y_j - c[k, j])^2 for one point y."""
     return np.sum(w * np.square(y - c), axis=1)
@@ -765,12 +826,15 @@ class TestCertificateParts:
 class TestHitOrMiss:
     BOX = (np.zeros(2), np.array([2.0, 1.0]))
 
+    def rng(self):
+        return np.random.default_rng(5)
+
     def test_undecided_points_count_as_outside_and_widen_the_stderr(self):
         def member(u):
             return np.where(u[:, 0] < 1.0, 1, np.where(u[:, 0] < 1.2, 0, -1))
 
         points = 40_000
-        est, undecided = geometry._hit_or_miss(*self.BOX, member, points, FAST)
+        est, undecided = geometry._hit_or_miss(*self.BOX, member, points, self.rng())
         assert abs(undecided / points - 0.1) < 0.01
         p = est.value / 2.0
         binomial = 2.0 * math.sqrt(p * (1.0 - p) / points)
@@ -784,33 +848,31 @@ class TestHitOrMiss:
             raise AssertionError("an empty box draws no point")
 
         lo, hi = np.zeros(2), np.array([1.0, 0.0])
-        est, undecided = geometry._hit_or_miss(lo, hi, member, 1000, FAST)
+        est, undecided = geometry._hit_or_miss(lo, hi, member, 1000, self.rng())
         assert (est.value, est.stderr, undecided) == (0.0, 0.0, 0)
 
     def test_no_hit_raises(self):
         with pytest.raises(DegenerateSampleError):
-            geometry._hit_or_miss(*self.BOX, lambda u: np.full(len(u), -1), 1000, FAST)
+            geometry._hit_or_miss(*self.BOX, lambda u: np.full(len(u), -1), 1000, self.rng())
 
 
 class TestPowerCheckCore:
-    """The three 2/n-power checks share one estimate of every volume."""
+    """The two 2/n-power checks share one estimate of every volume."""
 
     CHECKS = (
         check_theorem12,
         lambda a, b, th, cfg: check_corollary15(a, b, th, 0.05, cfg),
-        lambda a, b, th, cfg: check_remark16(a, b, th, 0.5, cfg),
-        fubini_lower_bound,
     )
 
     def test_each_input_volume_computed_once(self, monkeypatch):
         calls = []
-        real = geometry.volume
+        real = geometry._volume
 
-        def counting(spec, cfg=None):
+        def counting(spec, cfg, purpose):
             calls.append(spec.kind)
-            return real(spec, cfg)
+            return real(spec, cfg, purpose)
 
-        monkeypatch.setattr(geometry, "volume", counting)
+        monkeypatch.setattr(geometry, "_volume", counting)
         cfg = MonteCarloConfig(pair_samples=20_000, seed=3)
         for check in self.CHECKS:
             calls.clear()
@@ -822,7 +884,7 @@ class TestPowerCheckCore:
         rsv = restricted_sum_volume(a, b, ThetaSpec.full(), FAST)
         assert rsv["volume_a"] == volume(a)
         assert rsv["volume_b"].method == "mc_hit_or_miss"
-        rep = check_remark16(a, b, ThetaSpec.full(), 0.5, FAST)
+        rep = check_corollary15(a, b, ThetaSpec.full(), 0.05, FAST)
         assert rep.context["volume_a"] == rsv["volume_a"].value
         assert rep.context["volume_b"] == rsv["volume_b"].value
         assert rep.context["sum_volume"] == rsv["sum_volume"].to_json()
@@ -830,7 +892,7 @@ class TestPowerCheckCore:
     def test_reports_carry_rejection_proposals(self):
         a, b = SetSpec.ellipsoid([1.2, 1.0, 1.0]), BALL_CAP_BOX
         proposals = restricted_sum_volume(a, b, ThetaSpec.full(), FAST)["rejection_proposals"]
-        for check in self.CHECKS[:3]:
+        for check in self.CHECKS:
             rep = check(a, b, ThetaSpec.full(), FAST)
             assert rep.context["rejection_proposals"] == proposals
 
@@ -969,34 +1031,45 @@ class TestCorollaryFifteen:
 
 
 class TestFubini:
+    """The slice bound lambda(A +_Theta B) >= fraction max(lambda(A), lambda(B)) in the context."""
+
+    @staticmethod
+    def slice_bound(a, b, theta):
+        return check_theorem12(a, b, theta, FAST).context["slice_bound"]
+
     def test_full_theta_simplifies_to_monotonicity(self):
-        rep = fubini_lower_bound(SetSpec.ball(1, 3), SetSpec.ball(0.6, 3), ThetaSpec.full(), FAST)
-        assert rep.context["delta"] == 0.0
-        assert rep.verdict == "holds"
+        a, b = SetSpec.ball(1, 3), SetSpec.ball(0.6, 3)
+        bound = self.slice_bound(a, b, ThetaSpec.full())
+        assert bound["rhs"] == volume(a).value
+        assert bound["verdict"] == "holds"
 
     def test_half_space_theta(self):
-        rep = fubini_lower_bound(
-            SetSpec.ball(1, 3), SetSpec.ball(0.8, 3), ThetaSpec.inner_product_leq(0.0), FAST
-        )
-        assert rep.context["delta"] == 0.5
-        assert rep.verdict == "holds"
+        a, b = SetSpec.ball(1, 3), SetSpec.ball(0.8, 3)
+        bound = self.slice_bound(a, b, ThetaSpec.inner_product_leq(0.0))
+        assert bound["rhs"] == 0.5 * volume(a).value
+        assert bound["verdict"] == "holds"
 
     def test_random_complement_on_boxes(self):
-        rep = fubini_lower_bound(
-            SetSpec.box([1, 1]), SetSpec.box([0.5, 0.5]), ThetaSpec.complement_fraction(0.2), FAST
+        bound = self.slice_bound(
+            SetSpec.box([1, 1]), SetSpec.box([0.5, 0.5]), ThetaSpec.complement_fraction(0.2)
         )
-        assert rep.verdict == "holds"
+        assert bound["rhs"] == pytest.approx(0.8 * 4.0, rel=1e-15)
+        assert bound["verdict"] == "holds"
 
-    def test_requires_larger_first_argument(self):
-        with pytest.raises(ParameterError):
-            fubini_lower_bound(SetSpec.ball(0.5, 2), SetSpec.ball(1, 2), ThetaSpec.full(), FAST)
+    def test_the_larger_body_sets_the_rhs(self):
+        # a slice of either body lies in the sumset, so the order of A and B is free
+        a, b = SetSpec.ball(0.5, 2), SetSpec.ball(1, 2)
+        bound = self.slice_bound(a, b, ThetaSpec.full())
+        assert bound == self.slice_bound(b, a, ThetaSpec.full())
+        assert bound["rhs"] == volume(b).value
 
     def test_sampled_sum_volume_enters_the_ci_at_99_percent(self):
         a, b = SetSpec.ellipsoid([1.0, 0.8, 0.9]), SetSpec.ellipsoid([0.5, 0.6, 0.4])
-        rep = fubini_lower_bound(a, b, ThetaSpec.full(), FAST)
+        bound = self.slice_bound(a, b, ThetaSpec.full())
         sv = restricted_sum_volume(a, b, ThetaSpec.full(), FAST)["sum_volume"]
         assert sv.method == "mc_hit_or_miss"
-        assert rep.ci_halfwidth >= Z99 * sv.stderr
+        assert bound["ci_halfwidth"] >= Z99 * sv.stderr
+        assert bound["deficit"] == sv.value - bound["rhs"]
 
 
 class TestSymmetrization:
@@ -1004,8 +1077,12 @@ class TestSymmetrization:
         balls = SetSpec.ball(1, 2), SetSpec.ball(0.7, 2), SetSpec.ball(1.2, 2)
         rep = bll_symmetrization_check(*balls, FAST)
         # rearranging balls reproduces the same configuration, so the rhs is
-        # bit for bit the lhs measured on the rhs's own seed
-        assert rep.rhs == bll_symmetrization_check(*balls, geometry._own_seed(FAST, 3)).lhs
+        # bit for bit the pair mass of the balls drawn on the rhs's own purpose
+        a, b, c = balls
+        m = FAST.pair_samples
+        rng = geometry._rng(FAST, geometry._BALL_PAIRS)
+        p = geometry._pair_hits(a, b, lambda x, y: c.contains(x + y), m, rng)[0] / m
+        assert rep.rhs == p * volume(a).value * volume(b).value
         assert rep.verdict == "holds"
 
     def test_shifted_box_against_balls(self):
@@ -1027,15 +1104,15 @@ class TestSymmetrization:
         assert rep.rhs == pytest.approx(pair_vol, rel=1e-12)
 
     @pytest.mark.parametrize("seed, lhs, rhs, ci", [
-        (3, 2.8883302295254247, 2.996516707778999, 0.007054154910368694),
-        (4, 2.8862323348087826, 2.99464824931497, 0.007045700083697301),
-    ])
+        (3, 2.8851785844316096, 2.9936151147536085, 0.007041396585033444),
+        (4, 2.8852331335819117, 2.989111941841999, 0.006987670793466981),
+    ], ids=["seed3", "seed4"])
     def test_each_volume_computed_once(self, monkeypatch, seed, lhs, rhs, ci):
         # one volume per input body and one per ball that is sampled; the
         # report is pinned at each estimate drawing on its own seed
         calls = []
-        counted = geometry.volume
-        monkeypatch.setattr(geometry, "volume", lambda *a: calls.append(a[0]) or counted(*a))
+        counted = geometry._volume
+        monkeypatch.setattr(geometry, "_volume", lambda *a: calls.append(a[0]) or counted(*a))
         rep = bll_symmetrization_check(
             BALL_CAP_BOX,
             SetSpec.ellipsoid([0.6, 0.5, 0.7], center=(0.1, 0.0, -0.1)),
@@ -1050,35 +1127,6 @@ class TestSymmetrization:
             bll_symmetrization_check(
                 SetSpec.ball(1, 5), SetSpec.ball(1, 5), SetSpec.ball(1, 5), FAST
             )
-
-
-class TestRemarkSixteen:
-    def test_rhs_factor_monotone_in_gamma(self):
-        factors = []
-        for gamma in (0.2, 0.4, 0.6, 0.8, 0.95):
-            rep = check_remark16(
-                SetSpec.ball(1, 4), SetSpec.ball(0.7, 4), ThetaSpec.full(), gamma,
-                MonteCarloConfig(pair_samples=50_000, seed=5),
-            )
-            factors.append(rep.context["rhs_factor"])
-        assert all(a < b for a, b in zip(factors, factors[1:]))
-
-    def test_ball_example_passes_weak_bound(self):
-        rep = check_remark16(
-            SetSpec.ball(1, 4), SetSpec.ball(0.7, 4), ThetaSpec.inner_product_leq(0.0), 0.5, FAST
-        )
-        assert rep.context["gate"]["passed"]
-        assert rep.verdict == "holds"
-
-    def test_sparse_random_theta_recorded(self):
-        rep = check_remark16(
-            SetSpec.ball(1, 3), SetSpec.ball(1, 3), ThetaSpec.complement_fraction(0.6), 0.4, FAST
-        )
-        assert rep.verdict in ("holds", "violated", "inconclusive")
-
-    def test_gamma_range(self):
-        with pytest.raises(ParameterError):
-            check_remark16(SetSpec.ball(1, 2), SetSpec.ball(1, 2), ThetaSpec.full(), 1.0, FAST)
 
 
 class TestCapFraction:

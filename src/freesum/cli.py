@@ -92,7 +92,7 @@ _MEASURE_DEF = {
     "additionalProperties": False,
 }
 
-# fields each set and theta kind reads, as (required, optional)
+# fields each mode of an object reads, as (required, optional)
 _SET_FIELDS = {
     "ball": (["radius", "dim"], ["center"]),
     "box": (["half_widths"], ["center"]),
@@ -106,29 +106,54 @@ _THETA_FIELDS = {
     "sum_norm_leq": (["bound"], []),
     "complement_fraction": (["density"], []),
 }
+_MINKOWSKI_FIELDS = {
+    "exact": (["example", "rho", "n"], []),
+    "monte-carlo": (["a", "b", "theta"], ["mc"]),
+}
+_PROFILE_FIELDS = {
+    "quantiles": (["quantiles_of"], ["n_nodes"]),
+    "table": (["nodes", "values"], []),
+}
 
 
-def _check_by_kind(validator, fields, instance, schema):
-    # keyword "byKind": an object carries every field its kind reads and no
-    # other; one lookup, where if/then clauses would test every kind
-    kind = instance.get("kind") if isinstance(instance, dict) else None
-    if not isinstance(kind, str) or kind not in fields:
+def _kind(spec: dict):
+    return spec.get("kind")
+
+
+def _minkowski_mode(params: dict) -> str:
+    # the ball example is exact; a minkowski config without it samples
+    return "exact" if "example" in params else "monte-carlo"
+
+
+def _profile_mode(spec: dict) -> str:
+    return "quantiles" if "quantiles_of" in spec else "table"
+
+
+def _check_by_mode(validator, by_mode, instance, schema):
+    # keyword "byMode": (mode_of, fields); an object carries every field its
+    # mode reads, a kind besides, and no other
+    mode_of, fields = by_mode
+    mode = mode_of(instance) if isinstance(instance, dict) else None
+    if not isinstance(mode, str) or mode not in fields:
         return
-    required, optional = fields[kind]
+    required, optional = fields[mode]
     for name in required:
         if name not in instance:
             yield jsonschema.ValidationError(f"{name!r} is a required property")
-    extra = sorted(set(instance) - {"kind", *required, *optional})
+    allowed = {"kind", *required, *optional}
+    extra = [key for key in instance if key not in allowed]
     if extra:
-        names = ", ".join(map(repr, extra))
+        names = ", ".join(map(repr, sorted(extra)))
         verb = "was" if len(extra) == 1 else "were"
+        # the error sits at the first unexpected key, so its line is reported
         yield jsonschema.ValidationError(
-            f"Additional properties are not allowed ({names} {verb} unexpected)"
+            f"Additional properties are not allowed ({names} {verb} unexpected)",
+            path=[extra[0]],
         )
 
 
 _Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, {"byKind": _check_by_kind}
+    jsonschema.Draft202012Validator, {"byMode": _check_by_mode}
 )
 
 
@@ -147,7 +172,7 @@ _SET_DEF = {
         "factor": {"type": "number", "exclusiveMinimum": 0},
     },
     "additionalProperties": False,
-    "byKind": _SET_FIELDS,
+    "byMode": (_kind, _SET_FIELDS),
 }
 
 _THETA_DEF = {
@@ -160,7 +185,7 @@ _THETA_DEF = {
         "density": {"type": "number"},
     },
     "additionalProperties": False,
-    "byKind": _THETA_FIELDS,
+    "byMode": (_kind, _THETA_FIELDS),
 }
 
 _PROFILE_DEF = {
@@ -172,6 +197,7 @@ _PROFILE_DEF = {
         "values": {"type": "array", "items": {"type": "number"}, "minItems": 2},
     },
     "additionalProperties": False,
+    "byMode": (_profile_mode, _PROFILE_FIELDS),
 }
 
 _MC_DEF = {
@@ -262,11 +288,8 @@ _PARAM_SCHEMAS = {
             "theta": {"$ref": "#/$defs/theta"},
             "mc": {"$ref": "#/$defs/mc"},
         },
-        # the ball example needs rho and n; Monte Carlo mode needs a, b and theta
-        "if": {"required": ["example"]},
-        "then": {"required": ["rho", "n"]},
-        "else": {"required": ["a", "b", "theta"]},
         "additionalProperties": False,
+        "byMode": (_minkowski_mode, _MINKOWSKI_FIELDS),
     },
     "theorem12": _pair_sets(),
     "corollary15": _pair_sets(
@@ -404,7 +427,7 @@ def _validate(config: dict, raw: str, path: str) -> None:
             f"{path}:{_line_of_path(raw, ['format'])}: "
             "sweep output is one CSV row per combination; format must be csv or omitted"
         )
-    exact_mode = command == "minkowski" and config["params"].get("example") == "ball"
+    exact_mode = command == "minkowski" and _minkowski_mode(config["params"]) == "exact"
     if command in STOCHASTIC_COMMANDS and not exact_mode and "seed" not in config:
         raise ConfigError(
             f"{path}:{_line_of_path(raw, ['command'])}: "
@@ -452,9 +475,7 @@ def _parse_profile(spec: dict) -> StepFunctionSpec:
     if "quantiles_of" in spec:
         mu = _parse_measure(spec["quantiles_of"])
         return StepFunctionSpec.from_quantiles(mu, spec.get("n_nodes", 129))
-    if "nodes" in spec and "values" in spec:
-        return StepFunctionSpec(tuple(spec["nodes"]), tuple(spec["values"]))
-    raise ParameterError("profile needs either quantiles_of or nodes+values")
+    return StepFunctionSpec(tuple(spec["nodes"]), tuple(spec["values"]))
 
 
 def _mc_config(params: dict, seed: int) -> MonteCarloConfig:
@@ -533,7 +554,7 @@ def _run_lemma13(params, seed):
 
 
 def _run_minkowski(params, seed):
-    if params.get("example") == "ball":
+    if _minkowski_mode(params) == "exact":
         out = ball_example_exact(params["rho"], params["n"])
         scale = 1.0 + params["rho"] ** 2
         verdict = "holds" if abs(out["equality_gap"]) <= 1e-9 * scale else "violated"

@@ -57,10 +57,11 @@ _CHUNK = 50_000
 _POINT_CHUNK = 12_500
 # pair samples of the budget per certified sum point: 5,000 points at 200k
 _PAIRS_PER_SUM_POINT = 40
-# barrier-Newton steps before a sum point is left undecided, and the growth
-# of the barrier weight per step
+# barrier-Newton steps per solve, and the barrier weight's growth per step in
+# the first solve and in the retry of the points it leaves undecided
 _MAX_NEWTON_STEPS = 60
 _BARRIER_GROWTH = 2.0
+_RETRY_GROWTH = 1.5
 # relative rounding bound of a closed-form sumset volume, whose kappa_n,
 # square root and powers up to n = _MAX_SUM_DIM round by under 1e-14
 _CLOSED_FORM_ETA = 1e-12
@@ -533,6 +534,22 @@ def _dual_bound(lam: np.ndarray, w: np.ndarray, c: np.ndarray) -> tuple[np.ndarr
 def _sumset_membership(A: SetSpec, B: SetSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(state, witness) per row of u: state 1 if certified in A + B, -1 outside, 0 undecided.
 
+    ``_barrier_solve`` at ``_BARRIER_GROWTH``, then at ``_RETRY_GROWTH`` on the
+    rows it leaves undecided: near the boundary, fast growth can let an outside
+    point's dual bound decay before it passes 1.
+    """
+    state, witness = _barrier_solve(A, B, u, _BARRIER_GROWTH)
+    left = np.flatnonzero(state == 0)
+    if left.size:
+        state[left], witness[left] = _barrier_solve(A, B, u[left], _RETRY_GROWTH)
+    return state, witness
+
+
+def _barrier_solve(
+    A: SetSpec, B: SetSpec, u: np.ndarray, growth: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(state, witness) per row of u from one barrier path with weight growth ``growth``.
+
     u is in A + B exactly when B and u - A meet, that is when
     min_y max_k q_k(y) <= 1 over the ``_pieces`` rows of B and of u - A.
     - Inside: a witness y with B.contains(y) and A.contains(u - y).
@@ -541,7 +558,7 @@ def _sumset_membership(A: SetSpec, B: SetSpec, u: np.ndarray) -> tuple[np.ndarra
     y and lam come from path following on min s subject to q_k(y) <= s
     (Boyd and Vandenberghe, Convex Optimization, section 11): one damped
     Newton step on the self-concordant t s - sum_k log(s - q_k(y)) per growth
-    of t by ``_BARRIER_GROWTH``, with lam_k proportional to 1/(s - q_k).
+    of t by ``growth``, with lam_k proportional to 1/(s - q_k).
     Both certificates are tested before each step, so the solve sets only
     how many points are decided.  Coordinates are centred on B's bounding box.
     """
@@ -588,7 +605,7 @@ def _sumset_membership(A: SetSpec, B: SetSpec, u: np.ndarray) -> tuple[np.ndarra
         # the damped step stays in the domain; a point rounding pushes out stays put
         moved = np.all(q_new < s_new[:, None], axis=1)
         y[moved], s[moved], q[moved] = y_new[moved], s_new[moved], q_new[moved]
-        t *= _BARRIER_GROWTH
+        t *= growth
         lam = 1.0 / (s[:, None] - q)
         dual = _dual_bound(lam / lam.sum(axis=1, keepdims=True), w, c)[0]
 

@@ -11,7 +11,6 @@ with the cumulative atom weight.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,13 +28,14 @@ __all__ = [
     "l1_distance",
     "moment",
     "point_mass",
-    "sample",
     "semicircle",
     "standard_family",
     "uniform",
 ]
 
 MASS_TOL = 1e-12
+# largest mass a point mass may leave off its atom
+POINT_MASS_TOL = 1e-9
 
 # default resolution of every discretized law and free convolution
 N_CELLS = 2048
@@ -131,11 +131,11 @@ class Measure:
             his.append(max(a for a, _ in self.atoms))
         return min(los), max(his)
 
-    def is_point_mass(self, tol: float = 1e-9) -> bool:
+    def is_point_mass(self) -> bool:
         return (
             len(self.atoms) == 1
-            and self.atoms[0][1] >= 1.0 - tol
-            and self.density_mass <= tol
+            and self.atoms[0][1] >= 1.0 - POINT_MASS_TOL
+            and self.density_mass <= POINT_MASS_TOL
         )
 
     # -- distribution function and inverse ------------------------------------
@@ -196,17 +196,6 @@ class Measure:
             "density": [float(v) for v in self.density],
             "atoms": [[loc, w] for loc, w in self.atoms],
         }
-
-    @classmethod
-    def from_json(cls, data: dict | str) -> "Measure":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(
-            grid_lo=float(data["grid_lo"]),
-            grid_hi=float(data["grid_hi"]),
-            density=np.asarray(data["density"], dtype=float),
-            atoms=tuple((float(a), float(w)) for a, w in data.get("atoms", ())),
-        )
 
 
 # -- construction helpers ------------------------------------------------------
@@ -384,14 +373,6 @@ def affine_pushforward(mu: Measure, a: float, b: float) -> Measure:
     return Measure(lo, hi, dens, atoms)
 
 
-def sample(mu: Measure, count: int, seed: int) -> np.ndarray:
-    """Inverse-CDF sampling; deterministic for a given seed."""
-    if not isinstance(count, int) or count < 1:
-        raise ParameterError(f"count must be a positive integer, got {count}")
-    rng = np.random.default_rng(seed)
-    return mu.quantile(rng.random(count))
-
-
 def l1_distance(mu: Measure, nu: Measure) -> float:
     """L1 distance between the continuous parts plus atom mass mismatch."""
     edges = np.unique(np.concatenate([mu.edges(), nu.edges()]))
@@ -419,12 +400,3 @@ def kolmogorov_distance(mu: Measure, nu: Measure) -> float:
     right = np.abs(mu.cdf(pts) - nu.cdf(pts))
     left = np.abs(mu._cdf(pts, "left") - nu._cdf(pts, "left"))
     return float(max(np.max(right), np.max(left)))
-
-
-def ks_statistic(samples: np.ndarray, mu: Measure) -> float:
-    """Kolmogorov statistic of an empirical sample against ``mu``."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    f = mu.cdf(x)
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))

@@ -111,12 +111,6 @@ class StepFunctionSpec:
     def __call__(self, t):
         return np.interp(t, self.nodes, self.values)
 
-    def affine(self, a: float, b: float) -> "StepFunctionSpec":
-        """Profile a*h + b; ``a`` must be positive to preserve monotonicity."""
-        if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0:
-            raise ParameterError("need finite a > 0 and finite b")
-        return StepFunctionSpec(self.nodes, tuple(a * v + b for v in self.values))
-
     @property
     def sup_abs(self) -> float:
         """sup |h|; attained at a node because h is piecewise linear."""
@@ -201,9 +195,6 @@ class MatrixMicrostate:
             spectrum.flags.writeable = False
             object.__setattr__(self, "_spectrum", spectrum)
         return self._spectrum
-
-    def normalized_trace(self) -> float:
-        return float(np.trace(self.entries).real) / self.k
 
     def __add__(self, other: "MatrixMicrostate") -> "MatrixMicrostate":
         if not isinstance(other, MatrixMicrostate):
@@ -591,7 +582,7 @@ def theta_fraction(
 # -- spectra of sums ---------------------------------------------------------------
 
 
-def _empirical_measure(eigenvalues: np.ndarray, meta: dict) -> Measure:
+def _empirical_measure(eigenvalues: np.ndarray) -> Measure:
     locs, counts = np.unique(np.asarray(eigenvalues, dtype=float), return_counts=True)
     total = int(np.sum(counts))
     span = float(locs[-1] - locs[0])
@@ -602,7 +593,6 @@ def _empirical_measure(eigenvalues: np.ndarray, meta: dict) -> Measure:
         grid_hi=float(locs[-1]) + margin,
         density=np.zeros(8),
         atoms=atoms,
-        meta=meta,
     )
 
 
@@ -626,7 +616,7 @@ def sum_spectrum_experiment(alpha: Measure, beta: Measure, k: int, seed: int) ->
     eig = np.linalg.eigvalsh(s)
     if not np.all(np.isfinite(eig)):
         raise PrecisionError("eigensolver returned non-finite spectrum")
-    return _empirical_measure(eig, meta={"k": k, "seed": seed})
+    return _empirical_measure(eig)
 
 
 # -- entropy estimators ---------------------------------------------------------------

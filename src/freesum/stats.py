@@ -12,8 +12,8 @@ Z99 = 2.5758293035489004
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99):
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int):
+    """Wilson score interval at 99% for a binomial proportion.
 
     Preferred over the Wald interval because it stays inside [0, 1] and
     behaves at proportions near 0 or 1.
@@ -23,9 +23,9 @@ def wilson_interval(successes: int, trials: int, z: float = Z99):
     if not 0 <= successes <= trials:
         raise ParameterError("successes must lie in [0, trials]")
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = (z / denom) * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
+    denom = 1.0 + Z99 * Z99 / trials
+    center = (p + Z99 * Z99 / (2 * trials)) / denom
+    half = (Z99 / denom) * np.sqrt(p * (1 - p) / trials + Z99 * Z99 / (4 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)
 
 

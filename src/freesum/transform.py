@@ -124,9 +124,7 @@ def cauchy_transform(mu: Measure, z: complex) -> complex:
     return StaircaseTransform(mu).g(z)
 
 
-def _renormalized(
-    lo: float, hi: float, density: np.ndarray, meta: dict | None = None
-) -> Measure:
+def _renormalized(lo: float, hi: float, density: np.ndarray, meta: dict) -> Measure:
     """The grid measure on [lo, hi] with ``density`` scaled to mass 1.
 
     Refuses with InversionQualityError unless the raw mass lies in
@@ -144,7 +142,7 @@ def _renormalized(
         lo,
         hi,
         density / raw_mass,
-        meta={"raw_mass": raw_mass, "renormalization": 1.0 / raw_mass, **(meta or {})},
+        meta={"raw_mass": raw_mass, "renormalization": 1.0 / raw_mass, **meta},
     )
 
 

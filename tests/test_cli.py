@@ -18,7 +18,9 @@ from pathlib import Path
 import pytest
 
 import freesum.cli as cli
-from freesum.measure import Measure, moment
+from freesum.measure import moment
+
+from helpers import measure_from_json
 
 SEMICIRCLE = {"family": "semicircle", "params": [1.0]}
 BERNOULLI_SYM = {"family": "bernoulli", "params": [0.5, -1.0, 1.0]}
@@ -176,6 +178,52 @@ class TestValidation:
         assert cli.main(["--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}:4: params: {missing} is a required property" in err
+
+    BALL_3 = '{"kind": "ball", "radius": 1.0, "dim": 3}'
+
+    @pytest.mark.parametrize("params, line, unexpected", [
+        (['"example": "ball"', '"rho": 0.7', '"n": 3', f'"a": {BALL_3}'], 8, "'a' was"),
+        (['"example": "ball"', '"rho": 0.7', '"n": 3', '"theta": {"kind": "full"}',
+          '"mc": {"pair_samples": 20000}'], 8, "'mc', 'theta' were"),
+        ([f'"a": {BALL_3}', f'"b": {BALL_3}', '"theta": {"kind": "full"}', '"rho": 0.7'],
+         8, "'rho' was"),
+        ([f'"a": {BALL_3}', '"n": 3', f'"b": {BALL_3}', '"theta": {"kind": "full"}'],
+         6, "'n' was"),
+    ], ids=["exact-with-a", "exact-with-theta-and-mc", "mc-with-rho", "mc-with-n"])
+    def test_minkowski_fields_follow_the_mode(self, tmp_path, capsys, params, line, unexpected):
+        # the ball example reads rho and n, Monte Carlo mode a, b, theta and
+        # mc; a field the mode would drop is refused at its own line
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{\n  "command": "minkowski",\n  "seed": 1,\n  "params": {\n    '
+            + ",\n    ".join(params)
+            + "\n  }\n}\n"
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        message = f"Additional properties are not allowed ({unexpected} unexpected)"
+        assert f"{path}:{line}: params: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("profile, line, message", [
+        (['"quantiles_of": {"family": "semicircle", "params": [1.0]}', '"nodes": [0.0, 1.0]',
+          '"values": [0.0, 1.0]'],
+         9, "Additional properties are not allowed ('nodes', 'values' were unexpected)"),
+        (['"nodes": [0.0, 1.0]', '"values": [0.0, 1.0]', '"n_nodes": 65'],
+         10, "Additional properties are not allowed ('n_nodes' was unexpected)"),
+        (['"nodes": [0.0, 1.0]'], 7, "'values' is a required property"),
+        (['"values": [0.0, 1.0]'], 7, "'nodes' is a required property"),
+    ], ids=["quantiles-with-table", "table-with-n_nodes", "nodes-alone", "values-alone"])
+    def test_profile_fields_follow_the_mode(self, tmp_path, capsys, profile, line, message):
+        # a profile is the quantiles of a law (n_nodes optional) or a
+        # nodes/values table, never both; line 7 holds the profile's key
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{\n  "command": "microstates-volume",\n  "seed": 1,\n  "params": {\n'
+            '    "k": 8,\n    "mc_samples": 10000,\n    "h": {\n      '
+            + ",\n      ".join(profile)
+            + "\n    }\n  }\n}\n"
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        assert f"{path}:{line}: params: {message}" in capsys.readouterr().err
 
     def test_every_command_has_a_schema_and_a_handler(self):
         assert cli.COMMANDS == tuple(cli._HANDLERS)
@@ -384,7 +432,7 @@ class TestRunExamples:
         doc = last_stdout_json(capsys)
         assert abs(doc["result"]["variance"] - 2.0) < 1e-3
         assert abs(doc["result"]["mean"]) < 1e-9
-        out = Measure.from_json(doc["result"]["measure"])
+        out = measure_from_json(doc["result"]["measure"])
         assert abs(moment(out, 0) - 1.0) < 1e-9
 
     def test_freeconv_diagnostics_reproducible(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Static checks on imports: the declared dependencies, the names that
-``perfbench/tracing.py`` wraps, and the package's exports."""
+``perfbench/tracing.py`` wraps, the package's exports, and a caller outside
+the tests for every function in the package."""
 
 import ast
 import re
@@ -98,7 +99,65 @@ def test_package_exports_match_the_submodules():
 
 
 def test_public_surface_holds_at_the_standing_gate():
-    # the package's public names may shrink but not grow past 61
+    # the package's public names may shrink but not grow past 60
     import freesum
 
-    assert len(freesum.__all__) <= 61
+    assert len(freesum.__all__) <= 60
+
+
+# the declared oracles: the package keeps them although only tests call them,
+# as the references the tests check the commands against
+ORACLES = {
+    "cauchy_transform",
+    "first_integral_fraction_at_extremal_r0",
+    "free_cumulant",
+    "l1_distance",
+    "r_transform",
+}
+
+
+def _references(path: Path) -> set[str]:
+    """Names, imported names, attribute reads and string constants, less ``__all__``."""
+    tree = ast.parse(path.read_text())
+    exported = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in exported:
+                found.add(node.value)
+    return found
+
+
+def test_every_function_in_src_has_a_caller_outside_the_tests():
+    # code whose only callers are tests belongs in tests/helpers.py; a name
+    # that perfbench/ imports or wraps counts as called
+    package = sorted((ROOT / "src" / "freesum").glob("*.py"))
+    called = set().union(
+        *map(_references, package + sorted((ROOT / "perfbench").glob("*.py")))
+    )
+    functions = [
+        (path, node)
+        for path in package
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert ORACLES <= {node.name for _, node in functions}
+    uncalled = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in functions
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in called | ORACLES
+    )
+    assert uncalled == []

@@ -751,15 +751,17 @@ class TestCertifiedMembership:
 
 
 class TestStalledPoints:
-    """Sum points of an n = 6 ellipsoid and box that the barrier leaves undecided.
+    """Sum points of an n = 6 ellipsoid and box that one barrier path leaves undecided.
 
     Each lies outside A + B: a direction d with <u, d> above the support
     values h_A(d) + h_B(d) separates it by 1e-3 to 8e-3.  With the weights
-    lam ~ 1 / (s - q_k) of the barrier iterate, ``_dual_bound`` peaks near
-    0.994 about step 9 and then decays, so it never exceeds 1 within
-    ``_MAX_NEWTON_STEPS``.  They are sum points drawn at pair_samples =
-    200,000: the first three under an earlier seeding of the draws, the last
-    two at seeds 55 and 76, the only undecided points of seeds 0-199.
+    lam ~ 1 / (s - q_k) of the barrier iterate at ``_BARRIER_GROWTH`` = 2,
+    ``_dual_bound`` peaks near 0.994 about step 9 and then decays, so it
+    never exceeds 1 within ``_MAX_NEWTON_STEPS``; the retry at
+    ``_RETRY_GROWTH`` certifies them.  They are sum points drawn at
+    pair_samples = 200,000: the first three under an earlier seeding of the
+    draws, the last two at seeds 55 and 76, the only undecided points of
+    seeds 0-199.
     """
 
     A = SetSpec.ellipsoid([1.0, 0.7, 0.4, 0.9, 0.6, 0.8])
@@ -777,10 +779,26 @@ class TestStalledPoints:
          0.2628795442249796, 0.27605344165268764, -1.0745583428964953],
     ])
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the barrier's dual bound decays before it certifies them")
     def test_recorded_points_read_outside(self):
         assert geometry._sumset_membership(self.A, self.B, self.POINTS)[0].tolist() == [-1] * 5
+
+    def test_the_retry_solves_only_the_undecided_rows(self, monkeypatch):
+        # two decided rows beside the five: the retry sees the five alone
+        inside = np.zeros((1, 6))
+        far = np.full((1, 6), 3.0)
+        u = np.concatenate([inside, self.POINTS, far])
+        solve = geometry._barrier_solve
+        rows = []
+
+        def recorded(A, B, points, growth):
+            rows.append((len(points), growth))
+            return solve(A, B, points, growth)
+
+        monkeypatch.setattr(geometry, "_barrier_solve", recorded)
+        state, witness = geometry._sumset_membership(self.A, self.B, u)
+        assert state.tolist() == [1] + [-1] * 5 + [-1]
+        assert rows == [(7, geometry._BARRIER_GROWTH), (5, geometry._RETRY_GROWTH)]
+        assert np.all(np.isfinite(witness[0])) and np.all(np.isnan(witness[1:]))
 
 
 def quadratic_rows(w, c, y):

@@ -16,16 +16,16 @@ from freesum.measure import (
     bernoulli,
     free_poisson,
     kolmogorov_distance,
-    ks_statistic,
     l1_distance,
     moment,
     point_mass,
-    sample,
     semicircle,
     snapped_window,
     standard_family,
     uniform,
 )
+
+from helpers import ks_statistic, measure_from_json
 
 # Dvoretzky-Kiefer-Wolfowitz style bound at the 1% level
 KS_BOUND = 1.63
@@ -304,17 +304,18 @@ def test_kolmogorov_distance_hand_values():
 def test_sampling_matches_cdf():
     sc = semicircle(1.0)
     n = 20000
-    s = sample(sc, n, seed=7)
+    # inverse-CDF draws: the quantile of uniform levels
+    s = sc.quantile(np.random.default_rng(7).random(n))
     assert s.shape == (n,)
     assert ks_statistic(s, sc) < KS_BOUND / math.sqrt(n)
     # deterministic given the seed
-    assert np.array_equal(s, sample(sc, n, seed=7))
-    assert not np.array_equal(s, sample(sc, n, seed=8))
+    assert np.array_equal(s, sc.quantile(np.random.default_rng(7).random(n)))
+    assert not np.array_equal(s, sc.quantile(np.random.default_rng(8).random(n)))
 
 
 def test_sampling_atoms():
     b = bernoulli(0.3, -1.0, 2.0)
-    s = sample(b, 5000, seed=3)
+    s = b.quantile(np.random.default_rng(3).random(5000))
     frac = np.mean(np.isclose(s, -1.0))
     assert abs(frac - 0.3) < 0.02
     assert set(np.round(np.unique(s), 12)) == {-1.0, 2.0}
@@ -322,7 +323,7 @@ def test_sampling_atoms():
 
 def test_json_roundtrip():
     fp = free_poisson(0.5)
-    back = Measure.from_json(fp.to_json())
+    back = measure_from_json(fp.to_json())
     assert back.grid_lo == fp.grid_lo and back.grid_hi == fp.grid_hi
     assert np.array_equal(back.density, fp.density)
     assert back.atoms == fp.atoms

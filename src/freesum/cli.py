@@ -235,7 +235,6 @@ def _two_measures(*extra_required, **extra_props):
         "properties": {
             "alpha": {"$ref": "#/$defs/measure"},
             "beta": {"$ref": "#/$defs/measure"},
-            "grid": {"$ref": "#/$defs/grid"},
             **extra_props,
         },
         "additionalProperties": False,
@@ -265,9 +264,9 @@ _PARAM_SCHEMAS = {
         "properties": {"mu": {"$ref": "#/$defs/measure"}, "grid": {"$ref": "#/$defs/grid"}},
         "additionalProperties": False,
     },
-    "freeconv": _two_measures(),
-    "epi": _two_measures(),
-    "stam": _two_measures(),
+    "freeconv": _two_measures(grid={"$ref": "#/$defs/grid"}),
+    "epi": _two_measures(grid={"$ref": "#/$defs/grid"}),
+    "stam": _two_measures(grid={"$ref": "#/$defs/grid"}),
     "lemma13": {
         "type": "object",
         "required": ["n", "rho"],
@@ -512,7 +511,7 @@ def _run_freeconv(params, seed):
         _parse_measure(params["alpha"], n_cells), _parse_measure(params["beta"], n_cells), n_cells
     )
     result = {
-        "measure": out.to_json(),
+        "measure": out,
         "mean": out.mean(),
         "variance": out.variance(),
         "diagnostics": _solver_diagnostics(out.meta),
@@ -529,7 +528,7 @@ def _run_epi(params, seed):
     tol = max(report.quadrature_error_estimate, 0.02 * scale)
     verdict = three_way_verdict(report.deficit, tol)
     result = {
-        "report": report.to_json(),
+        "report": report,
         "tolerance": tol,
         "verdict": verdict,
         "diagnostics": _solver_diagnostics(report.sum_meta),
@@ -549,7 +548,7 @@ def _run_stam(params, seed):
 def _run_lemma13(params, seed):
     out = check_lemma13(params["n"], params["rho"])
     report = out["report"]
-    result = {"c1_estimate": out["c1_estimate"], "report": report.to_json()}
+    result = {"c1_estimate": out["c1_estimate"], "report": report}
     return result, report.verdict, {}
 
 
@@ -564,7 +563,7 @@ def _run_minkowski(params, seed):
     out = restricted_sum_volume(
         _parse_set(params["a"]), _parse_set(params["b"]), _parse_theta(params["theta"]), cfg
     )
-    return out, None, {"mode": "monte-carlo", "mc": dataclasses.asdict(cfg)}
+    return out, None, {"mode": "monte-carlo", "mc": cfg}
 
 
 def _check_handler(check, *fields):
@@ -573,7 +572,7 @@ def _check_handler(check, *fields):
     def run(params, seed):
         cfg = _mc_config(params, seed)
         report = check(*(parse(params[key]) for key, parse in fields), cfg)
-        return {"report": report.to_json()}, report.verdict, {"mc": dataclasses.asdict(cfg)}
+        return {"report": report}, report.verdict, {"mc": cfg}
 
     return run
 
@@ -586,12 +585,12 @@ def _run_microstates_spectrum(params, seed):
         _parse_measure(params["alpha"]), _parse_measure(params["beta"]), params["k"], seed
     )
     eigenvalues = [loc for loc, _ in emp.atoms]
-    result = {"measure": emp.to_json(), "empirical_chi": empirical_chi(eigenvalues)}
+    result = {"measure": emp, "empirical_chi": empirical_chi(eigenvalues)}
     if "reference" in params:
         result["ks_to_reference"] = kolmogorov_distance(
             emp, _parse_measure(params["reference"])
         )
-    return result, None, {"k": params["k"]}
+    return result, None, {}
 
 
 def _run_microstates_theta(params, seed):
@@ -604,7 +603,7 @@ def _run_microstates_theta(params, seed):
         params["trials"],
         seed,
     )
-    return dataclasses.asdict(est), None, {"trials": params["trials"]}
+    return est, None, {}
 
 
 def _run_microstates_volume(params, seed):
@@ -615,7 +614,7 @@ def _run_microstates_volume(params, seed):
         "normalized_log_volume": value,
         "log_flag_constant": log_flag_constant(params["k"]),
     }
-    return result, None, {"mc_samples": params["mc_samples"]}
+    return result, None, {}
 
 
 def _run_microstates_sum(params, seed):
@@ -631,8 +630,7 @@ def _run_microstates_sum(params, seed):
         params["filter_eps"],
     )
     verdict = "inconclusive" if out.inconclusive else None
-    resolved = {"filter_max_len": out.filter_max_len, "filter_eps": out.filter_eps}
-    return dataclasses.asdict(out), verdict, resolved
+    return out, verdict, {}
 
 
 _HANDLERS = {
@@ -689,8 +687,6 @@ def _format_float(x: float) -> str:
 
 
 def _jsonable(obj):
-    if hasattr(obj, "to_json"):
-        return _jsonable(obj.to_json())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -705,6 +701,16 @@ def _jsonable(obj):
         return float(obj)
     if obj is None or isinstance(obj, str):
         return obj
+    # the one record rule: a result dataclass is written field by field,
+    # leaving out the diagnostics declared repr=False (Measure.meta,
+    # EntropyReport.sum_meta); it sits after the scalars, which are far more
+    # numerous in a result
+    if dataclasses.is_dataclass(obj):
+        return {
+            f.name: _jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.repr
+        }
     raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
 
 

@@ -131,19 +131,6 @@ class EntropyReport:
         if not math.isfinite(self.deficit):
             raise ParameterError("deficit must be finite")
 
-    def to_json(self) -> dict:
-        return {
-            "chi_alpha": self.chi_alpha,
-            "chi_beta": self.chi_beta,
-            "chi_sum": self.chi_sum,
-            "power_alpha": self.power_alpha,
-            "power_beta": self.power_beta,
-            "power_sum": self.power_sum,
-            "deficit": self.deficit,
-            "quadrature_error_estimate": self.quadrature_error_estimate,
-            "infinite_entropy_inputs": list(self.infinite_entropy_inputs),
-        }
-
 
 def _power(c: float) -> float:
     return 0.0 if c == float("-inf") else math.exp(2.0 * c)

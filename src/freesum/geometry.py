@@ -255,14 +255,6 @@ class VolumeEstimate:
         if self.method not in ("exact", "mc_hit_or_miss", "closed_form"):
             raise ParameterError(f"unknown method {self.method!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "method": self.method,
-        }
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -278,16 +270,6 @@ class CheckReport:
             raise ParameterError(f"unknown verdict {self.verdict!r}")
         if self.ci_halfwidth < 0:
             raise ParameterError("ci_halfwidth must be nonnegative")
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deficit": self.deficit,
-            "ci_halfwidth": self.ci_halfwidth,
-            "verdict": self.verdict,
-            "context": self.context,
-        }
 
 
 @dataclass(frozen=True)
@@ -363,17 +345,15 @@ def _rng(cfg: MonteCarloConfig, purpose: int) -> np.random.Generator:
     return np.random.default_rng(stream_seed(cfg.seed, purpose))
 
 
-def volume(spec: SetSpec, cfg: MonteCarloConfig | None = None) -> VolumeEstimate:
+def volume(
+    spec: SetSpec, cfg: MonteCarloConfig | None = None, purpose: int = _VOLUME_A
+) -> VolumeEstimate:
     """Exact volume where a formula exists, hit-or-miss MC otherwise.
 
-    A Monte Carlo volume draws on the volume-of-A purpose, so it is the
-    volume_a of ``restricted_sum_volume`` under the same cfg.
+    A Monte Carlo volume draws from the generator of purpose; by default
+    the volume-of-A purpose, so it is the volume_a of
+    ``restricted_sum_volume`` under the same cfg.
     """
-    return _volume(spec, cfg, _VOLUME_A)
-
-
-def _volume(spec: SetSpec, cfg: MonteCarloConfig | None, purpose: int) -> VolumeEstimate:
-    """``volume``, drawing a Monte Carlo estimate from the generator of purpose."""
     exact = spec.exact_volume()
     if exact is not None:
         if spec.dim > _MAX_EXACT_DIM:
@@ -668,8 +648,8 @@ def restricted_sum_volume(
                              "n >= 2: elsewhere the sumset need not be convex")
     cfg = cfg or MonteCarloConfig()
     m = cfg.pair_samples
-    vol_a = _volume(A, cfg, _VOLUME_A)
-    vol_b = _volume(B, cfg, _VOLUME_B)
+    vol_a = volume(A, cfg, _VOLUME_A)
+    vol_b = volume(B, cfg, _VOLUME_B)
     admitted = partial(theta.indicator, seed=cfg.seed)
     if theta.kind == "full":
         hits, proposals = m, 0
@@ -958,8 +938,8 @@ def _power_check(
             "C": cfg.C,
             "rhs_factor": factor,
             "gate": gate,
-            "theta_volume": rsv["theta_volume"].to_json(),
-            "sum_volume": rsv["sum_volume"].to_json(),
+            "theta_volume": rsv["theta_volume"],
+            "sum_volume": rsv["sum_volume"],
             "volume_a": vol_a.value,
             "volume_b": vol_b.value,
             "seed": cfg.seed,
@@ -1034,7 +1014,7 @@ def bll_symmetrization_check(
         p = hits / m
         return p * va * vb, va * vb * math.sqrt(max(p * (1 - p), 1e-12) / m)
 
-    vols = [_volume(spec, cfg, purpose).value
+    vols = [volume(spec, cfg, purpose).value
             for spec, purpose in zip((A, B, C), (_VOLUME_A, _VOLUME_B, _VOLUME_C))]
     balls = [SetSpec.ball((v / unit_ball_volume(n)) ** (1.0 / n), n) for v in vols]
     lhs, err_l = pair_mass(A, B, C, vols[0], vols[1], _PAIRS)
@@ -1065,11 +1045,10 @@ def ball_example_exact(rho: float, n: int) -> dict:
     if n < 2:
         raise ParameterError("the ball example needs n >= 2")
     sum_radius = math.sqrt(_annulus(1.0, rho, 0.0)[0])
-    w = unit_ball_volume(n)
-    gap = (
-        (w * sum_radius**n) ** (2.0 / n)
-        - w ** (2.0 / n)
-        - (w * rho**n) ** (2.0 / n)
-    )
+    # lambda(r B^n)^(2/n) = kappa_n^(2/n) r^2, kappa_n = lambda(B^n), taken in
+    # logs: kappa_n r^n underflows to 0 at a few hundred dimensions, its
+    # 2/n-th power does not
+    w = math.exp((n * math.log(math.pi) - 2.0 * math.lgamma(n / 2.0 + 1.0)) / n)
+    gap = w * sum_radius**2 - (w + w * rho**2)
     return {"theta_fraction": 0.5, "sum_radius": sum_radius, "equality_gap": gap}
 

@@ -55,7 +55,8 @@ class Measure:
         Point masses; weights in (0, 1], locations inside the window.
     meta : dict
         Diagnostic values (total mass, inversion quality, ...).  Not part
-        of equality or serialization.
+        of equality or of the JSON form, which leaves out ``repr=False``
+        fields.
     """
 
     grid_lo: float
@@ -186,16 +187,6 @@ class Measure:
     def variance(self) -> float:
         m1 = moment(self, 1)
         return moment(self, 2) - m1 * m1
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "grid_lo": self.grid_lo,
-            "grid_hi": self.grid_hi,
-            "density": [float(v) for v in self.density],
-            "atoms": [[loc, w] for loc, w in self.atoms],
-        }
 
 
 # -- construction helpers ------------------------------------------------------

@@ -777,8 +777,6 @@ class ContainmentResult:
     fraction: float
     ci_low: float
     ci_high: float
-    filter_max_len: int
-    filter_eps: float
     inconclusive: bool
 
 
@@ -832,7 +830,5 @@ def check_sum_containment(
         fraction=passes / kept if kept else float("nan"),
         ci_low=lo,
         ci_high=hi,
-        filter_max_len=filter_max_len,
-        filter_eps=filter_eps,
         inconclusive=kept == 0,
     )

@@ -21,7 +21,7 @@ def affine(h: StepFunctionSpec, a: float, b: float) -> StepFunctionSpec:
 
 
 def measure_from_json(data: dict) -> Measure:
-    """The measure whose ``Measure.to_json`` is ``data``."""
+    """The measure whose JSON form, as the CLI writes it, is ``data``."""
     return Measure(
         data["grid_lo"],
         data["grid_hi"],

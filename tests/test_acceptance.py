@@ -115,7 +115,7 @@ def test_criterion_01_ball_equality_exact_and_mc(capsys):
         MonteCarloConfig(pair_samples=10_000_000, seed=2024),
     )
     ctx = report.context
-    frac = ctx["theta_volume"]["value"] / (ctx["volume_a"] * ctx["volume_b"])
+    frac = ctx["theta_volume"].value / (ctx["volume_a"] * ctx["volume_b"])
     sigma = math.sqrt(0.25 / 10_000_000)
     if abs(frac - 0.5) > 3.0 * sigma:
         failures.append(f"theta fraction {frac:.6f} is {abs(frac - 0.5) / sigma:.1f} sigma from 1/2")

@@ -7,6 +7,7 @@ configs.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,9 @@ from pathlib import Path
 import pytest
 
 import freesum.cli as cli
-from freesum.measure import moment
+from freesum.freeentropy import EntropyReport
+from freesum.geometry import CheckReport, VolumeEstimate
+from freesum.measure import moment, semicircle
 
 from helpers import measure_from_json
 
@@ -408,6 +411,15 @@ class TestRunExamples:
         assert math.isclose(doc["result"]["sum_radius"], math.sqrt(1.49), rel_tol=1e-15)
         assert doc["verdict"] == "holds"
 
+    @pytest.mark.parametrize("n", [207, 300, 1000, 5000])
+    def test_minkowski_ball_example_holds_in_high_dimension(self, tmp_path, capsys, n):
+        # kappa_n rho^n underflows from n = 207 at rho = 0.1, kappa_n itself near n = 450
+        config = {"command": "minkowski", "params": {"example": "ball", "rho": 0.1, "n": n}}
+        assert run_cli(tmp_path, config) == 0
+        doc = last_stdout_json(capsys)
+        assert doc["verdict"] == "holds"
+        assert abs(doc["result"]["equality_gap"]) <= 1e-15
+
     def test_entropy_point_mass_reports_minus_infinity(self, tmp_path, capsys):
         config = {"command": "entropy", "params": {"mu": {"family": "point_mass", "params": [0.3]}}}
         assert run_cli(tmp_path, config) == 0
@@ -609,6 +621,19 @@ class TestRunExamples:
         assert doc["result"]["ks_to_reference"] < 0.1
         assert len(doc["result"]["measure"]["atoms"]) == 64
 
+    def test_microstates_spectrum_refuses_a_grid(self, tmp_path, capsys):
+        # the spectrum reads its laws at the default grid, so a grid key
+        # would be a setting that changes nothing; it is refused at its line
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{\n  "command": "microstates-spectrum",\n  "seed": 11,\n  "params": {\n'
+            f'    "alpha": {json.dumps(SEMICIRCLE)},\n    "beta": {json.dumps(SEMICIRCLE)},\n'
+            '    "k": 32,\n    "grid": {"n_cells": 16}\n  }\n}\n'
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        message = "Additional properties are not allowed ('grid' was unexpected)"
+        assert f"{path}:8: params: {message}" in capsys.readouterr().err
+
     def test_microstates_sum_explicit_filter_succeeds(self, tmp_path, capsys):
         config = {
             "command": "microstates-sum",
@@ -652,8 +677,9 @@ class TestRunExamples:
         doc = last_stdout_json(capsys)
         assert doc["result"]["inconclusive"] is True
         assert doc["result"]["kept"] == 0
-        assert doc["resolved"]["filter_max_len"] == 6
-        assert doc["resolved"]["filter_eps"] == pytest.approx(0.1 / (4 * 2.0**6))
+        assert doc["params"]["filter_max_len"] == 6
+        assert doc["params"]["filter_eps"] == pytest.approx(0.1 / (4 * 2.0**6))
+        assert doc["resolved"] == {}
 
     def test_microstates_volume_tracks_uniform_entropy(self, tmp_path, capsys):
         config = {
@@ -703,6 +729,40 @@ class TestOutputFormats:
             "a": {"nested": True, "empty": {}},
             "b": [1.0, float("inf")],
             "c": None,
+        }
+
+    def test_dataclasses_are_written_by_their_fields(self):
+        # fields declared repr=False are diagnostics and stay out of the record
+        mu = dataclasses.replace(semicircle(1.0, n_cells=16), meta={"raw_mass": 1.0})
+        assert cli._jsonable(mu) == {
+            "grid_lo": mu.grid_lo,
+            "grid_hi": mu.grid_hi,
+            "density": mu.density.tolist(),
+            "atoms": [],
+        }
+        report = EntropyReport(
+            chi_alpha=1.0, chi_beta=float("-inf"), chi_sum=1.0, power_alpha=2.0,
+            power_beta=0.0, power_sum=2.0, deficit=0.0, quadrature_error_estimate=1e-3,
+            infinite_entropy_inputs=("beta",), sum_meta={"eta": 1e-3},
+        )
+        assert cli._jsonable(report) == {
+            "chi_alpha": 1.0, "chi_beta": float("-inf"), "chi_sum": 1.0, "power_alpha": 2.0,
+            "power_beta": 0.0, "power_sum": 2.0, "deficit": 0.0,
+            "quadrature_error_estimate": 1e-3, "infinite_entropy_inputs": ["beta"],
+        }
+        volume = VolumeEstimate(value=2.0, stderr=0.1, samples=1000, method="mc_hit_or_miss")
+        check = CheckReport(
+            lhs=1.0, rhs=0.5, deficit=0.5, ci_halfwidth=0.1, verdict="holds",
+            context={"n": 2, "sum_volume": volume},
+        )
+        assert cli._jsonable(check) == {
+            "lhs": 1.0, "rhs": 0.5, "deficit": 0.5, "ci_halfwidth": 0.1, "verdict": "holds",
+            "context": {
+                "n": 2,
+                "sum_volume": {
+                    "value": 2.0, "stderr": 0.1, "samples": 1000, "method": "mc_hit_or_miss"
+                },
+            },
         }
 
     def test_float_formatting_17_digits(self):

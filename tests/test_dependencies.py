@@ -1,6 +1,6 @@
 """Static checks on imports: the declared dependencies, the names that
-``perfbench/tracing.py`` wraps, the package's exports, and a caller outside
-the tests for every function in the package."""
+``perfbench/tracing.py`` wraps, the package's exports, a caller outside
+the tests for every function in the package, and no per-class JSON writer."""
 
 import ast
 import re
@@ -161,3 +161,17 @@ def test_every_function_in_src_has_a_caller_outside_the_tests():
         and node.name not in called | ORACLES
     )
     assert uncalled == []
+
+
+def test_no_class_in_src_writes_its_own_json():
+    # cli._jsonable writes every result dataclass by its fields; a to_json
+    # method would be a second rule for one class
+    methods = sorted(
+        f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+        for path in sorted((ROOT / "src" / "freesum").glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json"
+    )
+    assert methods == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from freesum.cli import _jsonable
 from freesum.errors import DomainError, ParameterError
 from freesum.freeentropy import (
     EntropyReport,
@@ -150,7 +151,7 @@ def test_epi_semicircle_equality_case():
     assert rep.power_alpha == pytest.approx(math.exp(2 * rep.chi_alpha), rel=1e-12)
     assert rep.quadrature_error_estimate >= 0.0
     assert rep.infinite_entropy_inputs == ()
-    js = rep.to_json()
+    js = _jsonable(rep)
     assert js["deficit"] == rep.deficit
 
 

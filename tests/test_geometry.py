@@ -14,6 +14,7 @@ from scipy.special import betainc, ndtr
 from scipy.stats import kstest
 
 import freesum.geometry as geometry
+from freesum.cli import _jsonable
 from freesum.errors import DegenerateSampleError, ParameterError
 from freesum.stats import Z99
 from freesum.geometry import (
@@ -884,13 +885,13 @@ class TestPowerCheckCore:
 
     def test_each_input_volume_computed_once(self, monkeypatch):
         calls = []
-        real = geometry._volume
+        real = geometry.volume
 
-        def counting(spec, cfg, purpose):
+        def counting(spec, *args):
             calls.append(spec.kind)
-            return real(spec, cfg, purpose)
+            return real(spec, *args)
 
-        monkeypatch.setattr(geometry, "_volume", counting)
+        monkeypatch.setattr(geometry, "volume", counting)
         cfg = MonteCarloConfig(pair_samples=20_000, seed=3)
         for check in self.CHECKS:
             calls.clear()
@@ -905,7 +906,8 @@ class TestPowerCheckCore:
         rep = check_corollary15(a, b, ThetaSpec.full(), 0.05, FAST)
         assert rep.context["volume_a"] == rsv["volume_a"].value
         assert rep.context["volume_b"] == rsv["volume_b"].value
-        assert rep.context["sum_volume"] == rsv["sum_volume"].to_json()
+        assert rep.context["theta_volume"] == rsv["theta_volume"]
+        assert rep.context["sum_volume"] == rsv["sum_volume"]
 
     def test_reports_carry_rejection_proposals(self):
         a, b = SetSpec.ellipsoid([1.2, 1.0, 1.0]), BALL_CAP_BOX
@@ -1012,7 +1014,7 @@ class TestTheoremTwelve:
         rep = check_theorem12(
             SetSpec.box([1, 1]), SetSpec.box([0.5, 0.5]), ThetaSpec.full(), FAST
         )
-        blob = rep.to_json()
+        blob = _jsonable(rep)
         assert blob["verdict"] == "holds"
         assert blob["context"]["n"] == 2
 
@@ -1129,8 +1131,8 @@ class TestSymmetrization:
         # one volume per input body and one per ball that is sampled; the
         # report is pinned at each estimate drawing on its own seed
         calls = []
-        counted = geometry._volume
-        monkeypatch.setattr(geometry, "_volume", lambda *a: calls.append(a[0]) or counted(*a))
+        counted = geometry.volume
+        monkeypatch.setattr(geometry, "volume", lambda *a: calls.append(a[0]) or counted(*a))
         rep = bll_symmetrization_check(
             BALL_CAP_BOX,
             SetSpec.ellipsoid([0.6, 0.5, 0.7], center=(0.1, 0.0, -0.1)),

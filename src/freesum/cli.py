@@ -2,9 +2,9 @@
 
 Every command maps onto one library operation.  Configs are validated
 against per-command schemas before anything runs; outputs echo the fully
-resolved configuration (defaults and gate constants included) so a result
-file alone suffices to rerun the experiment.  Exit codes encode verdicts:
-0 holds/success, 2 violated, 3 inconclusive, 1 any error (usage errors too).
+resolved configuration (defaults included) so a result file alone suffices
+to rerun the experiment.  Exit codes encode verdicts: 0 holds/success,
+2 violated, 3 inconclusive, 1 any error (usage errors too).
 """
 
 from __future__ import annotations
@@ -204,8 +204,6 @@ _MC_DEF = {
     "type": "object",
     "properties": {
         "pair_samples": {"type": "integer", "minimum": 1000},
-        "c": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "C": {"type": "number", "exclusiveMinimum": 0},
     },
     "additionalProperties": False,
 }
@@ -272,7 +270,7 @@ _PARAM_SCHEMAS = {
         "required": ["n", "rho"],
         "properties": {
             "n": {"type": "integer", "minimum": 2},
-            "rho": {"type": "number", "exclusiveMinimum": 0},
+            "rho": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         },
         "additionalProperties": False,
     },
@@ -280,7 +278,7 @@ _PARAM_SCHEMAS = {
         "type": "object",
         "properties": {
             "example": {"const": "ball"},
-            "rho": {"type": "number"},
+            "rho": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
             "n": {"type": "integer", "minimum": 2},
             "a": {"$ref": "#/$defs/set"},
             "b": {"$ref": "#/$defs/set"},
@@ -353,7 +351,7 @@ _PARAM_SCHEMAS = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(FreesumError):
     """Config rejected before any computation ran."""
 
 
@@ -851,7 +849,7 @@ def _run_sweep(config: dict, seed: int):
             row.update(flat)
             row["verdict"] = verdict or ""
             row["error"] = ""
-        except (FreesumError, ConfigError) as err:
+        except FreesumError as err:
             row["verdict"] = ""
             row["error"] = str(err)
         rows.append(row)
@@ -909,12 +907,8 @@ def main(argv=None) -> int:
             config[key] = value
     try:
         text, code, output = run(config, raw, args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except FreesumError as err:
-        detail = getattr(err, "diagnostics", None)
-        suffix = f" diagnostics={detail}" if detail else ""
+        suffix = f" diagnostics={err.diagnostics}" if err.diagnostics else ""
         print(f"error: {err}{suffix}", file=sys.stderr)
         return 1
     if output:

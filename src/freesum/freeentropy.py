@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .freeconv import free_convolve
 from .measure import N_CELLS, Measure
 
@@ -171,7 +171,7 @@ def free_fisher(mu: Measure) -> float:
     for which the value is 1/variance.
     """
     if mu.atoms:
-        raise DomainError("Fisher information needs an absolutely continuous measure")
+        raise ParameterError("Fisher information needs an absolutely continuous measure")
     return (4.0 * math.pi**2 / 3.0) * float(np.sum(mu.density**3)) * mu.cell_width
 
 
@@ -181,6 +181,6 @@ def stam_deficit(alpha: Measure, beta: Measure, n_cells: int = N_CELLS) -> float
     phi_a = free_fisher(alpha)
     phi_b = free_fisher(beta)
     if phi_a <= 0 or phi_b <= 0:
-        raise DomainError("inputs must carry positive Fisher information")
+        raise ParameterError("inputs must carry positive Fisher information")
     mu_sum = free_convolve(alpha, beta, n_cells)
     return 1.0 / free_fisher(mu_sum) - 1.0 / phi_a - 1.0 / phi_b

@@ -44,6 +44,9 @@ __all__ = [
     "volume",
 ]
 
+# the gate constant c of Theorem 1.2 and the rhs constant C of Corollary 1.5
+THEOREM12_C = 0.01
+COROLLARY15_C = 3.0
 _MAX_EXACT_DIM = 64
 _MAX_MC_DIM = 10
 _MAX_SUM_DIM = 6
@@ -274,20 +277,14 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Sampling budget, seed and gate constants."""
+    """Sampling budget and seed."""
 
     pair_samples: int = 200_000
     seed: int = 0
-    c: float = 0.01
-    C: float = 3.0
 
     def __post_init__(self):
         if self.pair_samples < 1000:
             raise ParameterError("pair_samples must be >= 1000")
-        if not 0 < self.c < 1:
-            raise ParameterError("gate constant c must lie in (0, 1)")
-        if not 0 < self.C < math.inf:
-            raise ParameterError("constant C must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +892,7 @@ def _power_check(
 ) -> CheckReport:
     """lambda(A +_Theta B)^(2/n) >= factor (lambda(A)^(2/n) + lambda(B)^(2/n)).
 
-    rule(n, rho, cfg) gives one version's (gate threshold, rhs factor), with
+    rule(n, rho) gives one version's (gate threshold, rhs factor), with
     rho the symmetric volume-ratio root.  The input volumes are the ones the
     restricted-sum estimate computed; their Monte Carlo stderr enters the CI
     scaled like the rhs.  A failed or tied gate yields an inconclusive
@@ -911,7 +908,7 @@ def _power_check(
     rsv = restricted_sum_volume(A, B, theta, cfg)
     vol_a, vol_b = rsv["volume_a"], rsv["volume_b"]
     rho = _volume_ratio_rho(vol_a.value, vol_b.value, n)
-    threshold, factor = rule(n, rho, cfg)
+    threshold, factor = rule(n, rho)
     gate = _gate(threshold, A, B, theta, rsv)
     # a negative factor makes the bound vacuous, not negative
     scale = max(factor, 0.0)
@@ -934,8 +931,8 @@ def _power_check(
         context={
             "n": n,
             "rho": rho,
-            "c": cfg.c,
-            "C": cfg.C,
+            "c": THEOREM12_C,
+            "C": COROLLARY15_C,
             "rhs_factor": factor,
             "gate": gate,
             "theta_volume": rsv["theta_volume"],
@@ -964,8 +961,8 @@ def check_theorem12(
     Gate: lambda(Theta) >= (1 - c min(rho sqrt(n), 1)) lambda(A) lambda(B).
     """
 
-    def rule(n, rho, cfg):
-        return 1.0 - cfg.c * min(rho * math.sqrt(n), 1.0), 1.0
+    def rule(n, rho):
+        return 1.0 - THEOREM12_C * min(rho * math.sqrt(n), 1.0), 1.0
 
     return _power_check(A, B, theta, cfg, rule)
 
@@ -985,8 +982,8 @@ def check_corollary15(
     if not 0.0 <= delta <= 0.5:
         raise ParameterError("delta must lie in [0, 0.5]")
 
-    def rule(n, rho, cfg):
-        return 1.0 - delta, 1.0 - cfg.C * delta / n
+    def rule(n, rho):
+        return 1.0 - delta, 1.0 - COROLLARY15_C * delta / n
 
     return _power_check(A, B, theta, cfg, rule, delta=delta)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cumulants import cumulants_from_moments, moments_from_cumulants, pair_moment_targets
-from .errors import ParameterError, PrecisionError, StepFunctionError
+from .errors import ParameterError, PrecisionError
 from .freeentropy import CHI_SHIFT
 from .measure import Measure
 from .stats import logsumexp, stream_seed, wilson_interval
@@ -77,15 +77,15 @@ class StepFunctionSpec:
         nodes = tuple(float(t) for t in self.nodes)
         values = tuple(float(v) for v in self.values)
         if len(nodes) < 2 or len(nodes) != len(values):
-            raise StepFunctionError("need matching node/value tables with >= 2 entries")
+            raise ParameterError("need matching node/value tables with >= 2 entries")
         if not all(math.isfinite(t) for t in nodes + values):
-            raise StepFunctionError("table entries must be finite")
+            raise ParameterError("table entries must be finite")
         if abs(nodes[0]) > 0.0 or abs(nodes[-1] - 1.0) > 0.0:
-            raise StepFunctionError("nodes must start at 0 and end at 1")
+            raise ParameterError("nodes must start at 0 and end at 1")
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise StepFunctionError("nodes must be strictly increasing")
+            raise ParameterError("nodes must be strictly increasing")
         if any(b <= a for a, b in zip(values, values[1:])):
-            raise StepFunctionError("values must be strictly increasing")
+            raise ParameterError("values must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -105,7 +105,7 @@ class StepFunctionSpec:
         ts = np.linspace(0.0, 1.0, n_nodes)
         hs = np.asarray(mu.quantile(ts), dtype=float)
         if np.any(np.diff(hs) <= 0.0):
-            raise StepFunctionError("quantile table is not strictly increasing")
+            raise ParameterError("quantile table is not strictly increasing")
         return cls(tuple(ts), tuple(hs))
 
     def __call__(self, t):
@@ -128,7 +128,7 @@ class StepFunctionSpec:
         lo = self(s / k)
         hi = self((2.0 * s + 1.0) / (2.0 * k))
         if np.any(hi <= lo):
-            raise StepFunctionError(f"empty eigenvalue slot at resolution 1/{2 * k}")
+            raise ParameterError(f"empty eigenvalue slot at resolution 1/{2 * k}")
         return lo, hi
 
     def moments(self, n: int) -> list[float]:
@@ -288,9 +288,7 @@ def _haar_from_rng(k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]
     u = q * phase
     gap = float(np.max(np.abs(u @ u.conj().T - np.eye(k))))
     if gap > _UNITARY_TOL:
-        raise PrecisionError(
-            "orthonormalization lost unitarity", diagnostics={"k": k, "gap": gap}
-        )
+        raise PrecisionError("orthonormalization lost unitarity", k=k, gap=gap)
     return u, gap
 
 
@@ -351,8 +349,7 @@ def _sample_omega(h: StepFunctionSpec, k: int, rng: np.random.Generator) -> Matr
     if np.any(spectrum < lo - _SLOT_LANDING_TOL) or np.any(spectrum > hi + _SLOT_LANDING_TOL):
         worst = float(np.max(np.maximum(lo - spectrum, spectrum - hi)))
         raise PrecisionError(
-            "reconstructed spectrum left its slots",
-            diagnostics={"k": k, "worst_escape": worst},
+            "reconstructed spectrum left its slots", k=k, worst_escape=worst
         )
     return state
 
@@ -748,12 +745,10 @@ def estimate_log_volume_omega(
     if ess < _MIN_ESS:
         raise PrecisionError(
             "importance weights collapsed",
-            diagnostics={
-                "ess": ess,
-                "samples": mc_samples,
-                "log_weight_std": float(np.std(log_w)),
-                "k": k,
-            },
+            ess=ess,
+            samples=mc_samples,
+            log_weight_std=float(np.std(log_w)),
+            k=k,
         )
     log_integral = log_total - math.log(mc_samples) + log_jacobian
     log_volume = log_flag_constant(k) + log_integral

@@ -25,7 +25,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InversionQualityError, ParameterError
+from .errors import ConvergenceError, InversionQualityError, ParameterError
 from .measure import Measure, moment
 
 __all__ = ["cauchy_transform", "r_transform"]
@@ -120,7 +120,7 @@ def cauchy_transform(mu: Measure, z: complex) -> complex:
     """
     z = complex(z)
     if z.imag == 0.0:
-        raise DomainError("z must not be real")
+        raise ParameterError("z must not be real")
     return StaircaseTransform(mu).g(z)
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import freesum.cli as cli
+from freesum.errors import ConvergenceError, InversionQualityError
 from freesum.freeentropy import EntropyReport
 from freesum.geometry import CheckReport, VolumeEstimate
 from freesum.measure import moment, semicircle
@@ -101,14 +102,16 @@ class TestValidation:
         assert cli.main(["--config", str(path)]) == 1
         assert f"{path}:7:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "knob, value", [("n_streams", 2), ("pairing_rounds", 4), ("grid_cells_per_axis", 64)]
-    )
+    @pytest.mark.parametrize("knob, value", [
+        ("n_streams", 2), ("pairing_rounds", 4), ("grid_cells_per_axis", 64),
+        ("c", 0.2), ("C", 3.0),
+    ])
     def test_stream_and_pairing_counts_fail_schema_validation(
         self, tmp_path, capsys, knob, value
     ):
-        # the counts are constants of the estimator, and the grid size
-        # follows from pair_samples and n: none is a config field
+        # the counts are constants of the estimator, c and C constants of the
+        # checked statements, and the grid size follows from pair_samples
+        # and n: none is a config field
         path = self.write_disk_pair_config(
             tmp_path,
             '    "theta": {"kind": "full"}',
@@ -156,6 +159,23 @@ class TestValidation:
         assert run_cli(tmp_path, config) == 1
         err = capsys.readouterr().err
         assert "params: Additional properties are not allowed ('grid_r0' was unexpected)" in err
+
+    @pytest.mark.parametrize("command, params, message", [
+        ("minkowski", '"example": "ball", "rho": 1.5, "n": 3',
+         "1.5 is greater than or equal to the maximum of 1"),
+        ("minkowski", '"example": "ball", "rho": 0, "n": 3',
+         "0 is less than or equal to the minimum of 0"),
+        ("lemma13", '"n": 4, "rho": 2.0', "2.0 is greater than the maximum of 1"),
+    ], ids=["minkowski-above", "minkowski-zero", "lemma13-above"])
+    def test_rho_outside_its_range_names_its_line(self, tmp_path, capsys, command, params,
+                                                  message):
+        # the ball example takes rho in (0, 1), Lemma 1.3 rho in (0, 1]
+        path = tmp_path / "c.json"
+        path.write_text(
+            f'{{\n  "command": "{command}",\n  "params": {{\n    {params}\n  }}\n}}\n'
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        assert f"{path}:4: params: {message}" in capsys.readouterr().err
 
     def test_ball_example_on_the_line_exits_1(self, tmp_path, capsys):
         # on the line the orthogonal sum is [-1, 1]: there is no equality case
@@ -385,10 +405,12 @@ class TestValidation:
         assert not target.parent.exists()
 
     def test_semantic_error_from_library_exits_1(self, tmp_path, capsys):
-        # schema admits any positive rho; the library rejects rho > 1
-        config = {"command": "lemma13", "params": {"rho": 1.5, "n": 8}}
+        # the schema admits any family parameter; the library rejects a
+        # negative variance
+        config = {"command": "entropy", "params": {"mu": {"family": "semicircle",
+                                                         "params": [-1.0]}}}
         assert run_cli(tmp_path, config) == 1
-        assert "rho" in capsys.readouterr().err
+        assert "variance" in capsys.readouterr().err
 
 
 class TestRunExamples:
@@ -507,8 +529,9 @@ class TestRunExamples:
         assert run_cli(tmp_path, config) == 0
         doc = last_stdout_json(capsys)
         assert doc["verdict"] == "holds"
-        assert doc["resolved"]["mc"]["c"] == 0.01
-        assert doc["resolved"]["mc"]["C"] == 3.0
+        assert doc["resolved"]["mc"] == {"pair_samples": 60000, "seed": 7}
+        context = doc["result"]["report"]["context"]
+        assert (context["c"], context["C"]) == (0.01, 3.0)
 
     def test_theorem12_failed_gate_is_inconclusive_exit_3(self, tmp_path, capsys):
         config = {
@@ -714,9 +737,27 @@ class TestExitCodes:
         assert last_stdout_json(capsys)["verdict"] == "violated"
 
     def test_library_error_exits_1(self, tmp_path, capsys):
-        config = {"command": "lemma13", "params": {"rho": 1.5, "n": 8}}
+        config = {"command": "entropy", "params": {"mu": {"family": "uniform",
+                                                         "params": [1.0, 0.0]}}}
         assert run_cli(tmp_path, config) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("error, expected", [
+        (ConvergenceError("subordination failed", residual=0.5),
+         "error: subordination failed diagnostics={'residual': 0.5}\n"),
+        (InversionQualityError("mass is off", raw_mass=0.8),
+         "error: mass is off diagnostics={'raw_mass': 0.8}\n"),
+    ], ids=["convergence", "inversion-quality"])
+    def test_every_refusal_prints_its_diagnostics(self, tmp_path, monkeypatch, capsys,
+                                                  error, expected):
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "free_convolve", refuse)
+        config = {"command": "freeconv", "params": {"alpha": SEMICIRCLE, "beta": SEMICIRCLE}}
+        assert run_cli(tmp_path, config) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected)
 
 
 class TestOutputFormats:
@@ -826,14 +867,14 @@ class TestOutputFormats:
 
     def test_csv_quotes_fields_with_commas(self, tmp_path, capsys):
         config = {
-            "command": "lemma13",
-            "params": {"rho": 0.1, "n": 8},
-            "sweep": {"rho": [0.1, 2.0]},
+            "command": "entropy",
+            "params": {"mu": {"family": "uniform", "params": [0.0, 1.0]}},
+            "sweep": {"mu.params": [[0.0, 1.0], [1.0, 0.0]]},
         }
-        # rho = 2 passes the schema, and the library's message has a comma
+        # reversed ends pass the schema, and the library's message has a comma
         assert run_cli(tmp_path, config) == 0
         raw = capsys.readouterr().out
-        assert '"rho must lie in (0, 1]' in raw
+        assert '"need lo < hi, got [1.0, 0.0]"' in raw
 
 
 class TestSweep:

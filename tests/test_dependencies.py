@@ -1,6 +1,7 @@
 """Static checks on imports: the declared dependencies, the names that
 ``perfbench/tracing.py`` wraps, the package's exports, a caller outside
-the tests for every function in the package, and no per-class JSON writer."""
+the tests for every function in the package, no per-class JSON writer, and
+one refusal rule for the exception classes."""
 
 import ast
 import re
@@ -99,10 +100,10 @@ def test_package_exports_match_the_submodules():
 
 
 def test_public_surface_holds_at_the_standing_gate():
-    # the package's public names may shrink but not grow past 60
+    # the package's public names may shrink but not grow past 58
     import freesum
 
-    assert len(freesum.__all__) <= 60
+    assert len(freesum.__all__) <= 58
 
 
 # the declared oracles: the package keeps them although only tests call them,
@@ -175,3 +176,29 @@ def test_no_class_in_src_writes_its_own_json():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json"
     )
     assert methods == []
+
+
+def test_every_refusal_follows_the_base_class_rule():
+    # FreesumError alone takes the diagnostics keywords, so the CLI prints
+    # them for every refusal; every other class is raised somewhere, and the
+    # base is what the callers catch
+    errors_py = ROOT / "src" / "freesum" / "errors.py"
+    tree = ast.parse(errors_py.read_text())
+    constructors = [
+        cls.name
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    assert constructors == ["FreesumError"]
+    raised, caught = set(), set()
+    for path in sorted((ROOT / "src" / "freesum").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    exported, _ = _module_names(tree)
+    assert sorted(set(exported) - raised) == ["FreesumError"]
+    assert "FreesumError" in caught

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from freesum.cli import _jsonable
-from freesum.errors import DomainError, ParameterError
+from freesum.errors import ParameterError
 from freesum.freeentropy import (
     EntropyReport,
     _lag_kernel,
@@ -191,7 +191,7 @@ def test_free_fisher_values():
     )
     assert free_fisher(semicircle(1.0)) == pytest.approx(1.0, abs=1e-3)
     assert free_fisher(semicircle(4.0)) == pytest.approx(0.25, abs=1e-3)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         free_fisher(bernoulli(0.5, -1.0, 1.0))
 
 
@@ -221,5 +221,5 @@ def test_stam_deficit_semicircle_pairs():
 
 
 def test_stam_deficit_rejects_atoms():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         stam_deficit(bernoulli(0.5, -1.0, 1.0), semicircle(1.0, n_cells=CELLS), n_cells=CELLS)

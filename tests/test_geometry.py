@@ -76,8 +76,6 @@ class TestSpecs:
             ThetaSpec.inner_product_leq(bad)
         with pytest.raises(ParameterError):
             ThetaSpec.sum_norm_leq(bad)
-        with pytest.raises(ParameterError):
-            MonteCarloConfig(C=bad)
 
     def test_theta_validation(self):
         with pytest.raises(ParameterError):
@@ -106,10 +104,6 @@ class TestSpecs:
     def test_mc_config_validation(self):
         with pytest.raises(ParameterError):
             MonteCarloConfig(pair_samples=10)
-        with pytest.raises(ParameterError):
-            MonteCarloConfig(c=0.0)
-        with pytest.raises(ParameterError):
-            MonteCarloConfig(C=-1.0)
 
     def test_origin_symmetry(self):
         assert SetSpec.ball(1, 3).origin_symmetric()
@@ -133,7 +127,7 @@ class TestSpecs:
         assert [f.name for f in dataclasses.fields(ThetaSpec)] == ["kind", "c", "bound", "density"]
         # the grid size is derived from the budget, not stored
         names = [f.name for f in dataclasses.fields(MonteCarloConfig)]
-        assert names == ["pair_samples", "seed", "c", "C"]
+        assert names == ["pair_samples", "seed"]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
@@ -620,7 +614,7 @@ class TestClosedFormSums:
             for n in range(2, 65)
             for rho in np.linspace(0.1, 0.9, 9)
         )
-        assert worst >= MonteCarloConfig().c
+        assert worst >= geometry.THEOREM12_C
 
 
 def steiner_volume(radius, half_widths):
@@ -973,13 +967,13 @@ class TestTheoremTwelve:
         assert rep.verdict == "inconclusive"
         assert abs(rep.deficit) <= rep.ci_halfwidth
 
-    def test_sum_norm_gate_via_cap_quadrature(self):
+    def test_sum_norm_gate_via_cap_quadrature(self, monkeypatch):
         # equality-radius sum-norm constraint on balls: the gate fraction
-        # comes from the cap integral, and passes with the larger explicit
-        # gate constant
+        # comes from the cap integral, and passes with a larger gate constant
+        monkeypatch.setattr(geometry, "THEOREM12_C", 0.2)
         rep = check_theorem12(
             SetSpec.ball(1, 5), SetSpec.ball(0.5, 5), ThetaSpec.sum_norm_leq(math.sqrt(1.25)),
-            MonteCarloConfig(pair_samples=1_000_000, seed=5, c=0.2),
+            MonteCarloConfig(pair_samples=1_000_000, seed=5),
         )
         gate = rep.context["gate"]
         assert gate["source"] == "quadrature"
@@ -987,9 +981,10 @@ class TestTheoremTwelve:
         assert 0.80 <= gate["fraction"] <= 0.82
         assert rep.verdict == "holds"
 
-    def test_equal_axis_ellipsoids_get_the_ball_quadrature_gate(self):
+    def test_equal_axis_ellipsoids_get_the_ball_quadrature_gate(self, monkeypatch):
+        monkeypatch.setattr(geometry, "THEOREM12_C", 0.2)
         theta = ThetaSpec.sum_norm_leq(math.sqrt(1.25))
-        cfg = MonteCarloConfig(pair_samples=20_000, seed=5, c=0.2)
+        cfg = MonteCarloConfig(pair_samples=20_000, seed=5)
         balls = check_theorem12(SetSpec.ball(1, 5), SetSpec.ball(0.5, 5), theta, cfg)
         ellipsoids = check_theorem12(
             SetSpec.ellipsoid([1.0] * 5), SetSpec.scaled(SetSpec.ellipsoid([1.0] * 5), 0.5),
@@ -1008,7 +1003,7 @@ class TestTheoremTwelve:
         fraction = geometry._theta_fraction_quadrature(
             SetSpec.ball(1.0, n), SetSpec.ball(rho, n), theta
         )
-        assert MonteCarloConfig().c < (1.0 - fraction) / min(rho * math.sqrt(n), 1.0)
+        assert geometry.THEOREM12_C < (1.0 - fraction) / min(rho * math.sqrt(n), 1.0)
 
     def test_report_serializes(self):
         rep = check_theorem12(

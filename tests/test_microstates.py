@@ -12,7 +12,7 @@ from scipy import integrate
 
 import freesum.microstates as ms
 from freesum.cumulants import cumulants_from_moments, mixed_free_moment, pair_moment_targets
-from freesum.errors import ParameterError, PrecisionError, StepFunctionError
+from freesum.errors import ParameterError, PrecisionError
 from freesum.measure import (
     arcsine,
     bernoulli,
@@ -72,17 +72,17 @@ class TestStepFunctionSpec:
         assert np.all(lo[1:] > hi[:-1])
 
     def test_table_validation(self):
-        with pytest.raises(StepFunctionError):
+        with pytest.raises(ParameterError):
             StepFunctionSpec((0.0, 1.0), (1.0, 1.0))
-        with pytest.raises(StepFunctionError):
+        with pytest.raises(ParameterError):
             StepFunctionSpec((0.0, 0.5), (0.0, 1.0))
-        with pytest.raises(StepFunctionError):
+        with pytest.raises(ParameterError):
             StepFunctionSpec((0.0, 0.5, 0.5, 1.0), (0.0, 0.3, 0.6, 1.0))
-        with pytest.raises(StepFunctionError):
+        with pytest.raises(ParameterError):
             StepFunctionSpec((0.0,), (1.0,))
 
     def test_from_quantiles_rejects_atomic_measures(self):
-        with pytest.raises(StepFunctionError):
+        with pytest.raises(ParameterError):
             StepFunctionSpec.from_quantiles(bernoulli(0.5, -1.0, 1.0))
 
     def test_uniform_profile_moments_are_exact(self):
@@ -98,7 +98,7 @@ class TestStepFunctionSpec:
 
     def test_affine_requires_positive_slope(self):
         # a negative slope reverses the values, which the profile refuses
-        with pytest.raises(StepFunctionError, match="strictly increasing"):
+        with pytest.raises(ParameterError, match="strictly increasing"):
             affine(H_ID, -1.0, 0.0)
         shifted = affine(H_ID, 3.0, -1.0)
         assert shifted.values == (-1.0, 2.0)

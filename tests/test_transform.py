@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freesum.errors import ConvergenceError, DomainError
+from freesum.errors import ConvergenceError, ParameterError
 from freesum.measure import Measure, bernoulli, semicircle
 from freesum.transform import StaircaseTransform, cauchy_transform, r_transform
 
@@ -159,7 +159,7 @@ def test_coefficients_are_edge_jumps():
 
 def test_real_axis_rejected():
     sc = semicircle(1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         cauchy_transform(sc, 1.5)
 
 

@@ -496,7 +496,9 @@ def _run_entropy(params, seed):
 
 # solver diagnostics copied from free_convolve's meta; null when an input is a
 # point mass and the sum is an exact translation, with no solve
-SOLVER_DIAGNOSTICS = ("raw_mass", "eta", "unconverged_points", "worst_residual", "solver_steps")
+SOLVER_DIAGNOSTICS = (
+    "cdf_end_error", "cdf_repair", "eta", "unconverged_points", "worst_residual", "solver_steps"
+)
 
 
 def _solver_diagnostics(meta):

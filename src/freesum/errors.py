@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all freesum modules.
 
 Every refusal carries the numbers behind it as keyword ``diagnostics``
-(a residual, a recovered mass, an effective sample size...), which the
+(a residual, a cdf error, an effective sample size...), which the
 CLI prints beside the message.
 """
 
@@ -32,7 +32,7 @@ class ConvergenceError(FreesumError, RuntimeError):
 
 
 class InversionQualityError(FreesumError, RuntimeError):
-    """Recovered density mass is too far from 1 to trust the inversion."""
+    """A recovered law fails its own check or is one the grid cannot carry."""
 
 
 class DegenerateSampleError(FreesumError, RuntimeError):

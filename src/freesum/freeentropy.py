@@ -167,8 +167,9 @@ def epi_deficit(alpha: Measure, beta: Measure, n_cells: int = N_CELLS) -> Entrop
 def free_fisher(mu: Measure) -> float:
     """Fisher information (4 pi^2 / 3) * integral of density cubed.
 
-    Experimental: the normalization is pinned by the semicircle family,
-    for which the value is 1/variance.
+    The semicircle of variance v gives 1/v; the free de Bruijn identity,
+    d/dt chi(mu boxplus sigma_t) = Phi(mu boxplus sigma_t) / 2, ties it to
+    chi and free_convolve on other laws.
     """
     if mu.atoms:
         raise ParameterError("Fisher information needs an absolutely continuous measure")

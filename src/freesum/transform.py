@@ -1,4 +1,4 @@
-"""Cauchy transform evaluation, the density mass gate, and the R-transform.
+"""Cauchy transform and log potential evaluation, and the R-transform.
 
 The transform of a grid-plus-atoms measure has a closed form.  A constant
 density cell [l, r] of height c contributes c*(Log(z-l) - Log(z-r)) and an
@@ -11,11 +11,12 @@ and
     G'(z) = sum_j dc_j / (z - e_j)  - sum_atoms w / (z - a)^2,
 
 with only the nonzero jumps kept: one log and one reciprocal per edge where
-a jump occurs instead of two of each per cell.
-
-Densities that free convolution recovers on a grid pass one mass gate: the
-raw mass must lie in [0.9, 1.1] before renormalization.  The R-transform's Newton iteration stops at residual
-NEWTON_TOL within NEWTON_MAX_ITER steps.
+a jump occurs instead of two of each per cell.  The log potential
+L(z) = integral of Log(z - t) dmu(t) telescopes the same way, to
+sum_j dc_j (z - e_j) Log(z - e_j) plus a real constant plus
+sum_atoms w Log(z - a), so its imaginary part reuses the logs and angles
+of G.  The R-transform's Newton iteration stops at residual NEWTON_TOL
+within NEWTON_MAX_ITER steps.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .errors import ConvergenceError, InversionQualityError, ParameterError
+from .errors import ConvergenceError, ParameterError
 from .measure import Measure, moment
 
 __all__ = ["cauchy_transform", "r_transform"]
@@ -35,7 +36,7 @@ NEWTON_TOL = 1e-12
 
 
 class StaircaseTransform:
-    """Evaluator for G and G' of a fixed measure at one point off the real axis.
+    """Evaluator for G, G' and Im L of a fixed measure at one point off the axis.
 
     ``coef`` holds the nonzero density jumps dc_j at the grid edges
     ``edge_loc`` (the edge-jump form in the module docstring); ``atom_loc``
@@ -50,15 +51,22 @@ class StaircaseTransform:
       jumps sum to minus the density of the cell holding Re z (the
       Sokhotski-Plemelj jump).
 
-    A call fills the four per-edge rows log(r_j^2 / r_m^2), arctan(y / x_j),
-    x_j / r_j^2 and 1 / r_j^2 of a work array allocated once, in place, and
-    reduces them against the jumps in one einsum: a plain reduction, not a
-    BLAS product, so values do not depend on the BLAS thread count.  The
-    shared buffers make one instance unsafe to call from two threads at
-    once.  Atoms are a scalar loop.  Values in the lower half-plane follow
-    the same closed form, which is the exact Schwarz reflection of the
-    upper-half-plane branch; both are needed when inverting G (the
-    functional inverse lands in the opposite half-plane).
+    With x_j = Re z - e_j and y = Im z, Im L(z) is
+    y sum_j dc_j log|z - e_j| + sum_j dc_j x_j Arg(z - e_j) plus the atoms'
+    w Arg(z - a).  The same split of the angle leaves the per-edge row
+    x_j arctan(y / x_j), and pi sign(y) times the sum of dc_j x_j over the
+    edges right of Re z, which is the density mass right of Re z; that sum
+    comes from a suffix sum of dc_j (e_j - m) made once.
+
+    A call fills the five per-edge rows log(r_j^2 / r_m^2), arctan(y / x_j),
+    x_j / r_j^2, 1 / r_j^2 and x_j arctan(y / x_j) of a work array allocated
+    once, in place, and reduces them against the jumps in one einsum: a
+    plain reduction, not a BLAS product, so values do not depend on the BLAS
+    thread count.  The shared buffers make one instance unsafe to call from
+    two threads at once.  Atoms are a scalar loop.  Values in the lower
+    half-plane follow the same closed form, which is the exact Schwarz
+    reflection of the upper-half-plane branch; both are needed when
+    inverting G (the functional inverse lands in the opposite half-plane).
     """
 
     def __init__(self, mu: Measure):
@@ -72,18 +80,22 @@ class StaircaseTransform:
         self.support = mu.support() if (nz.size or mu.atoms) else (0.0, 0.0)
         self.mean = moment(mu, 1)
         self._mid = 0.5 * (self.support[0] + self.support[1])
-        # density of the cell holding x, indexed by bisect_right(edges, x)
+        # density of the cell holding x and sum of dc_j (e_j - m) over the
+        # edges right of x, both indexed by bisect_right(edges, x)
         self._grid_edges = edges.tolist()
         self._cell_density = [0.0, *mu.density.tolist(), 0.0]
-        self._terms = np.empty((4, nz.size))
+        self._right_moment = [*np.cumsum((jumps * (edges - self._mid))[::-1])[::-1].tolist(), 0.0]
+        self._terms = np.empty((5, nz.size))
         self._x = np.empty(nz.size)
 
     def g(self, z: complex) -> complex:
         return self.g_and_deriv(z)[0]
 
-    def g_and_deriv(self, z: complex) -> tuple[complex, complex]:
+    def g_and_deriv(self, z: complex) -> tuple[complex, complex, float]:
+        """G(z), G'(z) and Im L(z), L the log potential."""
         z = complex(z)
         g = gp = 0j
+        im_l = 0.0
         if self.coef.size:
             # + 0.0 turns Re z = -0.0 into +0.0, so x_j < 0 agrees with bisect
             re, y = z.real + 0.0, z.imag
@@ -98,17 +110,22 @@ class StaircaseTransform:
                 # Arg(z - e_j) - pi sign(y) [x_j < 0], with x_j = 0 giving +-pi/2
                 np.divide(y, x, out=t[1])
             np.arctan(t[1], out=t[1])
+            np.multiply(x, t[1], out=t[4])
             np.reciprocal(t[3], out=t[3])
             np.multiply(x, t[3], out=t[2])  # 1/(z - e) = (x - i y) / |z - e|^2
-            log_abs, angle, re_inv, inv = np.einsum("ij,j->i", t, self.coef).tolist()
-            cell = self._cell_density[bisect_right(self._grid_edges, re)]
-            g = complex(0.5 * log_abs, angle - math.pi * ((y > 0) - (y < 0)) * cell)
+            log_abs, angle, re_inv, inv, x_angle = np.einsum("ij,j->i", t, self.coef).tolist()
+            i = bisect_right(self._grid_edges, re)
+            cell = self._cell_density[i]
+            jump = math.pi * ((y > 0) - (y < 0))
+            g = complex(0.5 * log_abs, angle - jump * cell)
             gp = complex(re_inv, -(y * inv))
+            im_l = 0.5 * y * log_abs + x_angle - jump * (dm * cell + self._right_moment[i])
         for a, w in self._atoms:
             d = z - a
             g += w / d
             gp -= w / (d * d)
-        return g, gp
+            im_l += w * math.atan2(d.imag, d.real)
+        return g, gp, im_l
 
 
 def cauchy_transform(mu: Measure, z: complex) -> complex:
@@ -122,28 +139,6 @@ def cauchy_transform(mu: Measure, z: complex) -> complex:
     if z.imag == 0.0:
         raise ParameterError("z must not be real")
     return StaircaseTransform(mu).g(z)
-
-
-def _renormalized(lo: float, hi: float, density: np.ndarray, meta: dict) -> Measure:
-    """The grid measure on [lo, hi] with ``density`` scaled to mass 1.
-
-    Refuses with InversionQualityError unless the raw mass lies in
-    [0.9, 1.1].  The result's meta holds the raw mass and the factor applied,
-    followed by the entries of ``meta``.
-    """
-    h = (hi - lo) / density.size
-    raw_mass = float(np.sum(density) * h)
-    if not 0.9 <= raw_mass <= 1.1:
-        raise InversionQualityError(
-            f"mass before renormalization is {raw_mass:.6f}, outside [0.9, 1.1]",
-            raw_mass=raw_mass,
-        )
-    return Measure(
-        lo,
-        hi,
-        density / raw_mass,
-        meta={"raw_mass": raw_mass, "renormalization": 1.0 / raw_mass, **meta},
-    )
 
 
 def r_transform(mu: Measure, w: complex) -> complex:
@@ -164,7 +159,7 @@ def r_transform(mu: Measure, w: complex) -> complex:
         if z.imag == 0.0 and s_lo <= z.real <= s_hi:
             # G has its cut here; step off the axis to keep values finite
             z = complex(z.real, 1e-9)
-        gval, gp = ev.g_and_deriv(z)
+        gval, gp, _ = ev.g_and_deriv(z)
         f = gval - w
         resid = abs(f)
         if resid <= NEWTON_TOL:

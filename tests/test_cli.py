@@ -20,6 +20,7 @@ import pytest
 
 import freesum.cli as cli
 from freesum.errors import ConvergenceError, InversionQualityError
+from freesum.freeconv import CDF_TOL
 from freesum.freeentropy import EntropyReport
 from freesum.geometry import CheckReport, VolumeEstimate
 from freesum.measure import moment, semicircle
@@ -406,11 +407,13 @@ class TestValidation:
 
     def test_semantic_error_from_library_exits_1(self, tmp_path, capsys):
         # the schema admits any family parameter; the library rejects a
-        # negative variance
+        # negative variance, and the error line names it
         config = {"command": "entropy", "params": {"mu": {"family": "semicircle",
                                                          "params": [-1.0]}}}
         assert run_cli(tmp_path, config) == 1
-        assert "variance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "variance" in err
 
 
 class TestRunExamples:
@@ -486,13 +489,15 @@ class TestRunExamples:
             assert run_cli(tmp_path, config, name=name) == 0
             diag = last_stdout_json(capsys)["result"]["diagnostics"]
             assert set(diag) == {
-                "raw_mass",
+                "cdf_end_error",
+                "cdf_repair",
                 "eta",
                 "unconverged_points",
                 "worst_residual",
                 "solver_steps",
             }
-            assert 0.9 <= diag["raw_mass"] <= 1.1
+            assert diag["cdf_end_error"] <= CDF_TOL
+            assert diag["cdf_repair"] <= CDF_TOL
             assert diag["eta"] > 0
             assert diag["unconverged_points"] == 0
             assert isinstance(diag["solver_steps"], int) and diag["solver_steps"] > 0
@@ -736,17 +741,11 @@ class TestExitCodes:
         assert run_cli(tmp_path, config) == 2
         assert last_stdout_json(capsys)["verdict"] == "violated"
 
-    def test_library_error_exits_1(self, tmp_path, capsys):
-        config = {"command": "entropy", "params": {"mu": {"family": "uniform",
-                                                         "params": [1.0, 0.0]}}}
-        assert run_cli(tmp_path, config) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
     @pytest.mark.parametrize("error, expected", [
         (ConvergenceError("subordination failed", residual=0.5),
          "error: subordination failed diagnostics={'residual': 0.5}\n"),
-        (InversionQualityError("mass is off", raw_mass=0.8),
-         "error: mass is off diagnostics={'raw_mass': 0.8}\n"),
+        (InversionQualityError("read cdf is off", cdf_end_error=0.5),
+         "error: read cdf is off diagnostics={'cdf_end_error': 0.5}\n"),
     ], ids=["convergence", "inversion-quality"])
     def test_every_refusal_prints_its_diagnostics(self, tmp_path, monkeypatch, capsys,
                                                   error, expected):
@@ -774,7 +773,7 @@ class TestOutputFormats:
 
     def test_dataclasses_are_written_by_their_fields(self):
         # fields declared repr=False are diagnostics and stay out of the record
-        mu = dataclasses.replace(semicircle(1.0, n_cells=16), meta={"raw_mass": 1.0})
+        mu = dataclasses.replace(semicircle(1.0, n_cells=16), meta={"cdf_end_error": 0.0})
         assert cli._jsonable(mu) == {
             "grid_lo": mu.grid_lo,
             "grid_hi": mu.grid_hi,

@@ -35,8 +35,8 @@ def test_atomic_cauchy_exact():
 
 def g_and_deriv_at(ev, zs):
     """G and G' at each point of zs, as two arrays."""
-    pairs = [ev.g_and_deriv(z) for z in zs]
-    return np.array([g for g, _ in pairs]), np.array([gp for _, gp in pairs])
+    values = [ev.g_and_deriv(z) for z in zs]
+    return np.array([v[0] for v in values]), np.array([v[1] for v in values])
 
 
 def g_at(ev, zs):
@@ -132,6 +132,29 @@ def test_edge_jump_form_matches_per_cell_form(mu, points):
     g_conj, gp_conj = g_and_deriv_at(ev, np.conj(z))
     assert np.array_equal(g_conj, np.conj(g))
     assert np.array_equal(gp_conj, np.conj(gp))
+
+
+def per_cell_im_potential(mu, z):
+    """Reference Im L: c * Im(Phi(z - l) - Phi(z - r)), Phi(u) = u Log u - u, per cell."""
+    edges = mu.edges()
+    nz = np.nonzero(mu.density)[0]
+    phi = lambda u: u * np.log(u) - u  # noqa: E731
+    value = np.sum(mu.density[nz] * (phi(z - edges[nz]) - phi(z - edges[nz + 1])))
+    value += sum(w * np.log(z - loc) for loc, w in mu.atoms)
+    return value.imag
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(staircase_measures(), off_axis_points)
+def test_im_potential_matches_per_cell_form(mu, points):
+    ev = StaircaseTransform(mu)
+    for z in points:
+        im_l = ev.g_and_deriv(z)[2]
+        assert abs(im_l - per_cell_im_potential(mu, z)) <= 1e-12 * (1.0 + abs(z))
+        # Im L(x + iy) / pi -> mass right of x as y -> 0+, off the atoms
+        if all(abs(z.real - loc) > 1e-3 for loc, _ in mu.atoms):
+            right = 1.0 - float(mu.cdf(z.real))
+            assert abs(ev.g_and_deriv(complex(z.real, 1e-12))[2] / math.pi - right) <= 1e-6
 
 
 def test_one_call_allocates_less_than_one_edge_array():

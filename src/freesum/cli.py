@@ -1,4 +1,4 @@
-"""Seeded experiment driver: JSON configs in, reproducible JSON/CSV out.
+"""Seeded experiment driver: JSON configs in, reproducible JSON out.
 
 Every command maps onto one library operation.  Configs are validated
 against per-command schemas before anything runs; outputs echo the fully
@@ -10,11 +10,7 @@ to rerun the experiment.  Exit codes encode verdicts: 0 holds/success,
 from __future__ import annotations
 
 import argparse
-import copy
-import csv
 import dataclasses
-import io
-import itertools
 import json
 import math
 import re
@@ -65,8 +61,6 @@ STOCHASTIC_COMMANDS = frozenset(
         "microstates-sum",
     )
 )
-
-MAX_SWEEP_COMBINATIONS = 10_000
 
 _EXIT_BY_VERDICT = {None: 0, "holds": 0, "violated": 2, "inconclusive": 3}
 
@@ -392,10 +386,6 @@ def _first_error(schema: dict, instance):
     return min(errors, key=lambda e: list(e.absolute_path), default=None)
 
 
-def _params_error(command: str, params: dict):
-    return _first_error({"$defs": _DEFS, **_PARAM_SCHEMAS[command]}, params)
-
-
 def _error_path(err) -> list:
     """Keys leading to a schema error; an unexpected key ends its own path.
 
@@ -415,15 +405,10 @@ def _validate(config: dict, raw: str, path: str) -> None:
         line = _line_of_path(raw, _error_path(err) or ["command"])
         raise ConfigError(f"{path}:{line}: {err.message}")
     command = config["command"]
-    err = _params_error(command, config["params"])
+    err = _first_error({"$defs": _DEFS, **_PARAM_SCHEMAS[command]}, config["params"])
     if err is not None:
         line = _line_of_path(raw, ["params", *_error_path(err)])
         raise ConfigError(f"{path}:{line}: params: {err.message}")
-    if "sweep" in config and config.get("format") == "json":
-        raise ConfigError(
-            f"{path}:{_line_of_path(raw, ['format'])}: "
-            "sweep output is one CSV row per combination; format must be csv or omitted"
-        )
     exact_mode = command == "minkowski" and _minkowski_mode(config["params"]) == "exact"
     if command in STOCHASTIC_COMMANDS and not exact_mode and "seed" not in config:
         raise ConfigError(
@@ -662,12 +647,6 @@ _TOP_SCHEMA = {
         "params": {"type": "object"},
         "seed": {"type": "integer"},
         "output": {"type": "string"},
-        "format": {"enum": ["json", "csv"]},
-        "sweep": {
-            "type": "object",
-            "minProperties": 1,
-            "additionalProperties": {"type": "array", "minItems": 1},
-        },
     },
     "additionalProperties": False,
 }
@@ -746,49 +725,7 @@ def render_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _flatten(obj, prefix: str = "") -> dict:
-    out = {}
-    if isinstance(obj, dict):
-        for k, v in sorted(obj.items()):
-            out.update(_flatten(v, f"{prefix}{k}."))
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            out.update(_flatten(v, f"{prefix}{i}."))
-    else:
-        out[prefix[:-1]] = obj
-    return out
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value)
-    return str(value)
-
-
-def render_csv(rows: list[dict], columns: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
-    return buf.getvalue()
-
-
 # -- driver --------------------------------------------------------------------------
-
-
-def _set_dotted(params: dict, path: str, value) -> None:
-    keys = path.split(".")
-    node = params
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ParameterError(f"sweep path {path!r} crosses a non-object")
-    node[keys[-1]] = value
 
 
 def run_command(command: str, params: dict, seed: int):
@@ -797,8 +734,12 @@ def run_command(command: str, params: dict, seed: int):
     return _jsonable(result), verdict, _jsonable(resolved)
 
 
-def _document(config: dict, seed: int, result, verdict, resolved) -> dict:
-    return {
+def run(config: dict, raw: str = "", path: str = "<config>") -> tuple[str, int, str | None]:
+    """Validate and execute a config; returns (text, exit_code, output_path)."""
+    _validate(config, raw, path)
+    seed = config.get("seed", 0)
+    result, verdict, resolved = run_command(config["command"], config["params"], seed)
+    doc = {
         "command": config["command"],
         "params": _jsonable(config["params"]),
         "resolved": resolved,
@@ -806,69 +747,7 @@ def _document(config: dict, seed: int, result, verdict, resolved) -> dict:
         "seed": seed,
         "verdict": verdict,
     }
-
-
-def _run_single(config: dict, seed: int, fmt: str):
-    result, verdict, resolved = run_command(config["command"], config["params"], seed)
-    doc = _document(config, seed, result, verdict, resolved)
-    if fmt == "csv":
-        flat = _flatten(doc)
-        columns = list(flat)
-        text = render_csv([flat], columns)
-    else:
-        text = render_json(doc) + "\n"
-    return text, _EXIT_BY_VERDICT[verdict]
-
-
-def _run_sweep(config: dict, seed: int):
-    sweep = config["sweep"]
-    keys = sorted(sweep)
-    total = math.prod(len(sweep[k]) for k in keys)
-    if total > MAX_SWEEP_COMBINATIONS:
-        raise ConfigError(
-            f"sweep grid has {total} combinations; limit is {MAX_SWEEP_COMBINATIONS}"
-        )
-    rows = []
-    result_columns: list[str] = []
-    seen = set()
-    for combo in itertools.product(*(sweep[k] for k in keys)):
-        params = copy.deepcopy(config["params"])
-        for key, value in zip(keys, combo):
-            _set_dotted(params, key, value)
-        row = {key: value for key, value in zip(keys, combo)}
-        try:
-            # a swept value is checked like a config value before it runs
-            err = _params_error(config["command"], params)
-            if err is not None:
-                where = ".".join(["params", *map(str, err.absolute_path)])
-                raise ConfigError(f"{where}: {err.message}")
-            result, verdict, _ = run_command(config["command"], params, seed)
-            flat = _flatten(result)
-            for col in flat:
-                if col not in seen:
-                    seen.add(col)
-                    result_columns.append(col)
-            row.update(flat)
-            row["verdict"] = verdict or ""
-            row["error"] = ""
-        except FreesumError as err:
-            row["verdict"] = ""
-            row["error"] = str(err)
-        rows.append(row)
-    columns = keys + sorted(result_columns) + ["verdict", "error"]
-    return render_csv(rows, columns), 0
-
-
-def run(config: dict, raw: str = "", path: str = "<config>") -> tuple[str, int, str | None]:
-    """Validate and execute a config; returns (text, exit_code, output_path)."""
-    _validate(config, raw, path)
-    seed = config.get("seed", 0)
-    fmt = config.get("format", "json")
-    if "sweep" in config:
-        text, code = _run_sweep(config, seed)
-    else:
-        text, code = _run_single(config, seed, fmt)
-    return text, code, config.get("output")
+    return render_json(doc) + "\n", _EXIT_BY_VERDICT[verdict], config.get("output")
 
 
 def main(argv=None) -> int:
@@ -879,7 +758,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--output", help="override the config output path")
-    parser.add_argument("--format", choices=("json", "csv"), help="override output format")
     try:
         args = parser.parse_args(argv)
     except SystemExit as stop:
@@ -900,11 +778,7 @@ def main(argv=None) -> int:
     if not isinstance(config, dict):
         print(f"error: {args.config}:1: config must be a JSON object", file=sys.stderr)
         return 1
-    for key, value in (
-        ("seed", args.seed),
-        ("output", args.output),
-        ("format", args.format),
-    ):
+    for key, value in (("seed", args.seed), ("output", args.output)):
         if value is not None:
             config[key] = value
     try:

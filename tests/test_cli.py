@@ -6,9 +6,7 @@ Expected numbers quoted here were pinned from seeded runs of the same
 configs.
 """
 
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -19,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import freesum.cli as cli
+import freesum.geometry as geometry
 from freesum.errors import ConvergenceError, InversionQualityError
 from freesum.freeconv import CDF_TOL
 from freesum.freeentropy import EntropyReport
@@ -46,10 +45,6 @@ def run_cli(tmp_path, config, *extra, name="config.json"):
 def last_stdout_json(capsys):
     out = capsys.readouterr().out
     return json.loads(out)
-
-
-def read_csv_text(text):
-    return list(csv.DictReader(io.StringIO(text)))
 
 
 class TestValidation:
@@ -285,25 +280,6 @@ class TestValidation:
         config = {"command": "minkowski", "params": {"example": "ball", "rho": 0.7, "n": 4}}
         assert run_cli(tmp_path, config) == 0
 
-    def test_sweep_rejects_json_format(self, tmp_path, capsys):
-        config = {
-            "command": "lemma13",
-            "format": "json",
-            "params": {"rho": 0.1, "n": 8},
-            "sweep": {"n": [8]},
-        }
-        assert run_cli(tmp_path, config) == 1
-        assert "format must be csv" in capsys.readouterr().err
-
-    def test_sweep_combination_cap(self, tmp_path, capsys):
-        config = {
-            "command": "lemma13",
-            "params": {"rho": 0.1, "n": 8},
-            "sweep": {"rho": [0.001 * i + 0.001 for i in range(101)], "n": list(range(2, 103))},
-        }
-        assert run_cli(tmp_path, config) == 1
-        assert "10201" in capsys.readouterr().err
-
     def test_json_syntax_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text('{\n  "command": "epi",\n  params: {}\n}\n')
@@ -356,6 +332,23 @@ class TestValidation:
         assert err.startswith(f"error: {path}:3:")
         assert "'threads' was unexpected" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("sweep", '{"n": [2, 8]}'),
+        ("format", '"csv"'),
+    ])
+    def test_removed_output_keys_rejected_at_their_line(self, tmp_path, capsys, key, value):
+        # a result is one JSON document; no key asks for a grid or another format
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{\n  "command": "lemma13",\n  "params": {"rho": 0.1, "n": 8},\n'
+            f'  "{key}": {value}\n}}\n'
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:4:")
+        assert f"'{key}' was unexpected" in captured.err
+
     def test_grid_takes_only_n_cells(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(
@@ -379,7 +372,7 @@ class TestValidation:
     @pytest.mark.parametrize("extra", [
         ["--threads", "4"],
         ["--seed", "abc"],
-        ["--format", "xml"],
+        ["--format", "csv"],
         None,
     ], ids=["threads-flag", "bad-seed", "bad-format", "no-config"])
     def test_usage_errors_exit_1(self, tmp_path, capsys, extra):
@@ -733,13 +726,31 @@ class TestExitCodes:
         assert cli._EXIT_BY_VERDICT["inconclusive"] == 3
 
     def test_violated_verdict_exits_2(self, tmp_path, monkeypatch, capsys):
-        def fake(params, seed):
-            return {"value": 1.0}, "violated", {}
+        """A real theorem12 run with its constant forced to 100.
 
-        monkeypatch.setitem(cli._HANDLERS, "lemma13", fake)
-        config = {"command": "lemma13", "params": {"rho": 0.1, "n": 8}}
+        The gate's threshold 1 - c * min(rho sqrt(n), 1) then drops below 0,
+        which switches off the theorem's near-full-Theta hypothesis; that is
+        the only honest way to reach "violated". At the real constant the
+        gate fails and the run exits 3.
+        """
+        monkeypatch.setattr(geometry, "THEOREM12_C", 100.0)
+        config = {
+            "command": "theorem12",
+            "seed": 7,
+            "params": {
+                "a": {"kind": "ball", "radius": 1.0, "dim": 2},
+                "b": {"kind": "ball", "radius": 0.8, "dim": 2},
+                "theta": {"kind": "inner_product_leq", "c": -0.2},
+                "mc": {"pair_samples": 20000},
+            },
+        }
         assert run_cli(tmp_path, config) == 2
-        assert last_stdout_json(capsys)["verdict"] == "violated"
+        doc = last_stdout_json(capsys)
+        assert doc["verdict"] == "violated"
+        report = doc["result"]["report"]
+        assert report["context"]["gate"]["passed"] is True
+        assert report["deficit"] == pytest.approx(-1.2566, abs=1e-4)
+        assert report["deficit"] + report["ci_halfwidth"] < 0
 
     @pytest.mark.parametrize("error, expected", [
         (ConvergenceError("subordination failed", residual=0.5),
@@ -843,148 +854,6 @@ class TestOutputFormats:
         assert set(sidecar) == {"config_path", "created_utc", "elapsed_seconds"}
         assert "created" not in (tmp_path / "out.json").read_text()
 
-    def test_single_run_csv_has_flat_columns_and_crlf(self, tmp_path, capsys):
-        config = {"command": "lemma13", "format": "csv", "params": {"rho": 0.1, "n": 8}}
-        assert run_cli(tmp_path, config) == 0
-        raw = capsys.readouterr().out
-        assert "\r\n" in raw
-        rows = read_csv_text(raw)
-        assert len(rows) == 1
-        assert float(rows[0]["result.c1_estimate"]) > 0.05
-        assert rows[0]["verdict"] == "holds"
-
-    def test_csv_renders_minus_infinity_token(self, tmp_path, capsys):
-        config = {
-            "command": "entropy",
-            "format": "csv",
-            "params": {"mu": {"family": "point_mass", "params": [0.3]}},
-        }
-        assert run_cli(tmp_path, config) == 0
-        rows = read_csv_text(capsys.readouterr().out)
-        assert rows[0]["result.chi"] == "-Infinity"
-        assert rows[0]["result.degenerate"] == "true"
-
-    def test_csv_quotes_fields_with_commas(self, tmp_path, capsys):
-        config = {
-            "command": "entropy",
-            "params": {"mu": {"family": "uniform", "params": [0.0, 1.0]}},
-            "sweep": {"mu.params": [[0.0, 1.0], [1.0, 0.0]]},
-        }
-        # reversed ends pass the schema, and the library's message has a comma
-        assert run_cli(tmp_path, config) == 0
-        raw = capsys.readouterr().out
-        assert '"need lo < hi, got [1.0, 0.0]"' in raw
-
-
-class TestSweep:
-    def test_theta_fraction_sweep_monotone_in_k(self, tmp_path, capsys):
-        config = {
-            "command": "microstates-theta",
-            "seed": 29,
-            "params": {
-                "h1": SC_PROFILE,
-                "h2": SC_PROFILE,
-                "k": 32,
-                "max_len": 3,
-                "eps": 0.1,
-                "trials": 100,
-            },
-            "sweep": {"k": [32, 64]},
-        }
-        assert run_cli(tmp_path, config) == 0
-        rows = read_csv_text(capsys.readouterr().out)
-        assert [row["k"] for row in rows] == ["32", "64"]
-        fractions = [float(row["fraction"]) for row in rows]
-        assert fractions[0] < fractions[1]
-        assert fractions[1] == 1.0
-
-    def test_lemma13_dimension_sweep_all_positive(self, tmp_path, capsys):
-        config = {
-            "command": "lemma13",
-            "params": {"rho": 0.1, "n": 2},
-            "sweep": {"n": [2, 8, 32, 128]},
-        }
-        assert run_cli(tmp_path, config) == 0
-        rows = read_csv_text(capsys.readouterr().out)
-        assert len(rows) == 4
-        for row in rows:
-            assert float(row["c1_estimate"]) > 0.05
-            assert row["verdict"] == "holds"
-            assert row["error"] == ""
-
-    def test_one_point_sweep_matches_plain_run(self, tmp_path, capsys):
-        params = {"rho": 0.1, "n": 8}
-        run_cli(tmp_path, {"command": "lemma13", "format": "csv", "params": params}, name="a.json")
-        single = read_csv_text(capsys.readouterr().out)[0]
-        run_cli(
-            tmp_path,
-            {"command": "lemma13", "params": params, "sweep": {"n": [8]}},
-            name="b.json",
-        )
-        swept = read_csv_text(capsys.readouterr().out)[0]
-        assert single["result.c1_estimate"] == swept["c1_estimate"]
-        assert single["result.report.deficit"] == swept["report.deficit"]
-
-    def test_sweep_records_row_errors_and_continues(self, tmp_path, capsys):
-        config = {
-            "command": "lemma13",
-            "params": {"rho": 0.1, "n": 8},
-            "sweep": {"rho": [0.1, -1.0, 0.2]},
-        }
-        assert run_cli(tmp_path, config) == 0
-        rows = read_csv_text(capsys.readouterr().out)
-        assert rows[0]["error"] == "" and rows[2]["error"] == ""
-        assert "rho" in rows[1]["error"]
-        assert rows[1]["c1_estimate"] == ""
-        assert float(rows[2]["c1_estimate"]) > 0
-
-    def test_swept_values_are_schema_checked(self, tmp_path, capsys):
-        # a swept kind that lacks its fields is a row error, not a crash
-        config = {
-            "command": "minkowski",
-            "seed": 3,
-            "params": {
-                "a": {"kind": "ball", "radius": 1.0, "dim": 2},
-                "b": {"kind": "ball", "radius": 0.5, "dim": 2},
-                "theta": {"kind": "full"},
-            },
-            "sweep": {"theta.kind": ["full", "inner_product_leq"]},
-        }
-        assert run_cli(tmp_path, config) == 0
-        rows = read_csv_text(capsys.readouterr().out)
-        assert rows[0]["error"] == ""
-        assert rows[1]["error"] == "params.theta: 'c' is a required property"
-
-    def test_two_key_sweep_row_order_is_lexicographic(self, tmp_path, capsys):
-        config = {
-            "command": "lemma13",
-            "params": {"rho": 0.1, "n": 8},
-            "sweep": {"rho": [0.1, 0.2], "n": [2, 4]},
-        }
-        assert run_cli(tmp_path, config) == 0
-        rows = read_csv_text(capsys.readouterr().out)
-        combos = [(row["n"], row["rho"]) for row in rows]
-        # keys sort as (n, rho); rows follow product order over listed values
-        assert combos == [
-            ("2", "0.10000000000000001"),
-            ("2", "0.20000000000000001"),
-            ("4", "0.10000000000000001"),
-            ("4", "0.20000000000000001"),
-        ]
-        assert list(rows[0])[:2] == ["n", "rho"]
-        assert list(rows[0])[-2:] == ["verdict", "error"]
-
-    def test_sweep_seed_echo_not_present_in_rows(self, tmp_path, capsys):
-        config = {
-            "command": "lemma13",
-            "params": {"rho": 0.1, "n": 8},
-            "sweep": {"n": [8, 16]},
-        }
-        assert run_cli(tmp_path, config) == 0
-        rows = read_csv_text(capsys.readouterr().out)
-        assert "command" not in rows[0]
-
-
 class TestOverrides:
     def base_config(self):
         return {
@@ -1005,12 +874,6 @@ class TestOverrides:
         other = last_stdout_json(capsys)
         assert other["seed"] == 123
         assert other["result"] != base["result"]
-
-    def test_format_flag_switches_to_csv(self, tmp_path, capsys):
-        config = {"command": "lemma13", "params": {"rho": 0.1, "n": 8}}
-        assert run_cli(tmp_path, config, "--format", "csv") == 0
-        raw = capsys.readouterr().out
-        assert raw.startswith("command,")
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         config = {"command": "lemma13", "params": {"rho": 0.1, "n": 8}}

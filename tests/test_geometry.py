@@ -482,31 +482,9 @@ class TestClosedFormSums:
         assert sv.method == "mc_hit_or_miss"
         assert sv.samples == FAST.pair_samples // 40
         [args] = calls
-        states = []
-        membership = geometry._sumset_membership
-
-        def recorded(*args):
-            state, witness = membership(*args)
-            states.append(state)
-            return state, witness
-
-        monkeypatch.setattr(geometry, "_sumset_membership", recorded)
         estimate, undecided = certified(*args)
         assert estimate == sv
-        if a.dim < 6:
-            assert undecided == 0
-            return
-        # at n = 6 the barrier can stall on a point just outside A + B
-        # (TestStalledPoints): such a point counts as outside and widens the
-        # stderr by box volume / points
-        state = np.concatenate(states)
-        assert undecided == np.count_nonzero(state == 0) <= 1e-3 * sv.samples
-        (lo_a, hi_a), (lo_b, hi_b) = a.bounding_box(), b.bounding_box()
-        box_vol = float(np.prod((hi_a + hi_b) - (lo_a + lo_b)))
-        p = np.count_nonzero(state == 1) / sv.samples
-        assert sv.value == box_vol * p
-        binomial = math.sqrt(p * (1.0 - p) / sv.samples)
-        assert sv.stderr == pytest.approx(box_vol * (binomial + undecided / sv.samples), rel=1e-12)
+        assert undecided == 0
 
     @pytest.mark.parametrize("a, b", [
         (SetSpec.ball(1.0, 1), SetSpec.ball(0.5, 1)),

@@ -456,6 +456,15 @@ class TestThetaFraction:
         assert fracs == sorted(fracs)
         assert fracs[-1] > fracs[0]
 
+    def test_rises_with_k(self):
+        # larger matrices track the semicircle moments closer, so more
+        # pairs land in Theta
+        fracs = [
+            theta_fraction(H_SC, H_SC, k, 3, 0.1, trials=100, seed=29).fraction
+            for k in (32, 64)
+        ]
+        assert fracs[0] < fracs[1] == 1.0
+
     def test_one_rotation_matches_two_rotation_law(self):
         # the trials draw (Lam1, V Lam2 V*); two independent Haar bases give
         # the same law, so the pass fractions agree within sampling error.

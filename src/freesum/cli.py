@@ -1,10 +1,13 @@
 """Seeded experiment driver: JSON configs in, reproducible JSON out.
 
 Every command maps onto one library operation.  Configs are validated
-against per-command schemas before anything runs; outputs echo the fully
-resolved configuration (defaults included) so a result file alone suffices
-to rerun the experiment.  Exit codes encode verdicts: 0 holds/success,
-2 violated, 3 inconclusive, 1 any error (usage errors too).
+against per-command schemas before anything runs, by ``_schema_errors``, a
+walker over the few JSON Schema keywords the schemas use plus one of their
+own, ``byMode``; it words each refusal as jsonschema would, so the package
+needs numpy alone.  Outputs echo the fully resolved configuration (defaults
+included) so a result file alone suffices to rerun the experiment.  Exit
+codes encode verdicts: 0 holds/success, 2 violated, 3 inconclusive, 1 any
+error (usage errors too).
 """
 
 from __future__ import annotations
@@ -13,13 +16,13 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import re
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import FreesumError, ParameterError
@@ -67,24 +70,32 @@ _EXIT_BY_VERDICT = {None: 0, "holds": 0, "violated": 2, "inconclusive": 3}
 
 # -- schemas -------------------------------------------------------------------
 
-_MEASURE_DEF = {
-    "type": "object",
-    "required": ["family"],
-    "properties": {
-        "family": {
-            "enum": [
-                "arcsine",
-                "bernoulli",
-                "free_poisson",
-                "point_mass",
-                "semicircle",
-                "uniform",
-            ]
-        },
-        "params": {"type": "array", "items": {"type": "number"}},
-    },
-    "additionalProperties": False,
-}
+
+def _object(required=(), by_mode=None, **properties):
+    """A closed object schema: the keys in ``properties`` and no other.
+
+    ``by_mode`` is (mode_of, fields): ``fields[mode_of(obj)]`` names the
+    (required, optional) keys of the object's mode, and the object holds
+    those, a kind besides, and no other.
+    """
+    schema = {
+        "type": "object",
+        "required": list(required),
+        "properties": properties,
+        "additionalProperties": False,
+    }
+    if by_mode is not None:
+        schema["byMode"] = by_mode
+    return schema
+
+
+_MEASURE = {"$ref": "#/$defs/measure"}
+_SET = {"$ref": "#/$defs/set"}
+_THETA = {"$ref": "#/$defs/theta"}
+_PROFILE = {"$ref": "#/$defs/profile"}
+_MC = {"$ref": "#/$defs/mc"}
+_GRID = {"$ref": "#/$defs/grid"}
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
 
 # fields each mode of an object reads, as (required, optional)
 _SET_FIELDS = {
@@ -123,225 +134,116 @@ def _profile_mode(spec: dict) -> str:
     return "quantiles" if "quantiles_of" in spec else "table"
 
 
-def _check_by_mode(validator, by_mode, instance, schema):
-    # keyword "byMode": (mode_of, fields); an object carries every field its
-    # mode reads, a kind besides, and no other
-    mode_of, fields = by_mode
-    mode = mode_of(instance) if isinstance(instance, dict) else None
-    if not isinstance(mode, str) or mode not in fields:
-        return
-    required, optional = fields[mode]
-    for name in required:
-        if name not in instance:
-            yield jsonschema.ValidationError(f"{name!r} is a required property")
-    allowed = {"kind", *required, *optional}
-    extra = [key for key in instance if key not in allowed]
-    if extra:
-        names = ", ".join(map(repr, sorted(extra)))
-        verb = "was" if len(extra) == 1 else "were"
-        # the error sits at the first unexpected key, so its line is reported
-        yield jsonschema.ValidationError(
-            f"Additional properties are not allowed ({names} {verb} unexpected)",
-            path=[extra[0]],
-        )
-
-
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, {"byMode": _check_by_mode}
-)
-
-
-_SET_DEF = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(_SET_FIELDS)},
-        "radius": {"type": "number", "exclusiveMinimum": 0},
-        "dim": {"type": "integer", "minimum": 1},
-        "center": {"type": "array", "items": {"type": "number"}},
-        "half_widths": {"type": "array", "items": {"type": "number"}},
-        "semi_axes": {"type": "array", "items": {"type": "number"}},
-        "parts": {"type": "array", "items": {"$ref": "#/$defs/set"}, "minItems": 1},
-        "base": {"$ref": "#/$defs/set"},
-        "factor": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
-    "byMode": (_kind, _SET_FIELDS),
-}
-
-_THETA_DEF = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(_THETA_FIELDS)},
-        "c": {"type": "number"},
-        "bound": {"type": "number"},
-        "density": {"type": "number"},
-    },
-    "additionalProperties": False,
-    "byMode": (_kind, _THETA_FIELDS),
-}
-
-_PROFILE_DEF = {
-    "type": "object",
-    "properties": {
-        "quantiles_of": {"$ref": "#/$defs/measure"},
-        "n_nodes": {"type": "integer", "minimum": 2},
-        "nodes": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-        "values": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-    },
-    "additionalProperties": False,
-    "byMode": (_profile_mode, _PROFILE_FIELDS),
-}
-
-_MC_DEF = {
-    "type": "object",
-    "properties": {
-        "pair_samples": {"type": "integer", "minimum": 1000},
-    },
-    "additionalProperties": False,
-}
-
-_GRID_DEF = {
-    "type": "object",
-    "properties": {
-        "n_cells": {"type": "integer", "minimum": 2},
-    },
-    "additionalProperties": False,
-}
-
 _DEFS = {
-    "measure": _MEASURE_DEF,
-    "set": _SET_DEF,
-    "theta": _THETA_DEF,
-    "profile": _PROFILE_DEF,
-    "mc": _MC_DEF,
-    "grid": _GRID_DEF,
+    "measure": _object(
+        ["family"],
+        family={
+            "enum": [
+                "arcsine",
+                "bernoulli",
+                "free_poisson",
+                "point_mass",
+                "semicircle",
+                "uniform",
+            ]
+        },
+        params=_NUMBERS,
+    ),
+    "set": _object(
+        ["kind"],
+        by_mode=(_kind, _SET_FIELDS),
+        kind={"enum": list(_SET_FIELDS)},
+        radius={"type": "number", "exclusiveMinimum": 0},
+        dim={"type": "integer", "minimum": 1},
+        center=_NUMBERS,
+        half_widths=_NUMBERS,
+        semi_axes=_NUMBERS,
+        parts={"type": "array", "items": _SET, "minItems": 1},
+        base=_SET,
+        factor={"type": "number", "exclusiveMinimum": 0},
+    ),
+    "theta": _object(
+        ["kind"],
+        by_mode=(_kind, _THETA_FIELDS),
+        kind={"enum": list(_THETA_FIELDS)},
+        c={"type": "number"},
+        bound={"type": "number"},
+        density={"type": "number"},
+    ),
+    "profile": _object(
+        by_mode=(_profile_mode, _PROFILE_FIELDS),
+        quantiles_of=_MEASURE,
+        n_nodes={"type": "integer", "minimum": 2},
+        nodes={**_NUMBERS, "minItems": 2},
+        values={**_NUMBERS, "minItems": 2},
+    ),
+    "mc": _object(pair_samples={"type": "integer", "minimum": 1000}),
+    "grid": _object(n_cells={"type": "integer", "minimum": 2}),
 }
-
-
-def _two_measures(*extra_required, **extra_props):
-    schema = {
-        "type": "object",
-        "required": ["alpha", "beta", *extra_required],
-        "properties": {
-            "alpha": {"$ref": "#/$defs/measure"},
-            "beta": {"$ref": "#/$defs/measure"},
-            **extra_props,
-        },
-        "additionalProperties": False,
-    }
-    return schema
-
-
-def _pair_sets(*extra_required, **extra_props):
-    return {
-        "type": "object",
-        "required": ["a", "b", "theta", *extra_required],
-        "properties": {
-            "a": {"$ref": "#/$defs/set"},
-            "b": {"$ref": "#/$defs/set"},
-            "theta": {"$ref": "#/$defs/theta"},
-            "mc": {"$ref": "#/$defs/mc"},
-            **extra_props,
-        },
-        "additionalProperties": False,
-    }
-
 
 _PARAM_SCHEMAS = {
-    "entropy": {
-        "type": "object",
-        "required": ["mu"],
-        "properties": {"mu": {"$ref": "#/$defs/measure"}, "grid": {"$ref": "#/$defs/grid"}},
-        "additionalProperties": False,
-    },
-    "freeconv": _two_measures(grid={"$ref": "#/$defs/grid"}),
-    "epi": _two_measures(grid={"$ref": "#/$defs/grid"}),
-    "stam": _two_measures(grid={"$ref": "#/$defs/grid"}),
-    "lemma13": {
-        "type": "object",
-        "required": ["n", "rho"],
-        "properties": {
-            "n": {"type": "integer", "minimum": 2},
-            "rho": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        },
-        "additionalProperties": False,
-    },
-    "minkowski": {
-        "type": "object",
-        "properties": {
-            "example": {"const": "ball"},
-            "rho": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "n": {"type": "integer", "minimum": 2},
-            "a": {"$ref": "#/$defs/set"},
-            "b": {"$ref": "#/$defs/set"},
-            "theta": {"$ref": "#/$defs/theta"},
-            "mc": {"$ref": "#/$defs/mc"},
-        },
-        "additionalProperties": False,
-        "byMode": (_minkowski_mode, _MINKOWSKI_FIELDS),
-    },
-    "theorem12": _pair_sets(),
-    "corollary15": _pair_sets(
-        "delta", delta={"type": "number", "minimum": 0, "maximum": 0.5}
+    "entropy": _object(["mu"], mu=_MEASURE, grid=_GRID),
+    "freeconv": _object(["alpha", "beta"], alpha=_MEASURE, beta=_MEASURE, grid=_GRID),
+    "epi": _object(["alpha", "beta"], alpha=_MEASURE, beta=_MEASURE, grid=_GRID),
+    "stam": _object(["alpha", "beta"], alpha=_MEASURE, beta=_MEASURE, grid=_GRID),
+    "lemma13": _object(
+        ["n", "rho"],
+        n={"type": "integer", "minimum": 2},
+        rho={"type": "number", "exclusiveMinimum": 0, "maximum": 1},
     ),
-    "bll": {
-        "type": "object",
-        "required": ["a", "b", "c_set"],
-        "properties": {
-            "a": {"$ref": "#/$defs/set"},
-            "b": {"$ref": "#/$defs/set"},
-            "c_set": {"$ref": "#/$defs/set"},
-            "mc": {"$ref": "#/$defs/mc"},
-        },
-        "additionalProperties": False,
-    },
-    "microstates-spectrum": _two_measures(
-        "k",
+    "minkowski": _object(
+        by_mode=(_minkowski_mode, _MINKOWSKI_FIELDS),
+        example={"const": "ball"},
+        rho={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+        n={"type": "integer", "minimum": 2},
+        a=_SET,
+        b=_SET,
+        theta=_THETA,
+        mc=_MC,
+    ),
+    "theorem12": _object(["a", "b", "theta"], a=_SET, b=_SET, theta=_THETA, mc=_MC),
+    "corollary15": _object(
+        ["a", "b", "theta", "delta"],
+        a=_SET,
+        b=_SET,
+        theta=_THETA,
+        mc=_MC,
+        delta={"type": "number", "minimum": 0, "maximum": 0.5},
+    ),
+    "bll": _object(["a", "b", "c_set"], a=_SET, b=_SET, c_set=_SET, mc=_MC),
+    "microstates-spectrum": _object(
+        ["alpha", "beta", "k"],
+        alpha=_MEASURE,
+        beta=_MEASURE,
         k={"type": "integer", "minimum": 32},
-        reference={"$ref": "#/$defs/measure"},
+        reference=_MEASURE,
     ),
-    "microstates-theta": {
-        "type": "object",
-        "required": ["h1", "h2", "k", "max_len", "eps", "trials"],
-        "properties": {
-            "h1": {"$ref": "#/$defs/profile"},
-            "h2": {"$ref": "#/$defs/profile"},
-            "k": {"type": "integer", "minimum": 2},
-            "max_len": {"type": "integer", "minimum": 1},
-            "eps": {"type": "number", "exclusiveMinimum": 0},
-            "trials": {"type": "integer", "minimum": 100},
-        },
-        "additionalProperties": False,
-    },
-    "microstates-volume": {
-        "type": "object",
-        "required": ["h", "k", "mc_samples"],
-        "properties": {
-            "h": {"$ref": "#/$defs/profile"},
-            "k": {"type": "integer", "minimum": 2, "maximum": 64},
-            "mc_samples": {"type": "integer", "minimum": 10_000},
-        },
-        "additionalProperties": False,
-    },
-    "microstates-sum": {
-        "type": "object",
-        "required": [
-            "h1", "h2", "k", "max_len", "eps", "trials", "filter_max_len", "filter_eps"
-        ],
-        "properties": {
-            "h1": {"$ref": "#/$defs/profile"},
-            "h2": {"$ref": "#/$defs/profile"},
-            "k": {"type": "integer", "minimum": 2},
-            "max_len": {"type": "integer", "minimum": 1},
-            "eps": {"type": "number", "exclusiveMinimum": 0},
-            "trials": {"type": "integer", "minimum": 100},
-            "filter_max_len": {"type": "integer", "minimum": 1},
-            "filter_eps": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "additionalProperties": False,
-    },
+    "microstates-theta": _object(
+        ["h1", "h2", "k", "max_len", "eps", "trials"],
+        h1=_PROFILE,
+        h2=_PROFILE,
+        k={"type": "integer", "minimum": 2},
+        max_len={"type": "integer", "minimum": 1},
+        eps={"type": "number", "exclusiveMinimum": 0},
+        trials={"type": "integer", "minimum": 100},
+    ),
+    "microstates-volume": _object(
+        ["h", "k", "mc_samples"],
+        h=_PROFILE,
+        k={"type": "integer", "minimum": 2, "maximum": 64},
+        mc_samples={"type": "integer", "minimum": 10_000},
+    ),
+    "microstates-sum": _object(
+        ["h1", "h2", "k", "max_len", "eps", "trials", "filter_max_len", "filter_eps"],
+        h1=_PROFILE,
+        h2=_PROFILE,
+        k={"type": "integer", "minimum": 2},
+        max_len={"type": "integer", "minimum": 1},
+        eps={"type": "number", "exclusiveMinimum": 0},
+        trials={"type": "integer", "minimum": 100},
+        filter_max_len={"type": "integer", "minimum": 1},
+        filter_eps={"type": "number", "exclusiveMinimum": 0},
+    ),
 }
 
 
@@ -365,50 +267,114 @@ def _line_of_path(raw: str, keys) -> int:
     return raw.count("\n", 0, found) + 1
 
 
-# a JSON string, or a non-finite token that Python's json accepts outside strings
-_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
+# a JSON string, or a token that Python's json reads as a float outside
+# strings: NaN and Infinity, which JSON lacks, or a literal with a fraction or
+# an exponent, which is infinite when it is too large for a float
+_STRING_OR_FLOAT = re.compile(
+    r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity|-?\d+(?:\.\d+)?[eE][+-]?\d+|-?\d+\.\d+)'
+)
 
 
 def _load_config(raw: str):
-    """json.loads, refusing the NaN and Infinity tokens that JSON itself lacks."""
+    """json.loads, refusing NaN, Infinity and literals too large for a float."""
 
     def refuse(token):
         # the decoder calls this at the first such token outside a string
-        at = next(m.start(1) for m in _STRING_OR_CONSTANT.finditer(raw) if m.group(1))
+        at = next(
+            m.start(1)
+            for m in _STRING_OR_FLOAT.finditer(raw)
+            if m.group(1) and not math.isfinite(float(m.group(1)))
+        )
         raise json.JSONDecodeError(f"non-finite number {token} is not allowed", raw, at)
 
-    return json.loads(raw, parse_constant=refuse)
+    def parse_float(token):
+        value = float(token)
+        return value if math.isfinite(value) else refuse(token)
+
+    return json.loads(raw, parse_constant=refuse, parse_float=parse_float)
 
 
-def _first_error(schema: dict, instance):
-    """The schema error at the first path in key order, or None."""
-    errors = _Validator(schema).iter_errors(instance)
-    return min(errors, key=lambda e: list(e.absolute_path), default=None)
+# the JSON types a schema names; a bool is no number, and an integer field
+# takes integer literals only, as the library calls need an int
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
 
 
-def _error_path(err) -> list:
-    """Keys leading to a schema error; an unexpected key ends its own path.
+def _schema_errors(schema: dict, instance, path: tuple = ()):
+    """Each way ``instance`` breaks ``schema``, as (rank, path, message).
 
-    An ``additionalProperties`` error sits at the object holding the key, so
-    the first key the schema does not list is appended.
+    Keywords are read in the schema's order, ``type`` first, so the others
+    see only values of that type.  The messages are jsonschema's, and the
+    least rank met first is the error jsonschema reports.  The rank is the
+    failing value's path, except that an unexpected key ranks at its object;
+    the path then goes on to the first such key, whose line is reported.
     """
-    path = list(err.absolute_path)
-    if err.validator == "additionalProperties":
-        allowed = err.schema.get("properties", {})
-        path.append(next(key for key in err.instance if key not in allowed))
-    return path
+    if "$ref" in schema:
+        schema = _DEFS[schema["$ref"].rpartition("/")[2]]
+    for keyword, value in schema.items():
+        if keyword == "type":
+            if isinstance(instance, bool) or not isinstance(instance, _JSON_TYPES[value]):
+                yield path, path, f"{instance!r} is not of type {value!r}"
+                return
+        elif keyword == "enum" and instance not in value:
+            yield path, path, f"{instance!r} is not one of {value!r}"
+        elif keyword == "const" and instance != value:
+            yield path, path, f"{value!r} was expected"
+        elif keyword in _BOUNDS and _BOUNDS[keyword][0](instance, value):
+            yield path, path, f"{instance!r} is {_BOUNDS[keyword][1]} of {value!r}"
+        elif keyword == "minItems" and len(instance) < value:
+            short = "should be non-empty" if value == 1 else "is too short"
+            yield path, path, f"{instance!r} {short}"
+        elif keyword == "items":
+            for index, item in enumerate(instance):
+                yield from _schema_errors(value, item, (*path, index))
+        elif keyword == "required":
+            for name in value:
+                if name not in instance:
+                    yield path, path, f"{name!r} is a required property"
+        elif keyword == "properties":
+            for name, subschema in value.items():
+                if name in instance:
+                    yield from _schema_errors(subschema, instance[name], (*path, name))
+        elif keyword == "additionalProperties":
+            extra = [key for key in instance if key not in schema["properties"]]
+            if extra:
+                names = ", ".join(map(repr, sorted(extra)))
+                verb = "was" if len(extra) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+                yield path, (*path, extra[0]), message
+        elif keyword == "byMode":
+            mode_of, fields = value
+            mode = mode_of(instance)
+            if isinstance(mode, str) and mode in fields:
+                # the object again, closed to the fields of its mode; a field
+                # that only another mode reads ranks at its own key
+                required, optional = fields[mode]
+                own = _object(required, **dict.fromkeys(["kind", *required, *optional], {}))
+                for _, where, message in _schema_errors(own, instance, path):
+                    yield where, where, message
+
+
+def _first_error(schema: dict, instance, path: tuple = ()):
+    """The (rank, path, message) of the error reported, or None."""
+    return min(_schema_errors(schema, instance, path), key=lambda err: err[0], default=None)
 
 
 def _validate(config: dict, raw: str, path: str) -> None:
     err = _first_error(_TOP_SCHEMA, config)
     if err is not None:
-        line = _line_of_path(raw, _error_path(err) or ["command"])
-        raise ConfigError(f"{path}:{line}: {err.message}")
+        line = _line_of_path(raw, err[1] or ["command"])
+        raise ConfigError(f"{path}:{line}: {err[2]}")
     command = config["command"]
-    err = _first_error({"$defs": _DEFS, **_PARAM_SCHEMAS[command]}, config["params"])
+    err = _first_error(_PARAM_SCHEMAS[command], config["params"], ("params",))
     if err is not None:
-        line = _line_of_path(raw, ["params", *_error_path(err)])
-        raise ConfigError(f"{path}:{line}: params: {err.message}")
+        raise ConfigError(f"{path}:{_line_of_path(raw, err[1])}: params: {err[2]}")
     exact_mode = command == "minkowski" and _minkowski_mode(config["params"]) == "exact"
     if command in STOCHASTIC_COMMANDS and not exact_mode and "seed" not in config:
         raise ConfigError(
@@ -639,17 +605,13 @@ _HANDLERS = {
 # the command table: every command has a parameter schema and a handler
 COMMANDS = tuple(_HANDLERS)
 
-_TOP_SCHEMA = {
-    "type": "object",
-    "required": ["command", "params"],
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "params": {"type": "object"},
-        "seed": {"type": "integer"},
-        "output": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
+_TOP_SCHEMA = _object(
+    ["command", "params"],
+    command={"enum": list(COMMANDS)},
+    params={"type": "object"},
+    seed={"type": "integer"},
+    output={"type": "string"},
+)
 
 
 # -- serialization ------------------------------------------------------------------

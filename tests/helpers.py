@@ -2,8 +2,10 @@
 
 import math
 
+import jsonschema
 import numpy as np
 
+from freesum import cli
 from freesum.measure import Measure
 from freesum.microstates import StepFunctionSpec
 
@@ -42,3 +44,71 @@ def gapped_two_point_cdf(x, s: float, d: float):
     u = np.clip((2.0 * y * y - s * s - d * d) / (s * s - d * d), -1.0, 1.0)
     half = (np.arcsin(u) + 0.5 * math.pi) / (2.0 * math.pi)
     return np.where(np.asarray(x) >= 0, 0.5 + half, 0.5 - half)
+
+
+def _check_by_mode(validator, by_mode, instance, schema):
+    # keyword "byMode": (mode_of, fields); an object carries every field its
+    # mode reads, a kind besides, and no other
+    mode_of, fields = by_mode
+    mode = mode_of(instance) if isinstance(instance, dict) else None
+    if not isinstance(mode, str) or mode not in fields:
+        return
+    required, optional = fields[mode]
+    for name in required:
+        if name not in instance:
+            yield jsonschema.ValidationError(f"{name!r} is a required property")
+    allowed = {"kind", *required, *optional}
+    extra = [key for key in instance if key not in allowed]
+    if extra:
+        names = ", ".join(map(repr, sorted(extra)))
+        verb = "was" if len(extra) == 1 else "were"
+        # the error sits at the first unexpected key, so its line is reported
+        yield jsonschema.ValidationError(
+            f"Additional properties are not allowed ({names} {verb} unexpected)",
+            path=[extra[0]],
+        )
+
+
+# Draft 2020-12 with the one custom keyword the CLI's schemas use
+_ReferenceValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, {"byMode": _check_by_mode}
+)
+
+
+def _reference_error(schema: dict, instance):
+    """(line path, message) of the error jsonschema reports first, or None.
+
+    Errors rank by path in key order; an ``additionalProperties`` error
+    ranks at its object and is reported at the first unexpected key.
+    """
+    errors = _ReferenceValidator({"$defs": cli._DEFS, **schema}).iter_errors(instance)
+    err = min(errors, key=lambda e: list(e.absolute_path), default=None)
+    if err is None:
+        return None
+    path = list(err.absolute_path)
+    if err.validator == "additionalProperties":
+        allowed = err.schema.get("properties", {})
+        path.append(next(key for key in err.instance if key not in allowed))
+    return path, err.message
+
+
+def reference_refusal(config: dict, raw: str, path: str) -> str | None:
+    """The refusal ``cli._validate`` words for ``config`` with jsonschema as
+    the schema validator, or None when the config passes.
+
+    This is the oracle the CLI's own schema walker is checked against.
+    """
+    err = _reference_error(cli._TOP_SCHEMA, config)
+    if err is not None:
+        return f"{path}:{cli._line_of_path(raw, err[0] or ['command'])}: {err[1]}"
+    command = config["command"]
+    err = _reference_error(cli._PARAM_SCHEMAS[command], config["params"])
+    if err is not None:
+        return f"{path}:{cli._line_of_path(raw, ['params', *err[0]])}: params: {err[1]}"
+    exact_mode = command == "minkowski" and cli._minkowski_mode(config["params"]) == "exact"
+    if command in cli.STOCHASTIC_COMMANDS and not exact_mode and "seed" not in config:
+        return (
+            f"{path}:{cli._line_of_path(raw, ['command'])}: "
+            f"seed is required for stochastic command {command!r}"
+        )
+    return None

@@ -307,6 +307,56 @@ class TestValidation:
         assert err.startswith(f"error: {path}:6: non-finite number")
         assert not output.exists()
 
+    @pytest.mark.parametrize("seed, radius, line, literal", [
+        ("7", "1e400", 6, "1e400"),
+        ("-2.5E+999", "1.0", 3, "-2.5E+999"),
+    ], ids=["radius", "seed"])
+    def test_number_literals_too_large_for_a_float_rejected(self, tmp_path, capsys, seed,
+                                                            radius, line, literal):
+        # Python's json reads such a literal as an infinite float; it is refused
+        # at its line like the NaN token (the literal in the output string passes)
+        path, output = tmp_path / "c.json", tmp_path / "1e400.json"
+        path.write_text(
+            '{\n  "command": "theorem12",\n  "seed": %s,\n  "output": %s,\n  "params": {\n'
+            '    "a": {"kind": "ball", "radius": %s, "dim": 2},\n'
+            '    "b": {"kind": "box", "half_widths": [1.0, 1.0]},\n'
+            '    "theta": {"kind": "full"}\n  }\n}\n' % (seed, json.dumps(str(output)), radius)
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: non-finite number {literal} is not allowed\n"
+        )
+        assert not output.exists()
+
+    TABLE = '{"nodes": [0.0, 1.0], "values": [0.0, 1.0]}'
+    THETA_PARAMS = f'"h1": {TABLE},\n    "h2": {TABLE},\n    "k": 8,\n    "max_len": %s,\n' \
+        '    "eps": 0.2,\n    "trials": 100'
+
+    @pytest.mark.parametrize("command, seed, params, message", [
+        ("theorem12", "1", '"a": {"kind": "ball", "radius": 1.0, "dim": 2.0},\n'
+         '    "b": {"kind": "box", "half_widths": [1.0, 1.0]},\n    "theta": {"kind": "full"}',
+         "5: params: 2.0 is not of type 'integer'"),
+        ("microstates-theta", "1.0", THETA_PARAMS % "2",
+         "3: 1.0 is not of type 'integer'"),
+        ("microstates-theta", "1", THETA_PARAMS % "2.0",
+         "8: params: 2.0 is not of type 'integer'"),
+        ("lemma13", "1", '"n": 4.0,\n    "rho": 0.5', "5: params: 4.0 is not of type 'integer'"),
+    ], ids=["dim", "seed", "max_len", "lemma13-n"])
+    def test_whole_floats_in_integer_fields_rejected(self, tmp_path, capsys, command, seed,
+                                                     params, message):
+        # JSON Schema counts 2.0 as an integer, but the library calls need an
+        # int: the float reached SetSpec.ball, stream_seed or the profile
+        # moments and raised TypeError, or lemma13 echoed n as 4.0
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{\n  "command": "%s",\n  "seed": %s,\n  "params": {\n    %s\n  }\n}\n'
+            % (command, seed, params)
+        )
+        assert cli.main(["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:{message}\n"
+
     def test_non_object_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text("[1, 2]\n")

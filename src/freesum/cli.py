@@ -5,9 +5,10 @@ against per-command schemas before anything runs, by ``_schema_errors``, a
 walker over the few JSON Schema keywords the schemas use plus one of their
 own, ``byMode``; it words each refusal as jsonschema would, so the package
 needs numpy alone.  Outputs echo the fully resolved configuration (defaults
-included) so a result file alone suffices to rerun the experiment.  Exit
-codes encode verdicts: 0 holds/success, 2 violated, 3 inconclusive, 1 any
-error (usage errors too).
+included) so a result file alone suffices to rerun the experiment.  Every
+verdict is formed in the library, beside its check, by
+``stats.three_way_verdict``; this module only maps it to an exit code: 0
+holds/success, 2 violated, 3 inconclusive, 1 any error (usage errors too).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .microstates import (
     sum_spectrum_experiment,
     theta_fraction,
 )
-from .stats import three_way_verdict
 
 # commands whose results depend on random sampling; these require a seed
 STOCHASTIC_COMMANDS = frozenset(
@@ -267,11 +267,11 @@ def _line_of_path(raw: str, keys) -> int:
     return raw.count("\n", 0, found) + 1
 
 
-# a JSON string, or a token that Python's json reads as a float outside
-# strings: NaN and Infinity, which JSON lacks, or a literal with a fraction or
-# an exponent, which is infinite when it is too large for a float
-_STRING_OR_FLOAT = re.compile(
-    r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity|-?\d+(?:\.\d+)?[eE][+-]?\d+|-?\d+\.\d+)'
+# a JSON string, or a token that Python's json reads as a number outside
+# strings: NaN and Infinity, which JSON lacks, or a numeric literal, which
+# reads as an infinite float when it is too large for a float
+_STRING_OR_NUMBER = re.compile(
+    r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)'
 )
 
 
@@ -282,7 +282,7 @@ def _load_config(raw: str):
         # the decoder calls this at the first such token outside a string
         at = next(
             m.start(1)
-            for m in _STRING_OR_FLOAT.finditer(raw)
+            for m in _STRING_OR_NUMBER.finditer(raw)
             if m.group(1) and not math.isfinite(float(m.group(1)))
         )
         raise json.JSONDecodeError(f"non-finite number {token} is not allowed", raw, at)
@@ -291,7 +291,11 @@ def _load_config(raw: str):
         value = float(token)
         return value if math.isfinite(value) else refuse(token)
 
-    return json.loads(raw, parse_constant=refuse, parse_float=parse_float)
+    def parse_int(token):
+        # an integer field reaches float arithmetic or a 64-bit seed
+        return int(token) if math.isfinite(float(token)) else refuse(token)
+
+    return json.loads(raw, parse_constant=refuse, parse_float=parse_float, parse_int=parse_int)
 
 
 # the JSON types a schema names; a bool is no number, and an integer field
@@ -475,16 +479,13 @@ def _run_epi(params, seed):
     report = epi_deficit(
         _parse_measure(params["alpha"], n_cells), _parse_measure(params["beta"], n_cells), n_cells
     )
-    scale = max(report.power_sum, report.power_alpha + report.power_beta)
-    tol = max(report.quadrature_error_estimate, 0.02 * scale)
-    verdict = three_way_verdict(report.deficit, tol)
     result = {
         "report": report,
-        "tolerance": tol,
-        "verdict": verdict,
+        "tolerance": report.tolerance,
+        "verdict": report.verdict,
         "diagnostics": _solver_diagnostics(report.sum_meta),
     }
-    return result, verdict, {"grid": {"n_cells": n_cells}}
+    return result, report.verdict, {"grid": {"n_cells": n_cells}}
 
 
 def _run_stam(params, seed):
@@ -498,18 +499,13 @@ def _run_stam(params, seed):
 
 def _run_lemma13(params, seed):
     out = check_lemma13(params["n"], params["rho"])
-    report = out["report"]
-    result = {"c1_estimate": out["c1_estimate"], "report": report}
-    return result, report.verdict, {}
+    return out, out["report"].verdict, {}
 
 
 def _run_minkowski(params, seed):
     if _minkowski_mode(params) == "exact":
         out = ball_example_exact(params["rho"], params["n"])
-        scale = 1.0 + params["rho"] ** 2
-        verdict = "holds" if abs(out["equality_gap"]) <= 1e-9 * scale else "violated"
-        result = {**out, "verdict": verdict}
-        return result, verdict, {"mode": "exact"}
+        return out, out["verdict"], {"mode": "exact"}
     cfg = _mc_config(params, seed)
     out = restricted_sum_volume(
         _parse_set(params["a"]), _parse_set(params["b"]), _parse_theta(params["theta"]), cfg

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ParameterError
 from .freeconv import free_convolve
 from .measure import N_CELLS, Measure
+from .stats import three_way_verdict
 
 CHI_SHIFT = 0.75 + 0.5 * math.log(2.0 * math.pi)
 
@@ -110,7 +111,7 @@ class EntropyReport:
     the corresponding chi is -inf (purely atomic input); such inputs are
     listed in infinite_entropy_inputs.  sum_meta is the ``meta`` of the
     computed convolution, holding the solver diagnostics; it is not part of
-    the JSON form.
+    the JSON form, and neither are the properties.
     """
 
     chi_alpha: float
@@ -130,6 +131,16 @@ class EntropyReport:
                 raise ParameterError(f"{name} must be nonnegative")
         if not math.isfinite(self.deficit):
             raise ParameterError("deficit must be finite")
+
+    @property
+    def tolerance(self) -> float:
+        """The quadrature estimate, or 2% of the larger side if that is more."""
+        scale = max(self.power_sum, self.power_alpha + self.power_beta)
+        return max(self.quadrature_error_estimate, 0.02 * scale)
+
+    @property
+    def verdict(self) -> str:
+        return three_way_verdict(self.deficit, self.tolerance)
 
 
 def _power(c: float) -> float:

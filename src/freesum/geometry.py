@@ -18,7 +18,8 @@ sumset non-convex; no certificate applies there and its volume is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -261,18 +262,24 @@ class VolumeEstimate:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """A checked inequality; its verdict is three_way_verdict(deficit, ci_halfwidth).
+
+    ``hypothesis_met=False`` (a failed or tied gate) makes it "inconclusive".
+    """
+
     lhs: float
     rhs: float
     deficit: float
     ci_halfwidth: float
-    verdict: str
+    verdict: str = field(init=False)
     context: dict = field(compare=False, default_factory=dict)
+    hypothesis_met: InitVar[bool] = True
 
-    def __post_init__(self):
-        if self.verdict not in ("holds", "violated", "inconclusive"):
-            raise ParameterError(f"unknown verdict {self.verdict!r}")
+    def __post_init__(self, hypothesis_met):
         if self.ci_halfwidth < 0:
             raise ParameterError("ci_halfwidth must be nonnegative")
+        verdict = three_way_verdict(self.deficit, self.ci_halfwidth)
+        object.__setattr__(self, "verdict", verdict if hypothesis_met else "inconclusive")
 
 
 @dataclass(frozen=True)
@@ -687,23 +694,26 @@ def restricted_sum_volume(
 # cap geometry (spherical caps of the ball example)
 
 
-def _log_beta_ratio(p: float, x: float) -> float:
+def _log_beta_ratio(p: float, x: float, log_4x: float | None = None) -> float:
     """log I_x(p, p), the regularized incomplete beta ratio, for x <= 1/2 (-inf at x <= 0).
 
     Sums I_x(p, p) = x^p (1-x)^p / (p B(p, p)) * 2F1(2p, 1; p+1; x) (DLMF 8.17.8),
     whose terms are positive and decreasing for x <= 1/2: O(sqrt(p)) of them.  The
     prefactor (4x(1-x))^p Gamma(p+1/2) / (2 sqrt(pi) p Gamma(p)) is formed in logs,
     with an expansion at large p, where differences of lgamma values lose digits.
+    A caller whose x underflows passes ``log_4x`` formed from its factors.
     """
-    if x <= 0.0:
-        return -math.inf
+    if log_4x is None:
+        if x <= 0.0:
+            return -math.inf
+        log_4x = math.log(4.0 * x)
     total, term, k = 1.0, 1.0, 0
     while term > 1e-17 * total:
         term *= (2.0 * p + k) * x / (p + 1.0 + k)
         total += term
         k += 1
     if x < 0.25:
-        log_base = math.log(4.0 * x) + math.log1p(-x)
+        log_base = log_4x + math.log1p(-x)
     else:
         v = 1.0 - 2.0 * x  # exact for x in [1/4, 1/2]
         log_base = math.log1p(-v * v)
@@ -716,43 +726,55 @@ def _log_beta_ratio(p: float, x: float) -> float:
     return p * log_base + log_ratio - 0.5 * math.log(4.0 * math.pi * p) + math.log(total)
 
 
-def _cap_shares(n: int, rho: float, r0: float) -> tuple[float, float, float]:
+def _cap_shares(n: int, rho: float, r0: float, offset=None) -> tuple[float, float, float]:
     """(s, first, second): the cap plane's offset s and the two integral shares.
 
     ``first`` is the part of rho*B^n below the plane at offset s from the
     shifted centre, I_x((n+1)/2, (n+1)/2) with x = (1 + s/rho)/2, and
     ``second`` the lens between that plane and the big sphere.  When the
-    shifted small ball lies inside the big one the shares are 1 and 0.
+    shifted small ball lies inside the big one the shares are 1 and 0.  Each
+    difference of numbers near 1 is formed from the offset e = 1 - r0, which
+    is exact for r0 >= 1/2 (Sterbenz) or else passed by the caller.
     """
     if n < 2:
         raise ParameterError("cap geometry needs n >= 2")
-    if not 0.0 < rho <= 1.0:
-        raise ParameterError("rho must lie in (0, 1]")
+    if not sys.float_info.min <= rho <= 1.0:
+        # a subnormal rho overflows big_r / rho, and the lens share reads NaN
+        raise ParameterError(f"rho = {rho!r} must be a normal float in (0, 1]")
     if not 0.0 < r0 <= 1.0:
         raise ParameterError("r0 must lie in (0, 1]")
+    e = 1.0 - r0 if offset is None else offset
     big_r = math.sqrt(1.0 + rho * rho)
-    # r0 in (big_r - rho, 1] puts the plane offset s in [0, big_r - r0]
-    s = (1.0 - r0 * r0) / (2.0 * r0)
-    if r0 <= big_r - rho:
+    # r0 in (big_r - rho, 1] puts the plane offset s in [0, big_r - r0];
+    # 1 - r0^2 = e (2 - e) and big_r - 1 = rho^2 / (big_r + 1)
+    s = e * (2.0 - e) / (2.0 * r0)
+    if e >= rho - rho * rho / (big_r + 1.0):
         # the shifted small ball sits entirely inside the big ball
         return s, 1.0, 0.0
     p = 0.5 * (n + 1)
     first = 1.0 - math.exp(_log_beta_ratio(p, 0.5 * (1.0 - s / rho)))
-    # lens: substitute r0 + u = big_r * w on [s, t]
-    w0 = (r0 + s) / big_r
-    second = math.exp(_log_beta_ratio(p, 0.5 * (1.0 - w0)) + n * math.log(big_r / rho))
+    # lens: substitute r0 + u = big_r * w on [s, t].  big_r - (r0 + s) = rho^2 g,
+    # and g > 0 but for rounding; x = (1 - w0)/2 underflows once rho < 1.5e-154,
+    # so log 4x comes from its factors
+    g = 1.0 / (big_r + 1.0) - (e / rho) ** 2 / (2.0 * r0)
+    second = 0.0
+    if g > 0.0:
+        log_4x = 2.0 * math.log(rho) + math.log(2.0 * g / big_r)
+        x = rho * rho * g / (2.0 * big_r)
+        second = math.exp(_log_beta_ratio(p, x, log_4x) + n * math.log(big_r / rho))
     return s, first, second
 
 
-def cap_fraction(n: int, rho: float, r0: float) -> float:
+def cap_fraction(n: int, rho: float, r0: float, offset: float | None = None) -> float:
     """Fraction of the small ball rho*B^n reachable within the big ball.
 
     For |x0| = r0, returns lambda({y : |y| <= rho, |x0 + y| <= sqrt(1+rho^2)})
     normalized by lambda(rho B^n).  Computed from two incomplete beta ratios
     I_x((n+1)/2, (n+1)/2): the part of the small ball below the cap plane,
-    plus the lens against the big sphere.
+    plus the lens against the big sphere.  ``offset`` is 1 - r0 when the
+    caller knows it more closely than r0 carries it.
     """
-    _, first, second = _cap_shares(n, rho, r0)
+    _, first, second = _cap_shares(n, rho, r0, offset)
     return min(first + second, 1.0)
 
 
@@ -777,13 +799,16 @@ def check_lemma13(n: int, rho: float) -> dict:
     miss at least c1 of the small ball, which bounds the admissible pair
     fraction away from 1 and yields a positive constant c.  By Anderson's
     theorem the cap fraction falls as r0 grows, so the least uncovered share
-    on that range is at its inner end: c1 = 1 - cap_fraction(n, rho, 1 - tau/n).
+    on that range is at its inner end: c1 = 1 - cap_fraction(n, rho, 1 - tau/n),
+    passed the offset tau/n itself.  The deficit is exact up to rounding, so
+    its verdict takes tolerance 0.
     """
     if n < 2:
         raise ParameterError("needs n >= 2")
     tau = 0.5 * min(rho * math.sqrt(n), 1.0)
-    c1 = 1.0 - cap_fraction(n, rho, 1.0 - tau / n)
-    shell = (1.0 - tau / n) ** n
+    e = tau / n
+    c1 = 1.0 - cap_fraction(n, rho, 1.0 - e, e)
+    shell = math.exp(n * math.log1p(-e))
     bound = 1.0 - shell * c1
     implied_c = shell * c1 / min(rho * math.sqrt(n), 1.0)
     deficit = shell * c1
@@ -792,7 +817,6 @@ def check_lemma13(n: int, rho: float) -> dict:
         rhs=bound,
         deficit=deficit,
         ci_halfwidth=0.0,
-        verdict="holds" if deficit > 0 else "inconclusive",
         context={
             "n": n,
             "rho": rho,
@@ -916,7 +940,6 @@ def _power_check(
     rhs = scale * (vol_a.value ** (2.0 / n) + vol_b.value ** (2.0 / n))
     ci = _power_ci(rsv["sum_volume"], n) + scale * (_power_ci(vol_a, n) + _power_ci(vol_b, n))
     deficit = lhs - rhs
-    verdict = three_way_verdict(deficit, ci) if gate["passed"] else "inconclusive"
     big = max(vol_a, vol_b, key=lambda vol: vol.value)
     frac_lo, frac_hi = gate["ci"]
     slice_rhs = gate["fraction"] * big.value
@@ -927,7 +950,6 @@ def _power_check(
         rhs=rhs,
         deficit=deficit,
         ci_halfwidth=ci,
-        verdict=verdict,
         context={
             "n": n,
             "rho": rho,
@@ -950,6 +972,7 @@ def _power_check(
             },
             **extra,
         },
+        hypothesis_met=gate["passed"],
     )
 
 
@@ -1024,7 +1047,6 @@ def bll_symmetrization_check(
         rhs=rhs,
         deficit=deficit,
         ci_halfwidth=ci,
-        verdict=three_way_verdict(deficit, ci),
         context={"n": n, "seed": cfg.seed, "pair_samples": cfg.pair_samples},
     )
 
@@ -1047,5 +1069,7 @@ def ball_example_exact(rho: float, n: int) -> dict:
     # 2/n-th power does not
     w = math.exp((n * math.log(math.pi) - 2.0 * math.lgamma(n / 2.0 + 1.0)) / n)
     gap = w * sum_radius**2 - (w + w * rho**2)
-    return {"theta_fraction": 0.5, "sum_radius": sum_radius, "equality_gap": gap}
+    # an equality: the deficit is -|gap|, against rounding scaled like the sides
+    return {"theta_fraction": 0.5, "sum_radius": sum_radius, "equality_gap": gap,
+            "verdict": three_way_verdict(-abs(gap), 1e-9 * (1.0 + rho**2))}
 

@@ -310,11 +310,14 @@ class TestValidation:
     @pytest.mark.parametrize("seed, radius, line, literal", [
         ("7", "1e400", 6, "1e400"),
         ("-2.5E+999", "1.0", 3, "-2.5E+999"),
-    ], ids=["radius", "seed"])
+        ("7", "1" + "0" * 400, 6, "1" + "0" * 400),
+        ("1" + "0" * 400, "1.0", 3, "1" + "0" * 400),
+    ], ids=["radius", "seed", "integer-radius", "integer-seed"])
     def test_number_literals_too_large_for_a_float_rejected(self, tmp_path, capsys, seed,
                                                             radius, line, literal):
-        # Python's json reads such a literal as an infinite float; it is refused
-        # at its line like the NaN token (the literal in the output string passes)
+        # Python's json reads such a literal as an infinite float, or as an int
+        # that no float holds; it is refused at its line like the NaN token (the
+        # literal in the output string passes)
         path, output = tmp_path / "c.json", tmp_path / "1e400.json"
         path.write_text(
             '{\n  "command": "theorem12",\n  "seed": %s,\n  "output": %s,\n  "params": {\n'
@@ -802,6 +805,35 @@ class TestExitCodes:
         assert report["deficit"] == pytest.approx(-1.2566, abs=1e-4)
         assert report["deficit"] + report["ci_halfwidth"] < 0
 
+    def test_lemma13_violated_exits_2(self, tmp_path, monkeypatch, capsys):
+        """A lemma13 run with the computed cap share forced to 1.5.
+
+        c1 = 1 - share is then -0.5, and so is the deficit's sign. No honest
+        failing input exists: the share is a fraction of a ball, in [0, 1],
+        so c1 and the deficit are never negative.
+        """
+        monkeypatch.setattr(geometry, "cap_fraction", lambda *args: 1.5)
+        config = {"command": "lemma13", "params": {"n": 8, "rho": 0.1}}
+        assert run_cli(tmp_path, config) == 2
+        doc = last_stdout_json(capsys)
+        assert doc["verdict"] == doc["result"]["report"]["verdict"] == "violated"
+        assert doc["result"]["c1_estimate"] == -0.5
+        assert doc["result"]["report"]["deficit"] < 0
+
+    def test_ball_example_violated_exits_2(self, tmp_path, monkeypatch, capsys):
+        """The exact ball example with its squared sum radius forced 2% too large.
+
+        No honest failing input exists: the orthogonal sum of B^n and rho B^n
+        is sqrt(1 + rho^2) B^n exactly (``_annulus`` at c = 0), and the
+        unforced gap is rounding, far inside the 1e-9 (1 + rho^2) tolerance.
+        """
+        monkeypatch.setattr(geometry, "_annulus", lambda a, b, c: (1.02 * (a * a + b * b), 0.0))
+        config = {"command": "minkowski", "params": {"example": "ball", "rho": 0.5, "n": 3}}
+        assert run_cli(tmp_path, config) == 2
+        doc = last_stdout_json(capsys)
+        assert doc["verdict"] == doc["result"]["verdict"] == "violated"
+        assert doc["result"]["equality_gap"] > 0
+
     @pytest.mark.parametrize("error, expected", [
         (ConvergenceError("subordination failed", residual=0.5),
          "error: subordination failed diagnostics={'residual': 0.5}\n"),
@@ -853,7 +885,7 @@ class TestOutputFormats:
         }
         volume = VolumeEstimate(value=2.0, stderr=0.1, samples=1000, method="mc_hit_or_miss")
         check = CheckReport(
-            lhs=1.0, rhs=0.5, deficit=0.5, ci_halfwidth=0.1, verdict="holds",
+            lhs=1.0, rhs=0.5, deficit=0.5, ci_halfwidth=0.1,
             context={"n": 2, "sum_volume": volume},
         )
         assert cli._jsonable(check) == {

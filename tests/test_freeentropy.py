@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from freesum.cli import _jsonable
@@ -29,6 +31,7 @@ from freesum.measure import (
     semicircle,
     uniform,
 )
+from freesum.stats import three_way_verdict
 
 CELLS = 1024
 NEG_INF = float("-inf")
@@ -137,6 +140,21 @@ def test_entropy_report_validation():
             deficit=float("inf"),
             quadrature_error_estimate=0.0,
         )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.0, 50.0), st.floats(0.0, 50.0), st.floats(0.0, 100.0), st.floats(0.0, 5.0))
+def test_entropy_report_verdict_is_the_one_rule(power_alpha, power_beta, power_sum, quad_err):
+    # the tolerance is the quadrature estimate or 2% of the larger side
+    deficit = power_sum - power_alpha - power_beta
+    rep = EntropyReport(
+        chi_alpha=0.0, chi_beta=0.0, chi_sum=0.0, power_alpha=power_alpha,
+        power_beta=power_beta, power_sum=power_sum, deficit=deficit,
+        quadrature_error_estimate=quad_err,
+    )
+    scale = max(power_sum, power_alpha + power_beta)
+    assert rep.tolerance == max(quad_err, 0.02 * scale)
+    assert rep.verdict == three_way_verdict(deficit, rep.tolerance)
 
 
 def test_epi_semicircle_equality_case():

@@ -16,7 +16,7 @@ from scipy.stats import kstest
 import freesum.geometry as geometry
 from freesum.cli import _jsonable
 from freesum.errors import DegenerateSampleError, ParameterError
-from freesum.stats import Z99
+from freesum.stats import Z99, three_way_verdict
 from freesum.geometry import (
     CheckReport,
     MonteCarloConfig,
@@ -97,9 +97,15 @@ class TestSpecs:
 
     def test_check_report_validation(self):
         with pytest.raises(ParameterError):
-            CheckReport(lhs=1, rhs=1, deficit=0, ci_halfwidth=0, verdict="maybe")
-        with pytest.raises(ParameterError):
-            CheckReport(lhs=1, rhs=1, deficit=0, ci_halfwidth=-1, verdict="holds")
+            CheckReport(lhs=1, rhs=1, deficit=0, ci_halfwidth=-1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(-10.0, 10.0), st.floats(0.0, 5.0), st.booleans())
+    def test_check_report_verdict_is_the_one_rule(self, deficit, ci, hypothesis_met):
+        report = CheckReport(lhs=1.0, rhs=1.0 - deficit, deficit=deficit, ci_halfwidth=ci,
+                             hypothesis_met=hypothesis_met)
+        expected = three_way_verdict(deficit, ci) if hypothesis_met else "inconclusive"
+        assert report.verdict == expected
 
     def test_mc_config_validation(self):
         with pytest.raises(ParameterError):
@@ -1225,7 +1231,9 @@ class TestLemmaThirteen:
             assert cap_fraction(3, 1.0, float(r0)) <= 1.0
 
     # (n, rho): c1_estimate, implied_c, deficit as the 33-point r0 scan
-    # computed them; reading c1 at the scan's first point changes no bit
+    # computed them; reading c1 at the scan's first point changes no bit.  The
+    # scan lost 8e-13 to cancellation at (2048, 0.01), whose values are a
+    # 60-digit reference instead
     SCAN_VALUES = {
         (2, 1.0): (0.16125375103501138, 0.0907052349571939, 0.0907052349571939),
         (3, 0.5): (0.2000986333526884, 0.14475077104242542, 0.1253578449401253),
@@ -1234,7 +1242,7 @@ class TestLemmaThirteen:
         (128, 0.5): (0.44721975175509965, 0.2709870341770172, 0.2709870341770172),
         (512, 1.0): (0.47360978701602807, 0.2871886878878216, 0.2871886878878216),
         (2048, 0.1): (0.45512558402897296, 0.2760307698950734, 0.2760307698950734),
-        (2048, 0.01): (0.30842318772177857, 0.5435093164713702, 0.2459642389215816),
+        (2048, 0.01): (0.30842318772152629, 0.54350931647090688, 0.24596423892137189),
     }
 
     @pytest.mark.parametrize("n, rho", list(SCAN_VALUES))
@@ -1245,9 +1253,38 @@ class TestLemmaThirteen:
         assert got == pytest.approx(self.SCAN_VALUES[n, rho], rel=1e-13, abs=0)
         assert report.verdict == "holds"
 
+    # (n, rho): c1 from a 50-digit evaluation of the same two beta ratios.  Once
+    # rho sqrt(n) << 1, c1 levels off near 0.3085; forming 1 - r0 from the
+    # rounded r0 = 1 - tau/n lost it to cancellation (c1 = 0 at (1e6, 1e-6),
+    # an OverflowError at (1e6, 6.3e-8), 0.5 at rho = 1e-16, drift at 1e-12)
+    SMALL_OFFSET_C1 = {
+        (10**6, 1e-6): 0.30853748331969789,
+        (10**7, 1e-6): 0.30853753309971665,
+        (10**6, 6.309573444801943e-08): 0.30853748369078055,
+        (10**5, 1e-12): 0.30853698862306164,
+        (10**6, 1e-12): 0.30853748371577068,
+        (10**7, 1e-12): 0.30853753322496596,
+        (2, 1e-16): 0.27970217208174394,
+        (128, 1e-16): 0.30810725543940184,
+        (10**6, 1e-16): 0.30853748371577108,
+        (10**7, 1e-300): 0.30853753322496608,
+        # rho^2 is subnormal here; an x formed from it overflowed the lens share
+        (10**6, 4.0933107541968894e-161): 0.30853748371577108,
+    }
+
+    @pytest.mark.parametrize("n, rho", list(SMALL_OFFSET_C1))
+    def test_small_offsets_keep_c1(self, n, rho):
+        out = check_lemma13(n, rho)
+        assert out["c1_estimate"] == pytest.approx(self.SMALL_OFFSET_C1[n, rho], rel=1e-12)
+        assert out["report"].deficit > 0
+        assert out["report"].verdict == "holds"
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             check_lemma13(1, 0.5)
+        # 1/rho overflows for a subnormal rho, and the lens share reads NaN
+        with pytest.raises(ParameterError, match="5e-324"):
+            check_lemma13(2, 5e-324)
 
 
 class TestBallExample:
